@@ -4,7 +4,8 @@ A configuration has five sections (domain, coefficient, driver, scheme,
 experiment), each a plain mapping merged over package defaults.  Unknown
 keys anywhere are configuration errors, as are inconsistent dimensions.
 Validation collects every problem before raising, so a bad file reports
-all its mistakes at once.
+all its mistakes at once.  Every numeric field is type-checked and must be
+finite, so a malformed value is reported as a problem, never raised.
 
 The canonical form of a configuration is its sorted-key compact JSON; its
 sha-256 digest is embedded in artifacts so that outputs are traceable to
@@ -13,6 +14,8 @@ the exact configuration that produced them.
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +59,58 @@ _EXPERIMENT_DEFAULT = {
 
 _SECTIONS = ("domain", "coefficient", "driver", "scheme", "experiment")
 _JUMP_LAW_KINDS = ("uniform-ball", "fixed-vector")
+
+# scalar fields of the merged sections: (section, key) ->
+# (integer, lower bound, bound inclusive, None allowed)
+_SCALARS = {
+    ("driver", "horizon"): (False, 0.0, False, False),
+    ("driver", "steps"): (True, 1, True, False),
+    ("driver", "dimension"): (True, 1, True, False),
+    ("driver", "jump_rate"): (False, 0.0, True, False),
+    ("driver", "diffusion_scale"): (False, 0.0, True, False),
+    ("scheme", "mesh"): (False, 0.0, False, True),
+    ("scheme", "cells"): (True, 1, True, True),
+    ("scheme", "substeps"): (True, 1, True, False),
+    ("scheme", "substeps_bar"): (True, 1, True, False),
+    ("scheme", "observations"): (True, 0, True, False),
+    ("experiment", "seed"): (True, 0, True, False),
+    ("experiment", "n_paths"): (True, 1, True, False),
+    ("experiment", "reference_refine"): (True, 1, True, False),
+    ("experiment", "reference_substeps"): (True, 1, True, False),
+}
+
+
+def _number(value, integer: bool = False):
+    """``value`` as a finite float (an int if ``integer``), else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    if not math.isfinite(number) or (integer and not number.is_integer()):
+        return None
+    return int(value) if integer else number
+
+
+def _vector(value):
+    """A number or a list of numbers as a finite float array, else None."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(items, (list, tuple)):
+        items = [items]
+    parsed = [_number(item) for item in items]
+    if None in parsed:
+        return None
+    return np.array(parsed, dtype=float)
+
+
+def _has_nan(spec) -> bool:
+    """Whether a nested spec holds a NaN anywhere (infinities may be bounds)."""
+    if isinstance(spec, dict):
+        return any(_has_nan(v) for v in spec.values())
+    if isinstance(spec, (list, tuple)):
+        return any(_has_nan(v) for v in spec)
+    return isinstance(spec, float) and math.isnan(spec)
 
 
 def _merge_section(defaults: dict, override, section: str, problems: list) -> dict:
@@ -121,6 +176,9 @@ class ExperimentConfig:
         """Collect every configuration problem; empty list means valid."""
         problems = []
         domain = coefficient = None
+        for name in ("domain", "coefficient"):
+            if _has_nan(getattr(self, name)):
+                problems.append(f"{name}: NaN is not a valid number")
         try:
             domain = Domain.from_spec(self.domain)
         except (ReflectedSDEError, ValueError, KeyError, TypeError) as exc:
@@ -130,64 +188,61 @@ class ExperimentConfig:
         except (ReflectedSDEError, ValueError, KeyError, TypeError) as exc:
             problems.append(f"coefficient: {exc}")
 
-        drv = self.driver
-        if not float(drv.get("horizon", 0.0)) > 0.0:
-            problems.append("driver.horizon must be positive")
-        if int(drv.get("steps", 0)) < 1:
-            problems.append("driver.steps must be >= 1")
-        if int(drv.get("dimension", 0)) < 1:
-            problems.append("driver.dimension must be >= 1")
-        if float(drv.get("jump_rate", 0.0)) < 0.0:
-            problems.append("driver.jump_rate must be >= 0")
-        if float(drv.get("diffusion_scale", 1.0)) < 0.0:
-            problems.append("driver.diffusion_scale must be >= 0")
-        law = drv.get("jump_law") or {}
-        if law.get("kind") not in _JUMP_LAW_KINDS:
+        # scalars that pass their checks, keyed "section.key"
+        num = {}
+        for (section, key), (integer, low, inclusive, optional) in _SCALARS.items():
+            name = f"{section}.{key}"
+            raw = getattr(self, section).get(key)
+            if raw is None and optional:
+                continue
+            value = _number(raw, integer)
+            if value is None:
+                kind = "an integer" if integer else "a finite number"
+                problems.append(f"{name} must be {kind}, got {raw!r}")
+            elif (value < low) if inclusive else (value <= low):
+                problems.append(f"{name} must be {'>=' if inclusive else '>'} {low}")
+            else:
+                num[name] = value
+
+        law = self.driver.get("jump_law") or {}
+        if not isinstance(law, dict) or law.get("kind") not in _JUMP_LAW_KINDS:
             problems.append(
                 "driver.jump_law.kind must be one of %s" % (_JUMP_LAW_KINDS,)
             )
         elif law["kind"] == "fixed-vector":
-            vec = np.atleast_1d(np.asarray(law.get("vector", []), dtype=float))
-            if vec.shape != (int(drv.get("dimension", 0)),):
+            vec = _vector(law.get("vector", []))
+            if vec is None or vec.shape != (num.get("driver.dimension"),):
                 problems.append(
-                    "driver.jump_law.vector must match driver.dimension"
+                    "driver.jump_law.vector must be finite numbers matching "
+                    "driver.dimension"
                 )
-        elif float(law.get("radius", 1.0)) <= 0.0:
-            problems.append("driver.jump_law.radius must be positive")
+        else:
+            radius = _number(law.get("radius", 1.0))
+            if radius is None or radius <= 0.0:
+                problems.append("driver.jump_law.radius must be a positive number")
 
         sch = self.scheme
         if sch.get("kind") not in SCHEME_KINDS:
             problems.append(
                 "scheme.kind must be one of %s" % (SCHEME_KINDS,)
             )
-        mesh, cells = sch.get("mesh"), sch.get("cells")
-        if mesh is not None and float(mesh) <= 0.0:
-            problems.append("scheme.mesh must be positive")
-        if mesh is None and (cells is None or int(cells) < 1):
+        if sch.get("mesh") is None and sch.get("cells") is None:
             problems.append("scheme needs a positive mesh or cells >= 1")
-        if int(sch.get("substeps", 0)) < 1:
-            problems.append("scheme.substeps must be >= 1")
-        if int(sch.get("substeps_bar", 0)) < 1:
-            problems.append("scheme.substeps_bar must be >= 1")
-        if int(sch.get("observations", 0)) < 0:
-            problems.append("scheme.observations must be >= 0")
+        if not isinstance(sch.get("adaptive"), bool):
+            problems.append("scheme.adaptive must be true or false")
 
         exp = self.experiment
-        x0 = np.atleast_1d(np.asarray(exp.get("x0", []), dtype=float))
-        if domain is not None and x0.shape != (domain.dimension,):
+        x0 = _vector(exp.get("x0", []))
+        if x0 is None:
+            problems.append("experiment.x0 must be finite numbers")
+        elif domain is not None and x0.shape != (domain.dimension,):
             problems.append("experiment.x0 must match the domain dimension")
         elif domain is not None and domain.contains(x0) == OUTSIDE:
             problems.append("experiment.x0 lies outside the closed domain")
-        if int(exp.get("n_paths", 0)) < 1:
-            problems.append("experiment.n_paths must be >= 1")
-        if int(exp.get("reference_refine", 0)) < 1:
-            problems.append("experiment.reference_refine must be >= 1")
-        if int(exp.get("reference_substeps", 0)) < 1:
-            problems.append("experiment.reference_substeps must be >= 1")
         meshes = exp.get("meshes")
         if meshes is not None:
-            arr = np.atleast_1d(np.asarray(meshes, dtype=float))
-            if arr.size == 0 or np.any(arr <= 0.0):
+            arr = _vector(meshes)
+            if arr is None or arr.size == 0 or np.any(arr <= 0.0):
                 problems.append("experiment.meshes must be positive numbers")
 
         if domain is not None and coefficient is not None:
@@ -196,7 +251,7 @@ class ExperimentConfig:
                     "domain dimension %d and coefficient dimension %d differ"
                     % (domain.dimension, coefficient.dimension)
                 )
-            if int(drv.get("dimension", 0)) != coefficient.dimension:
+            if num.get("driver.dimension", coefficient.dimension) != coefficient.dimension:
                 problems.append(
                     "driver.dimension must equal the coefficient dimension"
                 )

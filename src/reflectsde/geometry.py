@@ -25,6 +25,14 @@ point x exactly when
 which is the inequality ``verify_normal_inequality`` samples.  Projection is
 single valued at any point whose distance from the closure is below rho0,
 and then (project(x) - x) normalized is itself such a normal at project(x).
+
+Validation contract: the public methods (``project``, ``distance_outside``,
+``contains``, ...) check the shape and finiteness of their input on every
+call.  The stepping loops in ``skorokhod`` and ``schemes`` validate once per
+path and then call the kind's ``_project`` hook directly through
+``skorokhod.guarded_step``, once per step; the hooks therefore take a float
+array of the right shape and must pass non-finite input through as
+non-finite output rather than loop or raise on it.
 """
 
 import math
@@ -295,7 +303,7 @@ class Ball(Domain):
 
     def _project(self, x):
         rel = x - self.center
-        dist = float(np.linalg.norm(rel))
+        dist = math.sqrt(rel.dot(rel))
         if dist <= self.radius:
             return x.copy()
         return self.center + rel * (self.radius / dist)
@@ -431,7 +439,7 @@ class ConvexPolyhedron(Domain):
         return margins
 
     def _project(self, x):
-        if float(np.min(self._margins(x))) >= 0.0:
+        if self._margins(x).min() >= 0.0:
             return x.copy()
         # Dykstra's cyclic scheme; corrections make the limit the true
         # nearest point of the intersection, not just a feasible point.
@@ -445,7 +453,9 @@ class ConvexPolyhedron(Domain):
                 y = z - min(sd, 0.0) * self.normals[i]
                 corrections[i] = z - y
                 p = y
-            if float(np.linalg.norm(p - start)) < _DYKSTRA_TOL:
+            moved = p - start
+            # the negated test also stops on a non-finite iterate
+            if not math.sqrt(moved.dot(moved)) >= _DYKSTRA_TOL:
                 break
         return p
 
@@ -499,7 +509,7 @@ class ExteriorOfBall(Domain):
 
     def _project(self, x):
         rel = x - self.center
-        dist = float(np.linalg.norm(rel))
+        dist = math.sqrt(rel.dot(rel))
         if dist >= self.radius:
             return x.copy()
         if dist <= 0.0:

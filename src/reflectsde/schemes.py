@@ -27,6 +27,9 @@ marcus-euler    expanded one-step rule: Euler term in the continuous
 
 Per step the jump admissibility guard |dZ| * sup|f| < rho0 is enforced
 whenever the domain reach rho0 is finite; violations raise JumpTooLarge.
+Every projection goes through ``skorokhod.guarded_step``: each runner
+validates its start point and the dimensions once per path and then
+projects each target once, unchecked (see the ``skorokhod`` docstring).
 """
 
 import math
@@ -36,11 +39,11 @@ import numpy as np
 
 from .driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
                      jump_adapted_partition)
-from .errors import JumpTooLarge, StartOutsideDomain
+from .errors import DimensionMismatch, JumpTooLarge, StartOutsideDomain
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
                    marcus_jump, marcus_jump_partial)
 from .geometry import Domain, OUTSIDE
-from .skorokhod import _REACH_MARGIN
+from .skorokhod import guarded_step
 
 SCHEME_KINDS = ("projection", "jump-adapted", "wz-hat", "wz-bar", "marcus-euler")
 
@@ -98,7 +101,13 @@ class SchemeOutput:
         object.__setattr__(self, "k_variation", kv)
 
 
-def _validated_start(domain: Domain, x0) -> np.ndarray:
+def _validated_start(domain: Domain, f: Coefficient, x0, z: GridPath) -> np.ndarray:
+    """Check dimensions and the start point once, before stepping unchecked."""
+    if not domain.dimension == f.dimension == z.dimension:
+        raise DimensionMismatch(
+            f"domain, coefficient and driver dimensions differ: "
+            f"{domain.dimension}, {f.dimension}, {z.dimension}"
+        )
     start = np.asarray(x0, dtype=float)
     if domain.contains(start) == OUTSIDE:
         raise StartOutsideDomain(
@@ -107,25 +116,14 @@ def _validated_start(domain: Domain, x0) -> np.ndarray:
     return start
 
 
-def _check_delta(dz_norm: float, bound: float, rho0: float):
-    if math.isfinite(rho0) and dz_norm * bound >= rho0:
-        raise JumpTooLarge(
-            f"increment norm {dz_norm:.6g} times coefficient bound "
-            f"{bound:.6g} reaches the projection radius {rho0:.6g}"
-        )
-
-
-def _project_with_guard(domain: Domain, target: np.ndarray, rho0: float):
+def _check_delta(dz: np.ndarray, bound: float, rho0: float):
     if math.isfinite(rho0):
-        excursion = domain.distance_outside(target)
-        if excursion >= _REACH_MARGIN * rho0:
-            from .errors import ProjectionOutOfRange
-            raise ProjectionOutOfRange(
-                f"step excursion {excursion:.6g} reaches the projection "
-                f"radius {rho0:.6g}"
+        dz_norm = math.sqrt(dz.dot(dz))
+        if dz_norm * bound >= rho0:
+            raise JumpTooLarge(
+                f"increment norm {dz_norm:.6g} times coefficient bound "
+                f"{bound:.6g} reaches the projection radius {rho0:.6g}"
             )
-    nxt = domain.project(target)
-    return nxt, nxt - target
 
 
 def _output_grid(partition: Partition, observation_times) -> np.ndarray:
@@ -136,9 +134,26 @@ def _output_grid(partition: Partition, observation_times) -> np.ndarray:
     return np.union1d(partition.points, obs)
 
 
-def _meta(domain, scheme, partition, xs, dk_count) -> RunMeta:
-    return RunMeta(scheme=scheme, mesh=partition.mesh, projections=dk_count,
-                   boundary_hits=domain.boundary_count(xs))
+def _buffers(n: int, start: np.ndarray):
+    """X, K, Y and k-variation arrays of n rows, the first set at the start."""
+    X, K, Y = (np.empty((n, len(start))) for _ in range(3))
+    kvar = np.empty(n)
+    X[0], K[0], Y[0], kvar[0] = start, 0.0, start, 0.0
+    return X, K, Y, kvar
+
+
+def _output(domain, label, partition, out_t, paths, dk_count,
+            interp=CADLAG_STEP) -> SchemeOutput:
+    """Wrap the X, K, Y and k-variation arrays sampled at ``out_t``."""
+    X, K, Y, kvar = paths
+    return SchemeOutput(
+        x=GridPath(out_t, X, interp=interp),
+        k=GridPath(out_t, K, interp=interp),
+        y=GridPath(out_t, Y, interp=interp),
+        k_variation=kvar,
+        meta=RunMeta(scheme=label, mesh=partition.mesh, projections=dk_count,
+                     boundary_hits=domain.boundary_count(X)),
+    )
 
 
 def _fill_step(out_t, grid_t, grid_vals):
@@ -166,46 +181,29 @@ def run_jump_adapted_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
 
 
 def _projection_core(domain, f, x0, z, spec, partition, label) -> SchemeOutput:
-    start = _validated_start(domain, x0)
+    start = _validated_start(domain, f, x0, z)
     rho0 = domain.rho0
     cfg = spec.flow_cfg
     pts = partition.points
-    zvals = z.value_at(pts)
-    d = z.dimension
-
-    states = np.empty((len(pts), d))
-    ks = np.empty((len(pts), d))
-    ys = np.empty((len(pts), d))
-    kvar = np.empty(len(pts))
-    states[0] = start
-    ks[0] = 0.0
-    ys[0] = start
-    kvar[0] = 0.0
+    states, ks, ys, kvar = paths = _buffers(len(pts), start)
     dk_count = 0
 
     state = start
-    for k in range(len(pts) - 1):
-        dz = zvals[k + 1] - zvals[k]
-        _check_delta(float(np.linalg.norm(dz)), f.sup_f, rho0)
+    for k, dz in enumerate(np.diff(z.value_at(pts), axis=0)):
+        _check_delta(dz, f.sup_f, rho0)
         target = marcus_jump(f, dz, state, cfg)
-        nxt, dk = _project_with_guard(domain, target, rho0)
+        nxt, dk, dk_norm = guarded_step(domain, target, rho0)
         ys[k + 1] = ys[k] + (target - state)
         ks[k + 1] = ks[k] + dk
-        kvar[k + 1] = kvar[k] + float(np.linalg.norm(dk))
-        if float(np.linalg.norm(dk)) > 0.0:
+        kvar[k + 1] = kvar[k] + dk_norm
+        if dk_norm > 0.0:
             dk_count += 1
         states[k + 1] = nxt
         state = nxt
 
     out_t = _output_grid(partition, spec.observation_times)
-    xs = _fill_step(out_t, pts, states)
-    return SchemeOutput(
-        x=GridPath(out_t, xs, interp=CADLAG_STEP),
-        k=GridPath(out_t, _fill_step(out_t, pts, ks), interp=CADLAG_STEP),
-        y=GridPath(out_t, _fill_step(out_t, pts, ys), interp=CADLAG_STEP),
-        k_variation=_fill_step(out_t, pts, kvar),
-        meta=_meta(domain, label, partition, xs, dk_count),
-    )
+    return _output(domain, label, partition, out_t,
+                   [_fill_step(out_t, pts, a) for a in paths], dk_count)
 
 
 def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -217,33 +215,24 @@ def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
     agree bitwise; between grid points the state follows the unconstrained
     cell flow, sampled at the requested observation times.
     """
-    start = _validated_start(domain, x0)
+    start = _validated_start(domain, f, x0, z)
     rho0 = domain.rho0
     cfg = spec.flow_cfg
     pts = spec.partition.points
-    zvals = z.value_at(pts)
     out_t = _output_grid(spec.partition, spec.observation_times)
-    n_out = len(out_t)
-    d = z.dimension
-
-    X = np.empty((n_out, d))
-    K = np.empty((n_out, d))
-    Y = np.empty((n_out, d))
-    kvar = np.empty(n_out)
+    X, K, Y, kvar = paths = _buffers(len(out_t), start)
 
     # output slots of each partition point and of the strict cell interiors
     grid_slot = np.searchsorted(out_t, pts)
-    X[0], K[0], Y[0], kvar[0] = start, 0.0, start, 0.0
-    k_run = np.zeros(d)
+    k_run = np.zeros(len(start))
     y_run = start.copy()
     kvar_run = 0.0
     dk_count = 0
 
     state = start
-    for k in range(len(pts) - 1):
+    for k, dz in enumerate(np.diff(z.value_at(pts), axis=0)):
         t0, t1 = pts[k], pts[k + 1]
-        dz = zvals[k + 1] - zvals[k]
-        _check_delta(float(np.linalg.norm(dz)), f.sup_f, rho0)
+        _check_delta(dz, f.sup_f, rho0)
 
         lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
         if hi > lo:
@@ -260,10 +249,9 @@ def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
                 u_prev = u
 
         left = marcus_jump(f, dz, state, cfg)
-        nxt, dk = _project_with_guard(domain, left, rho0)
+        nxt, dk, dk_norm = guarded_step(domain, left, rho0)
         y_run = y_run + (left - state)
         k_run = k_run + dk
-        dk_norm = float(np.linalg.norm(dk))
         kvar_run += dk_norm
         if dk_norm > 0.0:
             dk_count += 1
@@ -271,13 +259,7 @@ def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
         X[slot], K[slot], Y[slot], kvar[slot] = nxt, k_run, y_run, kvar_run
         state = nxt
 
-    return SchemeOutput(
-        x=GridPath(out_t, X, interp=CADLAG_STEP),
-        k=GridPath(out_t, K, interp=CADLAG_STEP),
-        y=GridPath(out_t, Y, interp=CADLAG_STEP),
-        k_variation=kvar,
-        meta=_meta(domain, "wz-hat", spec.partition, X, dk_count),
-    )
+    return _output(domain, "wz-hat", spec.partition, out_t, paths, dk_count)
 
 
 def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -289,66 +271,55 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
     with a projection after every substep, so both the path and the
     compensator are continuous (piecewise linear) in time.
     """
-    start = _validated_start(domain, x0)
+    start = _validated_start(domain, f, x0, z)
     rho0 = domain.rho0
-    bar = spec.substeps_bar
     pts = spec.partition.points
-    zvals = z.value_at(pts)
     out_t = _output_grid(spec.partition, spec.observation_times)
-    n_out = len(out_t)
-    d = z.dimension
-
-    X = np.empty((n_out, d))
-    K = np.empty((n_out, d))
-    Y = np.empty((n_out, d))
-    kvar = np.empty(n_out)
+    X, K, Y, kvar = paths = _buffers(len(out_t), start)
     grid_slot = np.searchsorted(out_t, pts)
-    X[0], K[0], Y[0], kvar[0] = start, 0.0, start, 0.0
 
     state = start
-    k_run = np.zeros(d)
+    k_run = np.zeros(len(start))
     y_run = start.copy()
     kvar_run = 0.0
     dk_count = 0
 
-    for k in range(len(pts) - 1):
-        t0, t1 = pts[k], pts[k + 1]
-        dz = zvals[k + 1] - zvals[k]
-        _check_delta(float(np.linalg.norm(dz)), f.sup_f, rho0)
-        dt = t1 - t0
+    # substep fractions of a cell without observation times, built once
+    bar = spec.substeps_bar
+    fractions = np.linspace(0.0, 1.0, bar + 1)
+    plain_du = np.diff(fractions).tolist()
+    plain_marks = [None] * (bar - 1)
 
-        # substep fractions, with observation times spliced in exactly
+    for k, dz in enumerate(np.diff(z.value_at(pts), axis=0)):
+        _check_delta(dz, f.sup_f, rho0)
+
+        # per substep, the output slot it lands on (or None)
         lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
-        fractions = np.linspace(0.0, 1.0, bar + 1)
-        slots = {}
-        for slot in range(lo, hi):
-            slots[(out_t[slot] - t0) / dt] = slot
-        slots[1.0] = grid_slot[k + 1]
-        if slots.keys() - set(fractions):
-            fractions = np.union1d(fractions, np.array(sorted(slots)))
+        if hi > lo:
+            # observation times inside the cell, spliced in exactly
+            t0, dt = pts[k], pts[k + 1] - pts[k]
+            slots = {(out_t[slot] - t0) / dt: slot for slot in range(lo, hi)}
+            slots[1.0] = hi
+            spliced = np.union1d(fractions, np.array(sorted(slots)))
+            dus = np.diff(spliced).tolist()
+            marks = [slots.get(u) for u in spliced[1:].tolist()]
+        else:
+            dus, marks = plain_du, plain_marks + [hi]
 
-        for i in range(1, len(fractions)):
-            du = fractions[i] - fractions[i - 1]
+        for du, slot in zip(dus, marks):
             dy = f.evaluate(state) @ dz * du
-            target = state + dy
-            state, dk = _project_with_guard(domain, target, rho0)
+            state, dk, dk_norm = guarded_step(domain, state + dy, rho0)
             y_run = y_run + dy
-            k_run = k_run + dk
-            dk_norm = float(np.linalg.norm(dk))
-            kvar_run += dk_norm
             if dk_norm > 0.0:
+                # adding a zero dk would leave k_run and kvar_run unchanged
+                k_run = k_run + dk
+                kvar_run += dk_norm
                 dk_count += 1
-            slot = slots.get(float(fractions[i]))
             if slot is not None:
                 X[slot], K[slot], Y[slot], kvar[slot] = state, k_run, y_run, kvar_run
 
-    return SchemeOutput(
-        x=GridPath(out_t, X, interp=LINEAR),
-        k=GridPath(out_t, K, interp=LINEAR),
-        y=GridPath(out_t, Y, interp=LINEAR),
-        k_variation=kvar,
-        meta=_meta(domain, "wz-bar", spec.partition, X, dk_count),
-    )
+    return _output(domain, "wz-bar", spec.partition, out_t, paths, dk_count,
+                   interp=LINEAR)
 
 
 def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -364,18 +335,13 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
     covariation matrix of the cell, computed from the driver's own sample
     increments with the recorded jump vectors removed.
     """
-    start = _validated_start(domain, x0)
+    start = _validated_start(domain, f, x0, z)
     rho0 = domain.rho0
     cfg = spec.flow_cfg
     pts = spec.partition.points
     zvals = z.value_at(pts)
-    d = z.dimension
-
-    states = np.empty((len(pts), d))
-    ks = np.empty((len(pts), d))
-    ys = np.empty((len(pts), d))
-    kvar = np.empty(len(pts))
-    states[0], ks[0], ys[0], kvar[0] = start, 0.0, start, 0.0
+    d = len(start)
+    states, ks, ys, kvar = paths = _buffers(len(pts), start)
     dk_count = 0
 
     # driver sample times falling in each cell
@@ -384,8 +350,7 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
 
     state = start
     for k in range(len(pts) - 1):
-        dz_cell = zvals[k + 1] - zvals[k]
-        _check_delta(float(np.linalg.norm(dz_cell)), f.sup_f, rho0)
+        _check_delta(zvals[k + 1] - zvals[k], f.sup_f, rho0)
 
         # walk the driver increments inside (t_k, t_{k+1}]
         seq_t = [pts[k]]
@@ -418,11 +383,9 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
         for jv in jumps:
             incr = incr + (marcus_jump(f, jv, state, cfg) - state)
 
-        target = state + incr
-        nxt, dk = _project_with_guard(domain, target, rho0)
+        nxt, dk, dk_norm = guarded_step(domain, state + incr, rho0)
         ys[k + 1] = ys[k] + incr
         ks[k + 1] = ks[k] + dk
-        dk_norm = float(np.linalg.norm(dk))
         kvar[k + 1] = kvar[k] + dk_norm
         if dk_norm > 0.0:
             dk_count += 1
@@ -430,14 +393,8 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
         state = nxt
 
     out_t = _output_grid(spec.partition, spec.observation_times)
-    xs = _fill_step(out_t, pts, states)
-    return SchemeOutput(
-        x=GridPath(out_t, xs, interp=CADLAG_STEP),
-        k=GridPath(out_t, _fill_step(out_t, pts, ks), interp=CADLAG_STEP),
-        y=GridPath(out_t, _fill_step(out_t, pts, ys), interp=CADLAG_STEP),
-        k_variation=_fill_step(out_t, pts, kvar),
-        meta=_meta(domain, "marcus-euler", spec.partition, xs, dk_count),
-    )
+    return _output(domain, "marcus-euler", spec.partition, out_t,
+                   [_fill_step(out_t, pts, a) for a in paths], dk_count)
 
 
 def build_reference(domain: Domain, f: Coefficient, x0, z: GridPath,

@@ -12,6 +12,14 @@ inward normal at the projected point.  For nonconvex domains every step
 must stay within the reach rho0 of the closure; the solver enforces this
 with a one-percent safety margin and raises ProjectionOutOfRange otherwise.
 
+Validation contract: ``guarded_step`` is the one projection step of every
+stepping loop here and in ``schemes``.  The loops validate the start point
+and the array shapes once per path, then hand each target straight to the
+domain's projection, once per step; a target that is not finite shows up
+as a non-finite |dk| and raises NonFinite.  The public ``Domain.project``
+and ``Domain.distance_outside`` keep validating every call for outside
+callers.
+
 On each grid interval the compensator increment satisfies |dk| <= |dy|
 exactly, which yields the variation comparisons checked by
 ``check_lemma1``: over any window (t, q],
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import GridPath, CADLAG_STEP
-from .errors import ProjectionOutOfRange, StartOutsideDomain
+from .errors import NonFinite, ProjectionOutOfRange, StartOutsideDomain
 from .geometry import Domain, OUTSIDE
 
 _REACH_MARGIN = 0.99
@@ -45,18 +53,38 @@ class SkorokhodSolution:
         object.__setattr__(self, "k_variation", kv)
 
 
+def guarded_step(domain: Domain, target: np.ndarray, rho0: float):
+    """Project a validated target once: returns (x_next, dk, |dk|).
+
+    ``target`` must be a float array of shape (domain.dimension,); its
+    finiteness is not checked up front.  With dk = x_next - target, |dk| is
+    the target's distance from the closure, so one projection serves both
+    the step and its excursion guard: |dk| >= 0.99 rho0 raises
+    ProjectionOutOfRange, and a non-finite |dk| (a non-finite target)
+    raises NonFinite.
+    """
+    x_next = domain._project(target)
+    dk = x_next - target
+    dk_norm = math.sqrt(dk.dot(dk))
+    if not dk_norm < _REACH_MARGIN * rho0:
+        if not math.isfinite(dk_norm):
+            raise NonFinite(f"step excursion {dk_norm} from target "
+                            f"{target.tolist()} is not finite")
+        raise ProjectionOutOfRange(
+            f"step excursion {dk_norm:.6g} reaches the projection "
+            f"radius {rho0:.6g}"
+        )
+    return x_next, dk, dk_norm
+
+
 def reflect_step(domain: Domain, x: np.ndarray, dy: np.ndarray, rho0: float):
-    """One projection step: returns (x_next, dk) for the increment dy."""
-    target = x + dy
-    if math.isfinite(rho0):
-        excursion = domain.distance_outside(target)
-        if excursion >= _REACH_MARGIN * rho0:
-            raise ProjectionOutOfRange(
-                f"step excursion {excursion:.6g} reaches the projection "
-                f"radius {rho0:.6g}"
-            )
-    x_next = domain.project(target)
-    return x_next, x_next - target
+    """One projection step: returns (x_next, dk) for the increment dy.
+
+    ``x`` and ``dy`` are float arrays of shape (domain.dimension,); like
+    ``guarded_step``, a non-finite result raises NonFinite.
+    """
+    x_next, dk, _ = guarded_step(domain, x + dy, rho0)
+    return x_next, dk
 
 
 def solve_skorokhod(domain: Domain, y: GridPath, y0=None) -> SkorokhodSolution:
@@ -69,7 +97,9 @@ def solve_skorokhod(domain: Domain, y: GridPath, y0=None) -> SkorokhodSolution:
     if y0 is None:
         y0 = values[0]
     start = np.asarray(y0, dtype=float)
-    if not np.allclose(start, values[0], rtol=0.0, atol=1e-9):
+    # contains() below then checks the path's dimension against the domain
+    if (start.shape != values[0].shape
+            or not np.allclose(start, values[0], rtol=0.0, atol=1e-9)):
         raise ValueError("y0 must equal the first sample of y")
     if domain.contains(start) == OUTSIDE:
         raise StartOutsideDomain(
@@ -81,16 +111,13 @@ def solve_skorokhod(domain: Domain, y: GridPath, y0=None) -> SkorokhodSolution:
     xs = np.empty_like(values)
     ks = np.empty_like(values)
     kvar = np.empty(n)
-    xs[0] = domain.project(start)
-    ks[0] = 0.0
-    kvar[0] = 0.0
+    xs[0], ks[0], kvar[0] = domain.project(start), 0.0, 0.0
     x = xs[0]
-    for j in range(1, n):
-        dy = values[j] - values[j - 1]
-        x, dk = reflect_step(domain, x, dy, rho0)
+    for j, dy in enumerate(np.diff(values, axis=0), 1):
+        x, dk, dk_norm = guarded_step(domain, x + dy, rho0)
         xs[j] = x
         ks[j] = ks[j - 1] + dk
-        kvar[j] = kvar[j - 1] + float(np.linalg.norm(dk))
+        kvar[j] = kvar[j - 1] + dk_norm
 
     x_path = GridPath(y.times, xs, interp=CADLAG_STEP)
     k_path = GridPath(y.times, ks, interp=CADLAG_STEP)

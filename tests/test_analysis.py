@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from reflectsde import analysis
 from reflectsde.analysis import (RateRow, StudyPlan, convergence_study,
                                  fit_rate, remark4_report, sup_error,
                                  variation_report)
@@ -16,6 +17,7 @@ from reflectsde.csvio import (path_csv_text, rate_csv_text, read_path_csv,
                               write_rate_csv, write_solution_csv)
 from reflectsde.driver import GridPath, Partition, sample_brownian
 from reflectsde.errors import ConfigError, CsvFormatError
+from reflectsde.flow import Coefficient
 from reflectsde.geometry import HalfSpace
 from reflectsde.skorokhod import solve_skorokhod
 
@@ -151,6 +153,23 @@ def test_convergence_study_small_run():
     # identical plan, parallel execution: identical numbers
     table2 = convergence_study(plan, jobs=2)
     assert table.as_dict() == table2.as_dict()
+
+
+def test_convergence_study_records_nonfinite_cells(monkeypatch):
+    """A scheme step that goes non-finite fails its cell, not the study.
+
+    The coefficient keeps the exact constant-matrix jump map, so the
+    reference succeeds, while every evaluation the wz-bar substeps make
+    returns NaN."""
+    def nan_coefficient(spec):
+        return Coefficient("nan-field", 1, lambda x: np.full((1, 1), np.nan),
+                           sup_f=1.0, matrix=[[1.0]])
+
+    monkeypatch.setattr(analysis, "coefficient_from_spec", nan_coefficient)
+    table = convergence_study(_tiny_plan(scheme="wz-bar", substeps_bar=4),
+                              jobs=1)
+    for row in table.rows:
+        assert row.n_ok == 0 and row.n_failed == 4
 
 
 def test_convergence_study_errors_shrink():

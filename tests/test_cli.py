@@ -148,6 +148,19 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert err["problems"]
 
 
+@pytest.mark.parametrize("text, field", [
+    ("driver:\n  horizon: abc\n", "driver.horizon"),
+    ("experiment:\n  x0: [.nan]\n", "experiment.x0"),
+], ids=["horizon-abc", "x0-nan"])
+def test_malformed_number_exits_2(tmp_path, capsys, text, field):
+    cfg = _write(tmp_path, "bad.yaml", text)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration"
+    assert any(field in problem for problem in err["problems"])
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.yaml", "driver:\n  stepz: 10\n")
     assert main(["simulate", "--config", cfg, "--out",

@@ -8,9 +8,10 @@ import pytest
 from reflectsde.driver import (GridPath, Partition, discretize,
                                jump_adapted_partition, sample_brownian,
                                sample_jump_driver)
-from reflectsde.errors import JumpTooLarge, StartOutsideDomain
-from reflectsde.flow import (FlowConfig, catalog_coefficient, constant_matrix,
-                             linear_diagonal, marcus_jump,
+from reflectsde.errors import (DimensionMismatch, JumpTooLarge, NonFinite,
+                               ProjectionOutOfRange, StartOutsideDomain)
+from reflectsde.flow import (Coefficient, FlowConfig, catalog_coefficient,
+                             constant_matrix, linear_diagonal, marcus_jump,
                              marcus_jump_partial)
 from reflectsde.geometry import Ball, Box, ExteriorOfBall, HalfSpace
 from reflectsde.schemes import (SchemeSpec, build_reference,
@@ -260,3 +261,51 @@ def test_schemes_agree_on_smooth_problem():
         ends.append(float(out.x.values[-1, 0]))
     spread = max(ends) - min(ends)
     assert spread < 0.05
+
+
+# ---------------------------------------------------------------------------
+# loud failures of the guarded projection step
+
+ALL_KINDS = ("projection", "jump-adapted", "wz-hat", "wz-bar", "marcus-euler")
+
+
+def _nan_field(dimension):
+    """A coefficient whose every evaluation is NaN."""
+    return Coefficient(
+        "nan-field", dimension,
+        lambda x: np.full(x.shape[:-1] + (dimension, dimension), np.nan),
+        sup_f=1e-6)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("dom, x0", [(Ball([0.0, 0.0], 1.0), (0.5, 0.0)),
+                                     (ExteriorOfBall([0.0, 0.0], 0.5),
+                                      (1.0, 0.0))],
+                         ids=["ball", "exterior-of-ball"])
+def test_nan_coefficient_raises_nonfinite(kind, dom, x0):
+    z = sample_brownian(1.0, 16, 2, seed=5)
+    spec = SchemeSpec(kind=kind, partition=Partition.uniform(1.0, 4),
+                      substeps_bar=4)
+    with pytest.raises(NonFinite):
+        run_scheme(dom, _nan_field(2), x0, z, spec)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_scheme_guards_the_reach(kind):
+    """One increment of 0.995 towards the deleted unit ball's center passes
+    the jump-size guard (0.995 * 1 < rho0 = 1) but its target lies 0.995
+    from the closure, past the 0.99 * rho0 excursion margin."""
+    dom = ExteriorOfBall([0.0, 0.0], 1.0)
+    z = GridPath(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [-0.995, 0.0]]))
+    spec = SchemeSpec(kind=kind, partition=Partition.uniform(1.0, 1),
+                      substeps_bar=1)
+    with pytest.raises(ProjectionOutOfRange):
+        run_scheme(dom, constant_matrix(np.eye(2)), (1.0, 0.0), z, spec)
+
+
+def test_dimension_mismatch_is_caught_before_stepping():
+    z = sample_brownian(1.0, 8, 1, seed=2)
+    spec = SchemeSpec(kind="wz-bar", partition=Partition.uniform(1.0, 2))
+    with pytest.raises(DimensionMismatch):
+        run_scheme(Ball([0.0, 0.0], 1.0), constant_matrix(np.eye(2)),
+                   (0.0, 0.0), z, spec)

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from reflectsde.driver import GridPath, Partition, sample_brownian
-from reflectsde.errors import ProjectionOutOfRange, StartOutsideDomain
-from reflectsde.geometry import Ball, Box, ExteriorOfBall, HalfSpace
-from reflectsde.skorokhod import (check_lemma1, reflect_step, solve_skorokhod,
-                                  total_variation)
+from reflectsde.errors import (NonFinite, ProjectionOutOfRange,
+                               StartOutsideDomain)
+from reflectsde.geometry import (BOUNDARY, INTERIOR, OUTSIDE, Ball, Box,
+                                 ConvexPolyhedron, ExteriorOfBall, HalfSpace)
+from reflectsde.skorokhod import (check_lemma1, guarded_step, reflect_step,
+                                  solve_skorokhod, total_variation)
 
 
 def half_line():
@@ -145,3 +147,43 @@ def test_variation_bounds_nonconvex_domain():
     report = check_lemma1(dom, y, sol, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
     assert report.increments_ok
     assert report.all_ok
+
+
+def test_nonfinite_path_raises_nonfinite():
+    y = GridPath(np.array([0.0, 0.5, 1.0]),
+                 np.array([[0.5, 0.0], [np.nan, 0.0], [0.5, 0.0]]))
+    with pytest.raises(NonFinite):
+        solve_skorokhod(Ball([0.0, 0.0], 1.0), y)
+
+
+GUARD_DOMAINS = [
+    HalfSpace([1.0, 0.3], 0.2),
+    Ball([0.1, -0.2], 1.0),
+    Box([-1.0, -0.5], [1.0, 0.5]),
+    ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [-1.0, 0.3]],
+                     [-1.0, -1.0, -1.0, -1.2]),
+    ExteriorOfBall([0.0, 0.0], 0.5),
+]
+
+
+@pytest.mark.parametrize("dom", GUARD_DOMAINS, ids=lambda d: d.kind)
+def test_guarded_step_matches_public_projection_bitwise(dom):
+    """The step's single projection gives exactly the public projection,
+    and its |dk| exactly the public distance to the closure."""
+    rng = np.random.default_rng(17)
+    sides = {INTERIOR: 0, OUTSIDE: 0}
+    for p in rng.uniform(-2.0, 2.0, size=(1000, 2)):
+        side = dom.contains(p)
+        if side == BOUNDARY:
+            continue
+        excursion = dom.distance_outside(p)
+        if excursion >= 0.99 * dom.rho0:
+            with pytest.raises(ProjectionOutOfRange):
+                guarded_step(dom, p, dom.rho0)
+            continue
+        x_next, dk, dk_norm = guarded_step(dom, p, dom.rho0)
+        assert x_next.tobytes() == dom.project(p).tobytes()
+        assert dk.tobytes() == (x_next - p).tobytes()
+        assert dk_norm == excursion
+        sides[side] += 1
+    assert sides[INTERIOR] >= 20 and sides[OUTSIDE] >= 20
