@@ -275,9 +275,6 @@ class ExperimentConfig:
         return FlowConfig(int(self.scheme["substeps"]),
                           bool(self.scheme["adaptive"]))
 
-    def reference_flow(self) -> FlowConfig:
-        return FlowConfig(int(self.experiment["reference_substeps"]), True)
-
     def build_partition(self) -> Partition:
         horizon = float(self.driver["horizon"])
         mesh = self.scheme.get("mesh")

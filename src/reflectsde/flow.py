@@ -21,6 +21,7 @@ increments (m, d) integrate m independent trajectories in one vectorized
 pass (used by the defect sweeps).
 """
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -194,12 +195,15 @@ class Coefficient:
     sup_df:  Frobenius bound on f'
     sup_dff: Frobenius bound on the correction tensor (f'f)
     lip_df:  Lipschitz constant of x -> f'(x) in Frobenius norm
+
+    ``spec`` is the plain-dict description that :meth:`spec` returns, or
+    None for a coefficient that cannot be rebuilt from a spec.
     """
 
     def __init__(self, kind: str, dimension: int, evaluate, derivative=None,
                  sup_f=math.inf, sup_df=math.inf, sup_dff=math.inf,
                  lip_df=math.inf, region_radius=math.inf, matrix=None,
-                 label: str = ""):
+                 label: str = "", spec: dict | None = None):
         self.kind = kind
         self.dimension = int(dimension)
         self._evaluate = evaluate
@@ -214,6 +218,7 @@ class Coefficient:
             self.matrix = np.asarray(matrix, dtype=float).copy()
             self.matrix.flags.writeable = False
         self.label = label or kind
+        self._spec = spec
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -252,7 +257,11 @@ class Coefficient:
         return 0.5 * e * e * (self.lip_df * self.sup_f + self.sup_df ** 2)
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        """Plain-dict description, round-trippable through
+        :func:`coefficient_from_spec`."""
+        if self._spec is None:
+            raise NotImplementedError(f"{self.label} has no spec")
+        return copy.deepcopy(self._spec)
 
     def __repr__(self):
         return f"Coefficient({self.label!r}, d={self.dimension})"
@@ -275,11 +284,10 @@ def constant_matrix(matrix) -> Coefficient:
         return zero.copy()
 
     sup = float(np.linalg.norm(m, 2))
-    out = Coefficient("constant-matrix", d, ev, deriv, sup_f=sup, sup_df=0.0,
-                      sup_dff=0.0, lip_df=0.0, matrix=m,
-                      label=f"constant-matrix(d={d})")
-    out.spec = lambda: {"kind": "constant-matrix", "matrix": m.tolist()}
-    return out
+    return Coefficient("constant-matrix", d, ev, deriv, sup_f=sup, sup_df=0.0,
+                       sup_dff=0.0, lip_df=0.0, matrix=m,
+                       label=f"constant-matrix(d={d})",
+                       spec={"kind": "constant-matrix", "matrix": m.tolist()})
 
 
 def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -> Coefficient:
@@ -308,7 +316,7 @@ def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -
     def deriv(x):
         return eye_tensor.copy()
 
-    out = Coefficient(
+    return Coefficient(
         "linear-diagonal", d, ev, deriv,
         sup_f=abs(s) * r * grow,
         sup_df=abs(s) * math.sqrt(d),
@@ -316,10 +324,9 @@ def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -
         lip_df=0.0,
         region_radius=r,
         label=f"linear-diagonal(scale={s}, d={d})",
+        spec={"kind": "linear-diagonal", "scale": s, "dimension": d,
+              "region_radius": r},
     )
-    out.spec = lambda: {"kind": "linear-diagonal", "scale": s, "dimension": d,
-                        "region_radius": r}
-    return out
 
 
 def _sine_diagonal(amplitude: float, dimension: int) -> Coefficient:
@@ -347,6 +354,8 @@ def _sine_diagonal(amplitude: float, dimension: int) -> Coefficient:
         sup_dff=0.5 * a * a * math.sqrt(d),
         lip_df=abs(a) * math.sqrt(d),
         label=f"sine-diagonal(a={a}, d={d})",
+        spec={"kind": "catalog-smooth", "id": "sine-diagonal",
+              "amplitude": a, "dimension": d},
     )
 
 
@@ -381,6 +390,8 @@ def _gauss_rotation(amplitude: float, sigma: float) -> Coefficient:
         sup_dff=a * a / s,
         lip_df=2.0 * abs(a) / (s * s),
         label=f"gauss-rotation(a={a}, sigma={s})",
+        spec={"kind": "catalog-smooth", "id": "gauss-rotation",
+              "amplitude": a, "sigma": s},
     )
 
 
@@ -408,6 +419,7 @@ def _cosine_shear(amplitude: float) -> Coefficient:
         sup_dff=a * a * math.sqrt(2.0),
         lip_df=abs(a) * math.sqrt(2.0),
         label=f"cosine-shear(a={a})",
+        spec={"kind": "catalog-smooth", "id": "cosine-shear", "amplitude": a},
     )
 
 
@@ -425,9 +437,7 @@ def catalog_coefficient(cid: str, **params) -> Coefficient:
         raise KeyError(
             f"unknown catalog coefficient {cid!r}; available: {sorted(CATALOG)}"
         )
-    out = CATALOG[cid](**params)
-    out.spec = lambda: {"kind": "catalog-smooth", "id": cid, **params}
-    return out
+    return CATALOG[cid](**params)
 
 
 def coefficient_from_spec(spec: dict) -> Coefficient:

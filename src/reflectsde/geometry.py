@@ -26,13 +26,23 @@ which is the inequality ``verify_normal_inequality`` samples.  Projection is
 single valued at any point whose distance from the closure is below rho0,
 and then (project(x) - x) normalized is itself such a normal at project(x).
 
-Validation contract: the public methods (``project``, ``distance_outside``,
-``contains``, ...) check the shape and finiteness of their input on every
-call.  The stepping loops in ``skorokhod`` and ``schemes`` validate once per
-path and then call the kind's ``_project`` hook directly through
-``skorokhod.guarded_step``, once per step; the hooks therefore take a float
-array of the right shape and must pass non-finite input through as
-non-finite output rather than loop or raise on it.
+Validation contract: constructors reject non-finite parameters, and the
+public methods (``project``, ``distance_outside``, ``contains``, ...) check
+the shape and finiteness of their input on every call.  The stepping loops
+in ``skorokhod`` and ``schemes`` validate once per path and then call the
+kind's hooks directly, unchecked:
+
+* ``_project`` through ``skorokhod.guarded_step``, once per projected step.
+  It takes a float array of the right shape and must pass non-finite input
+  through as non-finite output rather than loop or raise on it.
+* ``_inside_batch`` through ``skorokhod.interior_run``, on a run of
+  candidate states.  It is conservative: a row it accepts is finite, has no
+  coordinate above ``BLOWUP_GUARD``, and clears the boundary by a band of
+  1e-10 (1 + |x| + scale), far above the rounding of the batch arithmetic.
+  ``_project`` therefore returns such a row unchanged and the scalar step
+  would raise nothing on it, so the loops skip ``guarded_step`` for it
+  without changing a bit of their output.  A row it rejects only goes
+  through the scalar step.
 """
 
 import math
@@ -40,6 +50,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NotOnBoundary, ProjectionOutOfRange
+from .flow import BLOWUP_GUARD
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -67,6 +78,25 @@ def _as_point(x, dimension: int) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError("point has non-finite coordinates")
     return p
+
+
+def _require_finite(what: str, *values):
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(f"{what} must be finite")
+
+
+def _clear_of_boundary(points: np.ndarray, margins: np.ndarray,
+                       scale: float = 0.0) -> np.ndarray:
+    """Rows whose margin to the boundary exceeds 1e-10 (1 + |x| + scale).
+
+    ``margins`` is a batch lower estimate of the distance inside the
+    boundary; ``scale`` covers the rounding of domain parameters in it.  The
+    norm bound (half the guard, so no rounding of the norm matters) also
+    rejects non-finite rows and rows beyond BLOWUP_GUARD.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    return ((margins > 1e-10 * (1.0 + norms + scale))
+            & (norms < 0.5 * BLOWUP_GUARD))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -132,6 +162,16 @@ class Domain:
 
     def _signed_distance_batch(self, points: np.ndarray) -> np.ndarray:
         return np.array([self._signed_distance(p) for p in points])
+
+    def _inside_batch(self, points: np.ndarray) -> np.ndarray:
+        """Boolean per row of (n, d) points: True only where ``_project``
+        returns the row unchanged and a projection step raises nothing.
+
+        Conservative: rows near the boundary may be rejected (see the module
+        docstring for the band).  A kind without a closed form accepts no
+        row, so every step is projected.
+        """
+        return np.zeros(len(points), dtype=bool)
 
     # -- public API -----------------------------------------------------
 
@@ -249,6 +289,7 @@ class HalfSpace(Domain):
         if normal.ndim != 1:
             raise DimensionMismatch("half-space normal must be a vector")
         super().__init__(normal.shape[0])
+        _require_finite("half-space normal and offset", normal, offset)
         self.normal = _unit(normal)
         self.normal.flags.writeable = False
         self.offset = float(offset)
@@ -258,6 +299,9 @@ class HalfSpace(Domain):
 
     def _signed_distance_batch(self, points):
         return points @ self.normal - self.offset
+
+    def _inside_batch(self, points):
+        return _clear_of_boundary(points, self._signed_distance_batch(points))
 
     def _project(self, x):
         sd = self._signed_distance(x)
@@ -289,6 +333,7 @@ class Ball(Domain):
         if center.ndim != 1:
             raise DimensionMismatch("ball center must be a vector")
         super().__init__(center.shape[0])
+        _require_finite("ball center and radius", center, radius)
         if not float(radius) > 0.0:
             raise ValueError("ball radius must be positive")
         self.center = center.copy()
@@ -300,6 +345,10 @@ class Ball(Domain):
 
     def _signed_distance_batch(self, points):
         return self.radius - np.linalg.norm(points - self.center, axis=1)
+
+    def _inside_batch(self, points):
+        return _clear_of_boundary(points, self._signed_distance_batch(points),
+                                  self.radius)
 
     def _project(self, x):
         rel = x - self.center
@@ -333,6 +382,8 @@ class Box(Domain):
         upper = np.asarray(upper, dtype=float)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise DimensionMismatch("box bounds must be vectors of equal length")
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise ValueError("box bounds must not be NaN")
         if not np.all(lower < upper):
             raise ValueError("box requires lower < upper in every axis")
         if not np.all(np.isfinite(lower) | (lower == -math.inf)):
@@ -361,6 +412,10 @@ class Box(Domain):
             margins = margins.astype(float)
             margins[outside] = -np.linalg.norm(points[outside] - clipped, axis=1)
         return margins
+
+    def _inside_batch(self, points):
+        # exact per coordinate: x - lower > 0 iff x > lower, so clip keeps x
+        return _clear_of_boundary(points, self._signed_distance_batch(points))
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
@@ -409,6 +464,7 @@ class ConvexPolyhedron(Domain):
         if normals.shape[0] != offsets.shape[0] or normals.shape[0] == 0:
             raise DimensionMismatch("need one offset per face, at least one face")
         super().__init__(normals.shape[1])
+        _require_finite("polyhedron normals and offsets", normals, offsets)
         norms = np.linalg.norm(normals, axis=1)
         if np.any(norms <= 0.0):
             raise ValueError("face normals must be nonzero")
@@ -437,6 +493,10 @@ class ConvexPolyhedron(Domain):
                     np.linalg.norm(self._project(points[idx]) - points[idx])
                 )
         return margins
+
+    def _inside_batch(self, points):
+        margins = (points @ self.normals.T - self.offsets).min(axis=1)
+        return _clear_of_boundary(points, margins)
 
     def _project(self, x):
         if self._margins(x).min() >= 0.0:
@@ -495,6 +555,7 @@ class ExteriorOfBall(Domain):
         if center.ndim != 1:
             raise DimensionMismatch("center must be a vector")
         super().__init__(center.shape[0])
+        _require_finite("exterior-of-ball center and radius", center, radius)
         if not float(radius) > 0.0:
             raise ValueError("radius must be positive")
         self.center = center.copy()
@@ -506,6 +567,10 @@ class ExteriorOfBall(Domain):
 
     def _signed_distance_batch(self, points):
         return np.linalg.norm(points - self.center, axis=1) - self.radius
+
+    def _inside_batch(self, points):
+        return _clear_of_boundary(points, self._signed_distance_batch(points),
+                                  self.radius)
 
     def _project(self, x):
         rel = x - self.center

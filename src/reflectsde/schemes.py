@@ -30,6 +30,17 @@ whenever the domain reach rho0 is finite; violations raise JumpTooLarge.
 Every projection goes through ``skorokhod.guarded_step``: each runner
 validates its start point and the dimensions once per path and then
 projects each target once, unchecked (see the ``skorokhod`` docstring).
+
+projection, jump-adapted (and so ``build_reference``) and wz-bar step
+through ``skorokhod.project_steps``.  With a constant coefficient
+(``f.matrix`` set) their increments do not depend on the state: f dZ_k per
+cell, and (f dZ_k) du per wz-bar substep.  Runs of steps that stay inside
+the domain then skip the projection, where it is the identity, and are
+advanced in bulk; the output is bitwise that of the step-by-step loop,
+because the same increments are summed in the same order.  The other
+coefficients step one projection at a time.  The cells before the first
+one that fails the jump guard are stepped first, and then the guard
+raises, as it would in a loop checking each cell before stepping it.
 """
 
 import math
@@ -43,9 +54,12 @@ from .errors import DimensionMismatch, JumpTooLarge, StartOutsideDomain
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
                    marcus_jump, marcus_jump_partial)
 from .geometry import Domain, OUTSIDE
-from .skorokhod import guarded_step
+from .skorokhod import accumulate, guarded_step, project_steps
 
 SCHEME_KINDS = ("projection", "jump-adapted", "wz-hat", "wz-bar", "marcus-euler")
+
+# wz-bar substeps held in memory at once
+_BAR_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +140,18 @@ def _check_delta(dz: np.ndarray, bound: float, rho0: float):
             )
 
 
+def _admissible_cells(dzs: np.ndarray, bound: float, rho0: float) -> int:
+    """Number of leading cell increments that pass ``_check_delta``."""
+    if not math.isfinite(rho0):
+        return len(dzs)
+    for k, dz in enumerate(dzs):
+        try:
+            _check_delta(dz, bound, rho0)
+        except JumpTooLarge:
+            return k
+    return len(dzs)
+
+
 def _output_grid(partition: Partition, observation_times) -> np.ndarray:
     if observation_times is None:
         return partition.points.copy()
@@ -185,25 +211,28 @@ def _projection_core(domain, f, x0, z, spec, partition, label) -> SchemeOutput:
     rho0 = domain.rho0
     cfg = spec.flow_cfg
     pts = partition.points
-    states, ks, ys, kvar = paths = _buffers(len(pts), start)
-    dk_count = 0
+    dzs = np.diff(z.value_at(pts), axis=0)
+    n = _admissible_cells(dzs, f.sup_f, rho0)
+    increments = None
+    if f.matrix is not None:
+        # row by row, as marcus_jump forms x + dz @ f.matrix.T: a batched
+        # product may round differently
+        mt = f.matrix.T
+        increments = np.array([dz @ mt for dz in dzs[:n]]).reshape(n, len(start))
+    xs, targets, dk_norms = project_steps(
+        domain, start, rho0, lambda k, x: marcus_jump(f, dzs[k], x, cfg), n,
+        increments)
+    if n < len(dzs):
+        _check_delta(dzs[n], f.sup_f, rho0)
 
-    state = start
-    for k, dz in enumerate(np.diff(z.value_at(pts), axis=0)):
-        _check_delta(dz, f.sup_f, rho0)
-        target = marcus_jump(f, dz, state, cfg)
-        nxt, dk, dk_norm = guarded_step(domain, target, rho0)
-        ys[k + 1] = ys[k] + (target - state)
-        ks[k + 1] = ks[k] + dk
-        kvar[k + 1] = kvar[k] + dk_norm
-        if dk_norm > 0.0:
-            dk_count += 1
-        states[k + 1] = nxt
-        state = nxt
-
+    paths = (xs,
+             accumulate(np.zeros_like(start), xs[1:] - targets),
+             accumulate(start, targets - xs[:-1]),
+             accumulate(0.0, dk_norms))
     out_t = _output_grid(partition, spec.observation_times)
     return _output(domain, label, partition, out_t,
-                   [_fill_step(out_t, pts, a) for a in paths], dk_count)
+                   [_fill_step(out_t, pts, a) for a in paths],
+                   int(np.count_nonzero(dk_norms)))
 
 
 def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -269,57 +298,86 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
     Each cell [t_k, t_{k+1}] is traversed in ``substeps_bar`` Euler
     substeps of the cell field f(.) dZ_k scaled by the substep fraction,
     with a projection after every substep, so both the path and the
-    compensator are continuous (piecewise linear) in time.
+    compensator are continuous (piecewise linear) in time.  Cells are
+    stepped in blocks of about ``_BAR_BLOCK_ROWS`` substeps, so memory
+    stays bounded on fine partitions.
     """
     start = _validated_start(domain, f, x0, z)
     rho0 = domain.rho0
     pts = spec.partition.points
     out_t = _output_grid(spec.partition, spec.observation_times)
-    X, K, Y, kvar = paths = _buffers(len(out_t), start)
+    X, K, Y, kvar = _buffers(len(out_t), start)
     grid_slot = np.searchsorted(out_t, pts)
-
-    state = start
-    k_run = np.zeros(len(start))
-    y_run = start.copy()
-    kvar_run = 0.0
-    dk_count = 0
+    dzs = np.diff(z.value_at(pts), axis=0)
+    n_cells = _admissible_cells(dzs, f.sup_f, rho0)
 
     # substep fractions of a cell without observation times, built once
     bar = spec.substeps_bar
     fractions = np.linspace(0.0, 1.0, bar + 1)
-    plain_du = np.diff(fractions).tolist()
-    plain_marks = [None] * (bar - 1)
+    plain_du = np.diff(fractions)
+    # a constant coefficient gives each cell one increment direction
+    fixed = f.evaluate(start) if f.matrix is not None else None
 
-    for k, dz in enumerate(np.diff(z.value_at(pts), axis=0)):
-        _check_delta(dz, f.sup_f, rho0)
+    state, k_run, y_run, kvar_run = start, np.zeros(len(start)), start, 0.0
+    dk_count = 0
+    block = max(1, _BAR_BLOCK_ROWS // bar)
+    for first in range(0, n_cells, block):
+        cells = range(first, min(first + block, n_cells))
+        # per substep: its fraction, its cell, and the output slot it marks
+        dus, cell_of, rows, slots = [], [], [], []
+        for k in cells:
+            lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
+            if hi > lo:
+                # observation times inside the cell, spliced in exactly
+                t0, dt = pts[k], pts[k + 1] - pts[k]
+                marks = {(out_t[slot] - t0) / dt: slot for slot in range(lo, hi)}
+                marks[1.0] = hi
+                spliced = np.union1d(fractions, np.array(sorted(marks)))
+                du = np.diff(spliced)
+                for i, u in enumerate(spliced[1:].tolist()):
+                    if u in marks:
+                        rows.append(len(cell_of) + i)
+                        slots.append(marks[u])
+            else:
+                du = plain_du
+                rows.append(len(cell_of) + bar - 1)
+                slots.append(hi)
+            dus.append(du)
+            cell_of.extend([k] * len(du))
+        dus = np.concatenate(dus)
 
-        # per substep, the output slot it lands on (or None)
-        lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
-        if hi > lo:
-            # observation times inside the cell, spliced in exactly
-            t0, dt = pts[k], pts[k + 1] - pts[k]
-            slots = {(out_t[slot] - t0) / dt: slot for slot in range(lo, hi)}
-            slots[1.0] = hi
-            spliced = np.union1d(fractions, np.array(sorted(slots)))
-            dus = np.diff(spliced).tolist()
-            marks = [slots.get(u) for u in spliced[1:].tolist()]
+        if fixed is not None:
+            cell_dy = np.array([fixed @ dzs[k] for k in cells])
+            dys = cell_dy[np.asarray(cell_of) - first] * dus[:, None]
+
+            def target(j, x):
+                return x + dys[j]
         else:
-            dus, marks = plain_du, plain_marks + [hi]
+            dys = np.empty((len(dus), len(start)))
 
-        for du, slot in zip(dus, marks):
-            dy = f.evaluate(state) @ dz * du
-            state, dk, dk_norm = guarded_step(domain, state + dy, rho0)
-            y_run = y_run + dy
-            if dk_norm > 0.0:
-                # adding a zero dk would leave k_run and kvar_run unchanged
-                k_run = k_run + dk
-                kvar_run += dk_norm
-                dk_count += 1
-            if slot is not None:
-                X[slot], K[slot], Y[slot], kvar[slot] = state, k_run, y_run, kvar_run
+            def target(j, x):
+                dys[j] = f.evaluate(x) @ dzs[cell_of[j]] * dus[j]
+                return x + dys[j]
 
-    return _output(domain, "wz-bar", spec.partition, out_t, paths, dk_count,
-                   interp=LINEAR)
+        path, targets, dk_norms = project_steps(
+            domain, state, rho0, target, len(dus),
+            dys if fixed is not None else None)
+        states = path[1:]
+        # K moves on projected substeps only: a dk too small to square has
+        # |dk| = 0 and counts as no move
+        dks = np.where(dk_norms[:, None] > 0.0, states - targets, 0.0)
+        ks = accumulate(k_run, dks)[1:]
+        ys = accumulate(y_run, dys)[1:]
+        kvs = accumulate(kvar_run, dk_norms)[1:]
+        X[slots], K[slots], Y[slots], kvar[slots] = (
+            states[rows], ks[rows], ys[rows], kvs[rows])
+        state, k_run, y_run, kvar_run = states[-1], ks[-1], ys[-1], kvs[-1]
+        dk_count += int(np.count_nonzero(dk_norms))
+
+    if n_cells < len(dzs):
+        _check_delta(dzs[n_cells], f.sup_f, rho0)
+    return _output(domain, "wz-bar", spec.partition, out_t, (X, K, Y, kvar),
+                   dk_count, interp=LINEAR)
 
 
 def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,

@@ -20,6 +20,18 @@ as a non-finite |dk| and raises NonFinite.  The public ``Domain.project``
 and ``Domain.distance_outside`` keep validating every call for outside
 callers.
 
+Interior runs skip ``guarded_step``.  The compensator grows only while the
+path is on the boundary, so the step is the identity on every step that
+stays inside.  When the increments do not depend on the state (a driver
+path here, a constant coefficient in ``schemes``), ``project_steps`` builds
+the candidate states of a run of steps with one sequential
+``np.add.accumulate``, bitwise equal to the repeated ``x + dy`` of the
+scalar loop, and ``interior_run`` keeps the leading rows that the domain's
+``_inside_batch`` accepts.  That hook is conservative: on an accepted row
+the projection returns its input unchanged, so dk = 0 exactly and the
+scalar step would raise nothing.  Every other row goes through
+``guarded_step``, and the loop stays scalar while each step still projects.
+
 On each grid interval the compensator increment satisfies |dk| <= |dy|
 exactly, which yields the variation comparisons checked by
 ``check_lemma1``: over any window (t, q],
@@ -37,6 +49,11 @@ from .errors import NonFinite, ProjectionOutOfRange, StartOutsideDomain
 from .geometry import Domain, OUTSIDE
 
 _REACH_MARGIN = 0.99
+
+# Rows per interior-run attempt: doubled after a fully accepted run, reset
+# after a rejected row, so paths that keep touching the boundary pay little
+# for the attempts and the candidate work stays linear in the path length.
+_RUN_MIN, _RUN_MAX = 16, 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +94,66 @@ def guarded_step(domain: Domain, target: np.ndarray, rho0: float):
     return x_next, dk, dk_norm
 
 
+def interior_run(domain: Domain, x: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """The leading states x + dy_0, x + dy_0 + dy_1, ... that need no projection.
+
+    The candidates come from one sequential ``np.add.accumulate`` over
+    [x; increments], so they are bitwise equal to the repeated ``x + dy`` of
+    the scalar loop.  The run ends before the first row that
+    ``domain._inside_batch`` does not accept; its rows are the states the
+    scalar steps would produce, with dk = 0.
+    """
+    candidates = np.add.accumulate(np.vstack((x, increments)), axis=0)[1:]
+    inside = domain._inside_batch(candidates)
+    return candidates if inside.all() else candidates[:int(inside.argmin())]
+
+
+def project_steps(domain: Domain, x: np.ndarray, rho0: float, target, n: int,
+                  increments: np.ndarray | None = None):
+    """Step x_{j+1} = project(target(j, x_j)) for j < n, from x_0 = x.
+
+    Returns the (n + 1, d) path x_0 .. x_n, the (n, d) targets and the (n,)
+    |dk|, so dk = path[1:] - targets.  With ``increments``
+    (state-independent rows such that target(j, x) == x + increments[j]
+    bitwise), interior runs are advanced in bulk by ``interior_run``; the
+    other rows, and every row without ``increments``, go through
+    ``guarded_step``.
+    """
+    path = np.empty((n + 1, len(x)))
+    path[0] = x
+    states = path[1:]
+    targets = np.empty((n, len(x)))
+    dk_norms = np.zeros(n)
+    j, size = 0, _RUN_MIN
+    while j < n:
+        if increments is not None:
+            run = interior_run(domain, x, increments[j:j + size])
+            m = len(run)
+            if m:
+                states[j:j + m] = targets[j:j + m] = run
+                x = run[-1]
+                j += m
+            if m == size:
+                size = min(2 * size, _RUN_MAX)
+                continue
+            size = _RUN_MIN
+        # the rejected row, then on while each step still projects
+        while j < n:
+            t = target(j, x)
+            x, _, dk_norm = guarded_step(domain, t, rho0)
+            states[j], targets[j], dk_norms[j] = x, t, dk_norm
+            j += 1
+            if dk_norm == 0.0 and increments is not None:
+                break
+    return path, targets, dk_norms
+
+
+def accumulate(first, rows: np.ndarray) -> np.ndarray:
+    """[first, first + rows[0], ...] summed in order, as a running loop does."""
+    out = np.concatenate(([first], rows))
+    return np.add.accumulate(out, axis=0, out=out)
+
+
 def reflect_step(domain: Domain, x: np.ndarray, dy: np.ndarray, rho0: float):
     """One projection step: returns (x_next, dk) for the increment dy.
 
@@ -105,23 +182,16 @@ def solve_skorokhod(domain: Domain, y: GridPath, y0=None) -> SkorokhodSolution:
         raise StartOutsideDomain(
             f"initial point {start.tolist()} is outside the closed domain"
         )
-    rho0 = domain.rho0
-
-    n = len(values)
-    xs = np.empty_like(values)
-    ks = np.empty_like(values)
-    kvar = np.empty(n)
-    xs[0], ks[0], kvar[0] = domain.project(start), 0.0, 0.0
-    x = xs[0]
-    for j, dy in enumerate(np.diff(values, axis=0), 1):
-        x, dk, dk_norm = guarded_step(domain, x + dy, rho0)
-        xs[j] = x
-        ks[j] = ks[j - 1] + dk
-        kvar[j] = kvar[j - 1] + dk_norm
+    x0 = domain.project(start)
+    dys = np.diff(values, axis=0)
+    xs, targets, dk_norms = project_steps(
+        domain, x0, domain.rho0, lambda j, x: x + dys[j], len(dys), dys)
+    # dk overwrites the targets, which are not needed afterwards
+    ks = accumulate(np.zeros_like(x0), np.subtract(xs[1:], targets, out=targets))
 
     x_path = GridPath(y.times, xs, interp=CADLAG_STEP)
     k_path = GridPath(y.times, ks, interp=CADLAG_STEP)
-    return SkorokhodSolution(x_path, k_path, kvar)
+    return SkorokhodSolution(x_path, k_path, accumulate(0.0, dk_norms))
 
 
 def total_variation(path: GridPath, t_from: float, t_to: float) -> float:

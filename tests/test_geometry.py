@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from reflectsde.errors import (DimensionMismatch, NotOnBoundary,
                                ProjectionOutOfRange)
@@ -11,6 +12,8 @@ from reflectsde.geometry import (BOUNDARY, DELTA_UNLIMITED, INTERIOR, OUTSIDE,
                                  Ball, Box, ConvexPolyhedron, Domain,
                                  DomainConstants, ExteriorOfBall, HalfSpace,
                                  default_boundary_tol)
+from reflectsde.flow import BLOWUP_GUARD
+from reflectsde.skorokhod import guarded_step
 
 
 def test_half_space_classification():
@@ -211,3 +214,95 @@ def test_dimension_checks():
 def test_boundary_tol_scales_with_magnitude():
     assert default_boundary_tol([0.0]) == pytest.approx(1e-10)
     assert default_boundary_tol([1e6, 0.0]) == pytest.approx(1e-10 * (1.0 + 1e6))
+
+
+# ---------------------------------------------------------------------------
+# non-finite parameters
+
+@pytest.mark.parametrize("build", [
+    lambda: HalfSpace([math.nan, 0.0], 0.0),
+    lambda: Ball([math.nan, 0.0], 1.0),
+    lambda: Box([math.nan, 0.0], [1.0, 1.0]),
+    lambda: ConvexPolyhedron([[math.nan, 0.0]], [0.0]),
+    lambda: ExteriorOfBall([0.0, math.nan], 0.5),
+], ids=["half-space", "ball", "box", "convex-polyhedron", "exterior-of-ball"])
+def test_constructor_rejects_nan_parameters(build):
+    with pytest.raises(ValueError, match="finite|NaN"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HalfSpace([1.0, 0.0], math.inf),
+    lambda: Ball([0.0, 0.0], math.inf),
+    lambda: ConvexPolyhedron([[1.0, 0.0]], [-math.inf]),
+    lambda: ExteriorOfBall([math.inf, 0.0], 0.5),
+], ids=["half-space", "ball", "convex-polyhedron", "exterior-of-ball"])
+def test_constructor_rejects_infinite_parameters(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+# ---------------------------------------------------------------------------
+# the batch interior test of the bulk stepping path
+
+
+# (domain, a point to centre the draws on, the domain's length scale)
+INSIDE_DOMAINS = [
+    (HalfSpace([0.3, 1.0], -0.2), (0.0, 0.0), 1.0),
+    (Ball([0.1, -0.2], 1.0), (0.1, -0.2), 1.0),
+    (Ball([3e5, -1e5], 2e5), (3e5, -1e5), 2e5),
+    (Box([-1.0, -0.5], [1.0, math.inf]), (0.0, 0.0), 1.0),
+    (ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [-1.0, 0.3]],
+                      [-1.0, -1.0, -1.0, -1.2]), (0.0, 0.0), 1.0),
+    (ExteriorOfBall([0.0, 0.0], 0.5), (0.0, 0.0), 0.5),
+    (ExteriorOfBall([2e4, 1e4], 3e3), (2e4, 1e4), 3e3),
+]
+INSIDE_IDS = [f"{d.kind}-{i}" for i, (d, _, _) in enumerate(INSIDE_DOMAINS)]
+# how far a probe sits from its anchor point, in units of the domain's
+# scale; the anchor is on the boundary whenever the drawn point was outside
+OFFSETS = [0.0, 1e-14, 1e-12, 3e-11, 1e-10, 1e-9, 1e-6, 1e-3, 0.1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, len(INSIDE_DOMAINS) - 1),
+       point=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       offsets=st.lists(st.tuples(st.sampled_from(OFFSETS),
+                                  st.sampled_from([-1.0, 1.0])),
+                        min_size=1, max_size=8))
+def test_inside_batch_rows_are_fixed_points_of_the_projection(
+        index, point, angle, offsets):
+    """Every accepted row is returned unchanged by the projection and its
+    guarded step raises nothing, also within 1e-12 of the boundary."""
+    dom, centre, scale = INSIDE_DOMAINS[index]
+    drawn = np.asarray(centre) + scale * np.array(point)
+    assume(dom._signed_distance(drawn) > -0.9 * dom.rho0)
+    anchor = dom.project(drawn)
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    probes = np.array([anchor + sign * t * scale * direction
+                       for t, sign in offsets])
+    accepted = dom._inside_batch(probes)
+    assert accepted.dtype == bool and accepted.shape == (len(probes),)
+    for row, ok in zip(probes, accepted):
+        if ok:
+            assert dom._project(row).tobytes() == row.tobytes()
+            x_next, _, dk_norm = guarded_step(dom, row, dom.rho0)
+            assert x_next.tobytes() == row.tobytes() and dk_norm == 0.0
+        elif dom._signed_distance(row) > 1e-6 * scale:
+            pytest.fail(f"row {row.tolist()} clear of the boundary rejected")
+        if abs(dom._signed_distance(row)) <= 1e-12 * scale:
+            assert not ok
+
+
+@pytest.mark.parametrize("dom, centre, scale", INSIDE_DOMAINS, ids=INSIDE_IDS)
+def test_inside_batch_rejects_outside_and_non_finite_rows(dom, centre, scale):
+    rng = np.random.default_rng(8)
+    points = np.asarray(centre) + rng.uniform(-3.0, 3.0, size=(400, 2)) * scale
+    accepted = dom._inside_batch(points)
+    outside = np.array([dom.contains(p) == OUTSIDE for p in points])
+    assert outside.sum() >= 20 and not np.any(accepted[outside])
+    assert accepted.sum() >= 20
+    bad = np.array([[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf],
+                    [BLOWUP_GUARD, BLOWUP_GUARD]])
+    with np.errstate(invalid="ignore"):
+        assert not np.any(dom._inside_batch(bad))
