@@ -111,17 +111,6 @@ class RateRow:
             "slope_partial": _none_if_nan(self.slope_partial),
         }
 
-    def csv_dict(self):
-        """Fields of the rate-table CSV schema (nan kept as nan)."""
-        return {
-            "mesh": self.mesh,
-            "err_unif_med": self.err_unif_med,
-            "err_unif_p90": self.err_unif_p90,
-            "err_grid_med": self.err_grid_med,
-            "k_err_med": self.k_err_med,
-            "slope_partial": self.slope_partial,
-        }
-
 
 @dataclass(frozen=True)
 class RateTable:
@@ -157,7 +146,8 @@ class RateTable:
         }
 
     def csv_rows(self):
-        return [r.csv_dict() for r in self.rows]
+        """Rows for ``write_rate_csv``, which writes their None fields as nan."""
+        return [r.as_dict() for r in self.rows]
 
 
 def fit_rate(meshes, medians):

@@ -8,10 +8,10 @@ Four subcommands, all driven by the same YAML configuration:
     remark4     endpoint gap report between the two jump conventions
 
 Every artifact is deterministic for a given configuration and seed: CSV
-floats use a fixed shortest-round-trip format, JSON keys are sorted, no
-timestamps are embedded, and parallel fan-out (``--jobs``) never changes
-any output byte.  Exit status: 0 success, 2 configuration problem, 3
-runtime failure.
+floats use the fixed %.17g format (exact on round trip, not shortest),
+JSON keys are sorted, no timestamps are embedded, and parallel fan-out
+(``--jobs``) never changes any output byte.  Exit status: 0 success, 2
+configuration problem, 3 runtime failure.
 """
 
 import argparse
@@ -61,8 +61,15 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# characters per write of an artifact: one write would encode a copy of the
+# whole text, which is most of the peak memory of a long path's CSV
+_WRITE_CHARS = 1 << 16
+
+
 def _write(out_dir: Path, name: str, text: str) -> str:
-    (out_dir / name).write_text(text)
+    with open(out_dir / name, "w") as handle:
+        for start in range(0, len(text), _WRITE_CHARS):
+            handle.write(text[start:start + _WRITE_CHARS])
     return name
 
 

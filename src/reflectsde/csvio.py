@@ -1,9 +1,18 @@
 """CSV readers and writers for paths, solutions, and rate tables.
 
-All floats are written with the %.17g format so that a written file
-round-trips bitwise through float() and rerunning an experiment with the
+All floats are written with the %.17g format: 17 significant digits, which
+is not the shortest form (0.1 is written 0.10000000000000001) but
+round-trips bitwise through float(), so rerunning an experiment with the
 same seed reproduces the artifact byte for byte.  No timestamps or other
 non-deterministic fields are ever written.
+
+The writers share one block writer, ``_write_rows``: it writes the header
+line, then the rows in blocks of at most ``_BLOCK_ROWS``, stacking each
+block's columns and formatting the whole block with one ``%`` over a
+repeated row template.  '%.17g' already writes nan, inf and -inf, and no
+token it writes needs CSV quoting, so the bytes are those of a per-value
+format and ``csv.writer`` loop.  The block bound keeps the stacked copy
+and the block's text small next to the arrays being written.
 """
 
 import contextlib
@@ -18,6 +27,8 @@ from .errors import CsvFormatError
 
 FLOAT_FMT = "%.17g"
 
+_BLOCK_ROWS = 1024
+
 
 @contextlib.contextmanager
 def _opened(fh, mode):
@@ -29,11 +40,17 @@ def _opened(fh, mode):
         yield fh
 
 
-def _fmt(value):
-    value = float(value)
-    if np.isnan(value):
-        return "nan"
-    return FLOAT_FMT % value
+def _write_rows(handle, header, columns, row_format):
+    """Write the header line, then one row_format line per row of columns.
+
+    ``columns`` are arrays sharing their first axis (1-d columns or 2-d
+    column groups); ``row_format`` is the %-template of one line.
+    """
+    handle.write(",".join(header) + "\n")
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+        handle.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def _parse_float(token, where):
@@ -52,16 +69,11 @@ def write_path_csv(fh, path):
     instant, which is the convention used by read_path_csv.
     """
     d = path.dimension
+    header = ["t"] + ["z%d" % (i + 1) for i in range(d)] + ["is_jump"]
+    is_jump = np.isin(path.times, path.jump_times)
     with _opened(fh, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t"] + ["z%d" % (i + 1) for i in range(d)]
-                        + ["is_jump"])
-        jump_times = set(float(t) for t in path.jump_times)
-        for i, t in enumerate(path.times):
-            row = [_fmt(t)]
-            row.extend(_fmt(v) for v in path.values[i])
-            row.append("1" if float(t) in jump_times else "0")
-            writer.writerow(row)
+        _write_rows(handle, header, [path.times, path.values, is_jump],
+                    ",".join([FLOAT_FMT] * (d + 1) + ["%d\n"]))
 
 
 def read_path_csv(fh, interp=CADLAG_STEP):
@@ -123,20 +135,16 @@ def write_solution_csv(fh, x, k, k_variation):
     if x.values.shape != k.values.shape:
         raise CsvFormatError("x and k must share a grid and dimension")
     d = x.dimension
+    header = (["t"]
+              + ["x%d" % (i + 1) for i in range(d)]
+              + ["k%d" % (i + 1) for i in range(d)]
+              + ["kvar"])
+    kvar = np.asarray(k_variation, dtype=float)
+    if kvar.shape != x.times.shape:
+        raise CsvFormatError("k_variation must hold one value per grid time")
     with _opened(fh, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = (["t"]
-                  + ["x%d" % (i + 1) for i in range(d)]
-                  + ["k%d" % (i + 1) for i in range(d)]
-                  + ["kvar"])
-        writer.writerow(header)
-        kvar = np.asarray(k_variation, dtype=float)
-        for i, t in enumerate(x.times):
-            row = [_fmt(t)]
-            row.extend(_fmt(v) for v in x.values[i])
-            row.extend(_fmt(v) for v in k.values[i])
-            row.append(_fmt(kvar[i]))
-            writer.writerow(row)
+        _write_rows(handle, header, [x.times, x.values, k.values, kvar],
+                    ",".join([FLOAT_FMT] * (2 * d + 2)) + "\n")
 
 
 def read_solution_csv(fh, interp=CADLAG_STEP):
@@ -198,15 +206,12 @@ def write_rate_csv(fh, rows):
     rows is an iterable of mappings holding the header keys; missing or
     None entries are written as nan.
     """
+    # a float array holds None as nan
+    table = np.array([[row.get(key) for key in RATE_HEADER] for row in rows],
+                     dtype=float)
     with _opened(fh, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RATE_HEADER)
-        for row in rows:
-            out = []
-            for key in RATE_HEADER:
-                value = row.get(key)
-                out.append("nan" if value is None else _fmt(value))
-            writer.writerow(out)
+        _write_rows(handle, RATE_HEADER, [table.reshape(-1, len(RATE_HEADER))],
+                    ",".join([FLOAT_FMT] * len(RATE_HEADER)) + "\n")
 
 
 def read_rate_csv(fh):

@@ -483,9 +483,18 @@ class ConvexPolyhedron(Domain):
         proj = self._project(x)
         return -float(np.linalg.norm(proj - x))
 
+    def _margins_batch(self, points):
+        # a row with an infinite coordinate gets infinite margins, or nan
+        # where the infinity meets a zero normal component (inf * 0); the
+        # norm bound of _clear_of_boundary rejects the row either way
+        with np.errstate(invalid="ignore"):
+            return (points @ self.normals.T - self.offsets).min(axis=1)
+
     def _signed_distance_batch(self, points):
-        margins = (points @ self.normals.T - self.offsets).min(axis=1)
-        outside = margins < 0.0
+        margins = self._margins_batch(points)
+        # a row with an infinite coordinate has an infinite or nan margin,
+        # which stands as it is: the projection has no finite answer for it
+        outside = (margins < 0.0) & np.isfinite(margins)
         if np.any(outside):
             margins = margins.astype(float)
             for idx in np.nonzero(outside)[0]:
@@ -495,8 +504,7 @@ class ConvexPolyhedron(Domain):
         return margins
 
     def _inside_batch(self, points):
-        margins = (points @ self.normals.T - self.offsets).min(axis=1)
-        return _clear_of_boundary(points, margins)
+        return _clear_of_boundary(points, self._margins_batch(points))
 
     def _project(self, x):
         if self._margins(x).min() >= 0.0:

@@ -109,7 +109,8 @@ def interior_run(domain: Domain, x: np.ndarray, increments: np.ndarray) -> np.nd
 
 
 def project_steps(domain: Domain, x: np.ndarray, rho0: float, target, n: int,
-                  increments: np.ndarray | None = None):
+                  increments: np.ndarray | None = None,
+                  targets: np.ndarray | None = None):
     """Step x_{j+1} = project(target(j, x_j)) for j < n, from x_0 = x.
 
     Returns the (n + 1, d) path x_0 .. x_n, the (n, d) targets and the (n,)
@@ -117,12 +118,15 @@ def project_steps(domain: Domain, x: np.ndarray, rho0: float, target, n: int,
     (state-independent rows such that target(j, x) == x + increments[j]
     bitwise), interior runs are advanced in bulk by ``interior_run``; the
     other rows, and every row without ``increments``, go through
-    ``guarded_step``.
+    ``guarded_step``.  The targets are written to ``targets`` when given,
+    which may be ``increments`` itself: row j of the increments is read
+    before target j is written.
     """
     path = np.empty((n + 1, len(x)))
     path[0] = x
     states = path[1:]
-    targets = np.empty((n, len(x)))
+    if targets is None:
+        targets = np.empty((n, len(x)))
     dk_norms = np.zeros(n)
     j, size = 0, _RUN_MIN
     while j < n:
@@ -184,9 +188,11 @@ def solve_skorokhod(domain: Domain, y: GridPath, y0=None) -> SkorokhodSolution:
         )
     x0 = domain.project(start)
     dys = np.diff(values, axis=0)
+    # the targets overwrite the increments, and then dk the targets, so the
+    # path, dk and |dk| are the only n-row arrays held while stepping
     xs, targets, dk_norms = project_steps(
-        domain, x0, domain.rho0, lambda j, x: x + dys[j], len(dys), dys)
-    # dk overwrites the targets, which are not needed afterwards
+        domain, x0, domain.rho0, lambda j, x: x + dys[j], len(dys),
+        increments=dys, targets=dys)
     ks = accumulate(np.zeros_like(x0), np.subtract(xs[1:], targets, out=targets))
 
     x_path = GridPath(y.times, xs, interp=CADLAG_STEP)

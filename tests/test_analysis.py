@@ -257,7 +257,7 @@ def test_rate_csv_round_trip(tmp_path):
                 err_grid_med=0.03, k_err_med=0.008, kvar_end_med=1.0,
                 n_ok=4, n_failed=0, slope_partial=0.51),
     ]
-    mappings = [r.csv_dict() for r in rows]
+    mappings = [r.as_dict() for r in rows]
     p = tmp_path / "rate.csv"
     write_rate_csv(p, mappings)
     back = read_rate_csv(p)

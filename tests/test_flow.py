@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from reflectsde.errors import DimensionMismatch, NonFinite
-from reflectsde.flow import (CATALOG, DEFAULT_FLOW, REFERENCE_FLOW,
-                             Coefficient, FlowConfig, catalog_coefficient,
+from reflectsde.flow import (BLOWUP_GUARD, CATALOG, DEFAULT_FLOW,
+                             REFERENCE_FLOW, Coefficient, FlowConfig, catalog_coefficient,
                              coefficient_from_spec, constant_matrix, flow,
                              flow_partial, jump_defect, linear_diagonal,
                              marcus_jump, marcus_jump_partial)
@@ -121,6 +121,18 @@ def test_blow_up_raises_non_finite():
     with pytest.raises(NonFinite):
         marcus_jump(f, np.array([80.0]), np.array([1.0]),
                     FlowConfig(256, adaptive=False))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 2.0 * BLOWUP_GUARD])
+def test_finite_guard_rejects_nan_inf_and_blow_up(bad):
+    f = constant_matrix([[1.0, 0.0], [0.0, 1.0]])
+    dz = np.array([0.5, 0.0])
+    for x in (np.array([0.0, bad]), np.array([[0.0, 0.0], [0.0, bad]])):
+        with pytest.raises(NonFinite):
+            marcus_jump(f, dz, x)
+    at_guard = marcus_jump(f, dz, np.array([0.0, -BLOWUP_GUARD]))
+    assert at_guard.tolist() == [0.5, -BLOWUP_GUARD]
 
 
 def test_jump_defect_linear_oracle():

@@ -1,6 +1,7 @@
 """Domain classification, projection, normals, and certificate checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,5 +305,20 @@ def test_inside_batch_rejects_outside_and_non_finite_rows(dom, centre, scale):
     assert accepted.sum() >= 20
     bad = np.array([[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf],
                     [BLOWUP_GUARD, BLOWUP_GUARD]])
-    with np.errstate(invalid="ignore"):
-        assert not np.any(dom._inside_batch(bad))
+    assert not np.any(dom._inside_batch(bad))
+
+
+@pytest.mark.parametrize("dom", [
+    INSIDE_DOMAINS[4][0],
+    # no zero normal component, so some rows get a -inf margin, not nan
+    ConvexPolyhedron([[1.0, 1.0], [-1.0, 2.0]], [-1.0, -1.0]),
+])
+def test_polyhedron_batch_margins_reject_infinite_rows_quietly(dom):
+    rows = np.array([[0.0, 0.0], [math.inf, 0.0], [-math.inf, 0.0],
+                     [0.0, -math.inf], [math.inf, math.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = dom._inside_batch(rows)
+        sd = dom._signed_distance_batch(rows)
+    assert inside.tolist() == [True, False, False, False, False]
+    assert sd[0] > 0.0 and not np.any(sd[1:] >= 0.0)

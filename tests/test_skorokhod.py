@@ -8,6 +8,7 @@ which is the running-maximum oracle used throughout.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,3 +188,22 @@ def test_guarded_step_matches_public_projection_bitwise(dom):
         assert dk_norm == excursion
         sides[side] += 1
     assert sides[INTERIOR] >= 20 and sides[OUTSIDE] >= 20
+
+
+def test_solve_skorokhod_holds_no_separate_targets():
+    """The targets, and then dk, overwrite the increments, so a solve holds
+    three n x d arrays (increments, path, k) and two n-vectors (|dk| and
+    its running sum), not a fourth n x d array of targets."""
+    n, d = 20000, 2
+    rng = np.random.default_rng(3)
+    values = np.cumsum(rng.normal(scale=0.02, size=(n, d)), axis=0)
+    y = GridPath(np.arange(n) / n, values - values[0])
+    dom = Ball([0.0, 0.0], 1.0)
+    tracemalloc.start()
+    try:
+        sol = solve_skorokhod(dom, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.k_variation[-1] > 0.0
+    assert peak < (3 * d + 2.5) * n * 8
