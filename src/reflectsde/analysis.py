@@ -10,8 +10,12 @@ jump handling at a curved boundary, and ``variation_report`` packages the
 variation comparisons of a constrained path against its internal driver.
 
 Monte Carlo fan-out derives one seed per path index, so results do not
-depend on scheduling; aggregation always walks results in index order and
-the produced tables are byte-stable across worker counts.
+depend on scheduling.  With a state-dependent coefficient paths run in
+blocks of at most ``_BLOCK_PATHS``, whose references are built together in
+lockstep; a path's results do not depend on its block either, and a path
+whose reference fails fails alone.
+Aggregation always walks results in index order, and the produced tables
+are byte-stable across worker counts.
 """
 
 import math
@@ -25,8 +29,10 @@ from .errors import DimensionMismatch, ReflectedSDEError
 from .flow import (REFERENCE_SUBSTEPS, SCHEME_SUBSTEPS, FlowConfig,
                    coefficient_from_spec, constant_matrix)
 from .geometry import Ball, Domain, HalfSpace
-from .schemes import (SCHEME_KINDS, SchemeSpec, build_reference,
-                      run_projection_scheme, run_scheme, run_wz_bar_scheme)
+# bench/layers.py wraps the binding analysis.build_reference
+from .schemes import (SCHEME_KINDS, SchemeSpec, build_reference,  # noqa: F401
+                      build_references, run_projection_scheme, run_scheme,
+                      run_wz_bar_scheme)
 from .skorokhod import check_lemma1, total_variation
 
 SUP_ERROR_MODES = ("uniform", "grid-points", "fixed-times")
@@ -256,31 +262,54 @@ class StudyPlan:
         return cls(**data)
 
 
-def _study_path(plan_dict: dict, index: int) -> dict:
-    """Run one driver path through every mesh of the plan.
+#: Most paths one study task carries.  With a state-dependent coefficient
+#: their references are built in lockstep, which amortizes the per-step work
+#: over the block.
+_BLOCK_PATHS = 16
+
+
+def _study_block(plan_dict: dict, indices) -> list:
+    """Run a block of driver paths through every mesh of the plan.
 
     Top-level so process pools can import it; rebuilds all objects from the
-    plain-dict plan.  Returns per-mesh error records; scheme failures are
-    recorded per mesh instead of aborting the study.
+    plain-dict plan.  The block's references are built together by
+    ``build_references``; each is bitwise the one its path gets alone.
+    Returns one record of per-mesh errors per path index; scheme failures
+    are recorded per mesh instead of aborting the study.  Only x and k of a
+    reference are kept, and each path's driver and reference are let go
+    once the path is scored.
     """
     plan = StudyPlan.from_dict(plan_dict)
     domain = Domain.from_spec(plan.domain)
     f = coefficient_from_spec(plan.coefficient)
-    seed_i = path_seed(plan.seed, index)
-    z = sample_jump_driver(plan.horizon, plan.driver_steps,
-                           plan.driver_dimension, seed_i,
-                           jump_rate=plan.jump_rate, jump_law=plan.jump_law,
-                           diffusion_scale=plan.diffusion_scale)
+    drivers = [sample_jump_driver(plan.horizon, plan.driver_steps,
+                                  plan.driver_dimension,
+                                  path_seed(plan.seed, index),
+                                  jump_rate=plan.jump_rate,
+                                  jump_law=plan.jump_law,
+                                  diffusion_scale=plan.diffusion_scale)
+               for index in indices]
+    refs = [ref if isinstance(ref, ReflectedSDEError) else (ref.x, ref.k)
+            for ref in build_references(
+                domain, f, plan.x0, drivers, plan.reference_refine,
+                flow_cfg=FlowConfig(plan.reference_substeps, True))]
     flow_cfg = FlowConfig(plan.flow_substeps, plan.flow_adaptive)
-    ref_cfg = FlowConfig(plan.reference_substeps, True)
+    records = []
+    for index in indices:
+        z, ref = drivers.pop(0), refs.pop(0)
+        per_mesh = _per_mesh(plan, domain, f, flow_cfg, z, ref)
+        records.append({"index": index, "per_mesh": per_mesh})
+    return records
 
-    try:
-        ref = build_reference(domain, f, plan.x0, z, plan.reference_refine,
-                              flow_cfg=ref_cfg)
-    except ReflectedSDEError as exc:
-        failure = {"ok": False, "error": f"reference: {type(exc).__name__}: {exc}"}
-        return {"index": index, "per_mesh": [dict(failure) for _ in plan.meshes]}
 
+def _per_mesh(plan, domain, f, flow_cfg, z, ref) -> list:
+    """Error records of one path at each mesh against its reference's x, k."""
+    if isinstance(ref, ReflectedSDEError):
+        failure = {"ok": False,
+                   "error": f"reference: {type(ref).__name__}: {ref}"}
+        return [dict(failure) for _ in plan.meshes]
+
+    ref_x, ref_k = ref
     per_mesh = []
     for mesh in plan.meshes:
         cells = max(1, round(plan.horizon / mesh))
@@ -291,24 +320,38 @@ def _study_path(plan_dict: dict, index: int) -> dict:
             out = run_scheme(domain, f, plan.x0, z, spec)
             per_mesh.append({
                 "ok": True,
-                "err_unif": sup_error(out.x, ref.x, horizon=plan.horizon),
-                "err_grid": sup_error(out.x, ref.x, horizon=plan.horizon,
+                "err_unif": sup_error(out.x, ref_x, horizon=plan.horizon),
+                "err_grid": sup_error(out.x, ref_x, horizon=plan.horizon,
                                       mode="grid-points"),
-                "k_err": sup_error(out.k, ref.k, horizon=plan.horizon),
+                "k_err": sup_error(out.k, ref_k, horizon=plan.horizon),
                 "kvar_end": float(out.k_variation[-1]),
             })
         except ReflectedSDEError as exc:
             per_mesh.append({"ok": False,
                              "error": f"{type(exc).__name__}: {exc}"})
-    return {"index": index, "per_mesh": per_mesh}
+    return per_mesh
+
+
+def _blocks(n_paths: int, jobs: int, lockstep: bool) -> list:
+    """Path-index ranges, one per study task.
+
+    Paths share a block only where their references are built in lockstep
+    (a state-dependent coefficient): up to ``_BLOCK_PATHS`` of them, and no
+    more than an even share of the workers, so every worker has a block.
+    Otherwise each path is its own block, which lets a pool balance its
+    workers path by path.
+    """
+    size = min(_BLOCK_PATHS, -(-n_paths // jobs)) if lockstep else 1
+    return [range(first, min(first + size, n_paths))
+            for first in range(0, n_paths, size)]
 
 
 def convergence_study(plan: StudyPlan, jobs: int = 1) -> RateTable:
     """Monte Carlo convergence table for a scheme against its reference.
 
-    With jobs > 1 the paths are distributed over a process pool; results
-    are aggregated in path-index order either way, so the table is
-    identical for any worker count.
+    Paths run in blocks (``_study_block``); with jobs > 1 the blocks are
+    distributed over a process pool.  Results are aggregated in path-index
+    order either way, so the table is identical for any worker count.
     """
     problems = plan.validate()
     if problems:
@@ -317,16 +360,19 @@ def convergence_study(plan: StudyPlan, jobs: int = 1) -> RateTable:
     plan_dict = plan.as_dict()
 
     results = [None] * plan.n_paths
+    lockstep = coefficient_from_spec(plan.coefficient).matrix is None
+    blocks = _blocks(plan.n_paths, jobs, lockstep)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_study_path, plan_dict, i)
-                       for i in range(plan.n_paths)]
+            futures = [pool.submit(_study_block, plan_dict, block)
+                       for block in blocks]
             for fut in as_completed(futures):
-                rec = fut.result()
-                results[rec["index"]] = rec
+                for rec in fut.result():
+                    results[rec["index"]] = rec
     else:
-        for i in range(plan.n_paths):
-            results[i] = _study_path(plan_dict, i)
+        for block in blocks:
+            for rec in _study_block(plan_dict, block):
+                results[rec["index"]] = rec
 
     rows = []
     prev = None

@@ -227,8 +227,9 @@ def sample_jump_driver(horizon: float, steps: int, dimension: int, seed: int,
     dt = np.diff(grid)
     increments = normals * np.sqrt(dt)[:, None] * float(diffusion_scale)
     values = np.vstack([np.zeros(dimension), np.cumsum(increments, axis=0)])
-    for t, v in zip(jump_times, jump_values):
-        values[grid >= t] += v
+    # every jump time is a grid point: add each jump from its own row on
+    for i, v in zip(np.searchsorted(grid, jump_times), jump_values):
+        values[i:] += v
     return GridPath(grid, values, interp=CADLAG_STEP,
                     jump_times=jump_times, jump_values=jump_values)
 

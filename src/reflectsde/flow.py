@@ -18,7 +18,10 @@ on f and its derivative.
 All entry points are shape polymorphic: a state of shape (d,) with an
 increment (d,) integrates a single trajectory, while states (m, d) with
 increments (m, d) integrate m independent trajectories in one vectorized
-pass (used by the defect sweeps).
+pass (used by the defect sweeps and by the lockstep reference build).
+``marcus_jump_rows`` is that pass, and each of its rows is exact: row i is
+bitwise the single-row jump map of (dz_i, x_i), with its own step count,
+and a row that leaves the finite-value guard fails alone.
 """
 
 import copy
@@ -66,10 +69,13 @@ DEFAULT_FLOW = FlowConfig()
 REFERENCE_FLOW = FlowConfig(substeps=REFERENCE_SUBSTEPS, adaptive=True)
 
 
+_GUARD_MESSAGE = "flow trajectory left the finite-value guard region"
+
+
 def _check_finite(y: np.ndarray):
     # one reduction: the negated test also fails on nan, and inf exceeds it
     if not np.abs(y).max() <= BLOWUP_GUARD:
-        raise NonFinite("flow trajectory left the finite-value guard region")
+        raise NonFinite(_GUARD_MESSAGE)
 
 
 def _rk4(g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, span: float, n: int):
@@ -84,6 +90,60 @@ def _rk4(g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, span: float, n: i
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(y)
     return y
+
+
+def _rk4_rows(f: "Coefficient", dz: np.ndarray, x: np.ndarray, steps: list):
+    """Row-wise ``_rk4`` of dy/du = f(y) dz_i over [0, 1] in steps[i] steps.
+
+    Every row does the arithmetic of the single-row ``_rk4`` with h = 1 /
+    steps[i]; a row with 0 steps stays put.  The field is the stacked
+    product ``f(y) @ dz[..., None]``, which rounds like the 1-D product
+    ``f(y) @ dz`` (einsum does not).  Rows are sorted by step count and
+    retire once their steps are done, so each iteration works on the
+    leading rows that still have steps left.  A row that leaves the guard
+    region retires at the iteration the single-row call would raise, with
+    the error it would raise.  Returns (y, errors): per row None, or the
+    NonFinite that stopped it (its row of y is then not meaningful).
+    """
+    order = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
+    steps = [steps[r] for r in order]
+    rows = np.array(order, dtype=int)
+    y, col = x[rows], dz[rows, :, None]
+    # each row's h = 1 / steps as the single-row call forms it, spread over
+    # the row: same-shape products are the cheapest
+    h = np.array([[1.0 / n if n else 1.0] * x.shape[1] for n in steps])
+    half, sixth = 0.5 * h, h / 6.0
+    out = np.empty_like(x)
+    errors = [None] * len(steps)
+
+    def g(v):
+        return (f.evaluate(v) @ col)[..., 0]
+
+    i = 0
+    while True:
+        live = len(steps)
+        while live and steps[live - 1] <= i:
+            live -= 1
+        if live < len(steps):
+            out[rows[live:]] = y[live:]
+            del steps[live:]
+            rows, y, col, h, half, sixth = (
+                a[:live] for a in (rows, y, col, h, half, sixth))
+        if not live:
+            return out, errors
+        k1 = g(y)
+        k2 = g(y + half * k1)
+        k3 = g(y + half * k2)
+        k4 = g(y + h * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.abs(y).max() <= BLOWUP_GUARD:
+            ok = np.abs(y).max(axis=1) <= BLOWUP_GUARD
+            for r in rows[~ok].tolist():
+                errors[r] = NonFinite(_GUARD_MESSAGE)
+            steps = [s for s, keep in zip(steps, ok.tolist()) if keep]
+            rows, y, col, h, half, sixth = (
+                a[ok] for a in (rows, y, col, h, half, sixth))
+        i += 1
 
 
 def flow(g, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
@@ -123,7 +183,9 @@ def marcus_jump(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.n
     """Jump map phi(f dz, x): unit-time flow of the field y -> f(y) dz.
 
     For a constant coefficient the flow is exact in closed form (x + f dz)
-    and the integrator is skipped entirely.
+    and the integrator is skipped entirely.  Batched input is mapped row by
+    row through ``marcus_jump_rows``, and the first failed row's error is
+    raised.
     """
     x = np.asarray(x, dtype=float)
     dz = np.asarray(dz, dtype=float)
@@ -131,16 +193,50 @@ def marcus_jump(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.n
         raise DimensionMismatch(
             f"state/increment dimension must be {f.dimension}"
         )
+    if x.ndim > 1 or dz.ndim > 1:
+        x, dz = np.broadcast_arrays(x, dz)
+        d = f.dimension
+        y, errors = marcus_jump_rows(f, dz.reshape(-1, d), x.reshape(-1, d), cfg)
+        for err in errors:
+            if err is not None:
+                raise err
+        return y.reshape(x.shape)
     if f.matrix is not None:
         out = x + dz @ f.matrix.T
         _check_finite(out)
         return out
-    norms = np.linalg.norm(dz, axis=-1)
-    peak = float(np.max(norms)) if norms.ndim else float(norms)
+    peak = float(np.linalg.norm(dz, axis=-1))
     if peak == 0.0:
         return x.copy()
     n = cfg.steps_for(peak)
     return _rk4(_increment_field(f, dz), x, 1.0, n)
+
+
+def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW):
+    """Jump maps of the rows of (m, d) increments dz and states x.
+
+    Row i is bitwise ``marcus_jump(f, dz[i], x[i], cfg)``: it gets its own
+    step count ``cfg.steps_for(|dz_i|)`` (none for a zero row, which maps
+    to itself), and a constant coefficient forms each row's product as the
+    single-row call does.  Returns (y, errors): ``errors[i]`` is None, or
+    the NonFinite that the single-row call raises for row i, whose row of y
+    is then not meaningful; no other row is affected by it.
+    """
+    x = np.asarray(x, dtype=float)
+    dz = np.asarray(dz, dtype=float)
+    if x.ndim != 2 or x.shape != dz.shape or x.shape[1] != f.dimension:
+        raise DimensionMismatch(
+            f"states and increments must both have shape (m, {f.dimension})"
+        )
+    if f.matrix is not None:
+        # a stack of (1, d) @ (d, d) products rounds like the 1-D dz @ M.T
+        y = x + (dz[:, None, :] @ f.matrix.T)[:, 0, :]
+        ok = (np.abs(y).max(axis=1) <= BLOWUP_GUARD).tolist()
+        return y, [None if good else NonFinite(_GUARD_MESSAGE) for good in ok]
+    # the norms of the single-row call, and its zero-increment shortcut
+    norms = np.linalg.norm(dz, axis=-1).tolist()
+    return _rk4_rows(f, dz, x, [cfg.steps_for(v) if v != 0.0 else 0
+                                for v in norms])
 
 
 def marcus_jump_partial(f: "Coefficient", dz, x, u_end: float,

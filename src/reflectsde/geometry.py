@@ -244,7 +244,11 @@ class Domain:
         return self.constants().rho0
 
     def boundary_count(self, points: np.ndarray, tol: float | None = None) -> int:
-        """Number of rows of ``points`` lying in the boundary tolerance band."""
+        """Number of rows of ``points`` lying in the boundary tolerance band.
+
+        A row whose signed distance is not finite (say, one with an infinite
+        coordinate, whose default band is infinite too) is never counted.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise DimensionMismatch(
@@ -255,7 +259,7 @@ class Domain:
             bands = 1e-10 * (1.0 + np.linalg.norm(pts, axis=1))
         else:
             bands = np.full(len(pts), float(tol))
-        return int(np.count_nonzero(np.abs(sd) <= bands))
+        return int(np.count_nonzero(np.isfinite(sd) & (np.abs(sd) <= bands)))
 
     # -- construction ---------------------------------------------------
 
@@ -298,7 +302,10 @@ class HalfSpace(Domain):
         return float(self.normal @ x) - self.offset
 
     def _signed_distance_batch(self, points):
-        return points @ self.normal - self.offset
+        # an infinity meeting a zero normal component gives nan (inf * 0),
+        # as the polyhedron's margins do
+        with np.errstate(invalid="ignore"):
+            return points @ self.normal - self.offset
 
     def _inside_batch(self, points):
         return _clear_of_boundary(points, self._signed_distance_batch(points))

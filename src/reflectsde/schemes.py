@@ -31,15 +31,24 @@ Every projection goes through ``skorokhod.guarded_step``: each runner
 validates its start point and the dimensions once per path and then
 projects each target once, unchecked (see the ``skorokhod`` docstring).
 
-projection, jump-adapted (and so ``build_reference``) and wz-bar step
-through ``skorokhod.project_steps``.  With a constant coefficient
-(``f.matrix`` set) their increments do not depend on the state: f dZ_k per
-cell, and (f dZ_k) du per wz-bar substep.  Runs of steps that stay inside
-the domain then skip the projection, where it is the identity, and are
-advanced in bulk; the output is bitwise that of the step-by-step loop,
-because the same increments are summed in the same order.  The other
-coefficients step one projection at a time.  The cells before the first
-one that fails the jump guard are stepped first, and then the guard
+projection, jump-adapted and the reference share one projection core,
+which steps a block of paths, each on its own partition; the runners are
+its batch of one, and ``build_references`` builds the references of many
+drivers at once.  With a constant coefficient (``f.matrix`` set) the
+increments do not depend on the state: f dZ_k per cell, and (f dZ_k) du per
+wz-bar substep.  Each path then steps through ``skorokhod.project_steps``
+(so does wz-bar), where runs of steps that stay inside the domain skip the
+projection, where it is the identity, and are advanced in bulk; the output
+is bitwise that of the step-by-step loop, because the same increments are
+summed in the same order.  Other coefficients step the block, a batch of
+one included, in lockstep by cell index: one ``marcus_jump_rows`` call
+transports every path that still has that cell, each row bitwise as a
+single-path call, and then each row is projected by its own
+``guarded_step``.  A path's output is therefore
+bitwise independent of the block it runs in, and a path that fails
+(JumpTooLarge, NonFinite, ProjectionOutOfRange) fails alone, at the same
+step and with the same error as when it runs alone.  The cells before the
+first one that fails the jump guard are stepped first, and then the guard
 raises, as it would in a loop checking each cell before stepping it.
 """
 
@@ -50,13 +59,12 @@ import numpy as np
 
 from .driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
                      jump_adapted_partition)
-from .errors import DimensionMismatch, JumpTooLarge, StartOutsideDomain
+from .errors import (DimensionMismatch, JumpTooLarge, ReflectedSDEError,
+                     StartOutsideDomain)
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
-                   marcus_jump, marcus_jump_partial)
+                   marcus_jump, marcus_jump_partial, marcus_jump_rows)
 from .geometry import Domain, OUTSIDE
 from .skorokhod import accumulate, guarded_step, project_steps
-
-SCHEME_KINDS = ("projection", "jump-adapted", "wz-hat", "wz-bar", "marcus-euler")
 
 # wz-bar substeps held in memory at once
 _BAR_BLOCK_ROWS = 4096
@@ -140,21 +148,26 @@ def _check_delta(dz: np.ndarray, bound: float, rho0: float):
             )
 
 
-def _admissible_cells(dzs: np.ndarray, bound: float, rho0: float) -> int:
-    """Number of leading cell increments that pass ``_check_delta``."""
+def _admissible_cells(dzs: np.ndarray, bound: float, rho0: float):
+    """Leading cell increments that pass ``_check_delta``.
+
+    Returns their number and the JumpTooLarge of the first cell that fails,
+    or None when every cell passes.
+    """
     if not math.isfinite(rho0):
-        return len(dzs)
+        return len(dzs), None
     for k, dz in enumerate(dzs):
         try:
             _check_delta(dz, bound, rho0)
-        except JumpTooLarge:
-            return k
-    return len(dzs)
+        except JumpTooLarge as exc:
+            return k, exc
+    return len(dzs), None
 
 
 def _output_grid(partition: Partition, observation_times) -> np.ndarray:
     if observation_times is None:
-        return partition.points.copy()
+        # read-only, like the times of the paths built on it
+        return partition.points
     obs = np.asarray(observation_times, dtype=float)
     obs = obs[(obs >= 0.0) & (obs <= partition.horizon)]
     return np.union1d(partition.points, obs)
@@ -184,6 +197,9 @@ def _output(domain, label, partition, out_t, paths, dk_count,
 
 def _fill_step(out_t, grid_t, grid_vals):
     """Step-interpolate grid values onto the output times."""
+    if len(out_t) == len(grid_t):
+        # the output times are the grid itself (they always contain it)
+        return grid_vals
     idx = np.searchsorted(grid_t, out_t, side="right") - 1
     idx = np.clip(idx, 0, len(grid_t) - 1)
     return grid_vals[idx]
@@ -192,7 +208,9 @@ def _fill_step(out_t, grid_t, grid_vals):
 def run_projection_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
                           spec: SchemeSpec) -> SchemeOutput:
     """Projected transport on a fixed partition (piecewise-constant output)."""
-    return _projection_core(domain, f, x0, z, spec, spec.partition, "projection")
+    return _only(_projection_core(domain, f, x0, [z], [spec.partition],
+                                  spec.flow_cfg, "projection",
+                                  spec.observation_times))
 
 
 def run_jump_adapted_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -203,36 +221,140 @@ def run_jump_adapted_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
     the uniform mesh 1/n grid.
     """
     part = jump_adapted_partition(z, n)
-    return _projection_core(domain, f, x0, z, spec, part, "jump-adapted")
+    return _only(_projection_core(domain, f, x0, [z], [part], spec.flow_cfg,
+                                  "jump-adapted", spec.observation_times))
 
 
-def _projection_core(domain, f, x0, z, spec, partition, label) -> SchemeOutput:
-    start = _validated_start(domain, f, x0, z)
+def _only(results):
+    """The output of a batch of one path, or the error that stopped it."""
+    (result,) = results
+    if isinstance(result, ReflectedSDEError):
+        raise result
+    return result
+
+
+class _Chain:
+    """One path of the projection core: its cells and its step records.
+
+    ``dzs`` holds the cell increments while the path still steps; the first
+    ``n`` cells pass the jump guard, and ``stop`` is the guard's error at
+    the next one (None when every cell passes), raised once the cells before
+    it are stepped, as a loop checking each cell before stepping it would.
+    """
+
+    def __init__(self, start, partition, dzs, bound, rho0):
+        self.start, self.partition, self.dzs = start, partition, dzs
+        self.n, self.stop = _admissible_cells(dzs, bound, rho0)
+        self.error = None
+        # project_steps' (n + 1, d) path, (n, d) targets and (n,) |dk|
+        self.path = self.targets = self.dk_norms = None
+
+    def finish(self, domain, label, observation_times):
+        """The path's SchemeOutput, or the error that stopped it.
+
+        Drops the step records, so a block holds each path's records or its
+        output, not both.
+        """
+        xs, targets, dk_norms = self.path, self.targets, self.dk_norms
+        self.dzs = self.path = self.targets = self.dk_norms = None
+        error = self.error if self.error is not None else self.stop
+        if error is not None:
+            return error
+        paths = (xs,
+                 accumulate(np.zeros_like(self.start), xs[1:] - targets),
+                 accumulate(self.start, targets - xs[:-1]),
+                 accumulate(0.0, dk_norms))
+        out_t = _output_grid(self.partition, observation_times)
+        pts = self.partition.points
+        return _output(domain, label, self.partition, out_t,
+                       [_fill_step(out_t, pts, a) for a in paths],
+                       int(np.count_nonzero(dk_norms)))
+
+
+def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
+                     observation_times) -> list:
+    """The projection step of each driver on its own partition.
+
+    Returns, per path, its SchemeOutput or the ReflectedSDEError that
+    stopped it, so a failure stays with its own path.  With a constant
+    coefficient each path's increments are known up front, and it steps
+    through ``project_steps``, which advances interior runs in bulk.  Any
+    other coefficient steps the block, a single path included, in lockstep
+    by cell index (``_step_in_lockstep``).
+    """
     rho0 = domain.rho0
-    cfg = spec.flow_cfg
-    pts = partition.points
-    dzs = np.diff(z.value_at(pts), axis=0)
-    n = _admissible_cells(dzs, f.sup_f, rho0)
-    increments = None
+    chains = []
+    for z, part in zip(drivers, partitions):
+        try:
+            start = _validated_start(domain, f, x0, z)
+        except ReflectedSDEError as exc:
+            chains.append(exc)
+            continue
+        dzs = np.diff(z.value_at(part.points), axis=0)
+        chains.append(_Chain(start, part, dzs, f.sup_f, rho0))
+    stepping = [c for c in chains if isinstance(c, _Chain)]
+
     if f.matrix is not None:
         # row by row, as marcus_jump forms x + dz @ f.matrix.T: a batched
         # product may round differently
         mt = f.matrix.T
-        increments = np.array([dz @ mt for dz in dzs[:n]]).reshape(n, len(start))
-    xs, targets, dk_norms = project_steps(
-        domain, start, rho0, lambda k, x: marcus_jump(f, dzs[k], x, cfg), n,
-        increments)
-    if n < len(dzs):
-        _check_delta(dzs[n], f.sup_f, rho0)
+        for c in stepping:
+            increments = np.array([dz @ mt for dz in c.dzs[:c.n]]).reshape(
+                c.n, len(c.start))
+            try:
+                c.path, c.targets, c.dk_norms = project_steps(
+                    domain, c.start, rho0,
+                    lambda k, x, dzs=c.dzs: marcus_jump(f, dzs[k], x, cfg),
+                    c.n, increments)
+            except ReflectedSDEError as exc:
+                c.error = exc
+            c.dzs = None
+    else:
+        _step_in_lockstep(domain, f, stepping, cfg, rho0)
 
-    paths = (xs,
-             accumulate(np.zeros_like(start), xs[1:] - targets),
-             accumulate(start, targets - xs[:-1]),
-             accumulate(0.0, dk_norms))
-    out_t = _output_grid(partition, spec.observation_times)
-    return _output(domain, label, partition, out_t,
-                   [_fill_step(out_t, pts, a) for a in paths],
-                   int(np.count_nonzero(dk_norms)))
+    return [c.finish(domain, label, observation_times)
+            if isinstance(c, _Chain) else c for c in chains]
+
+
+def _step_in_lockstep(domain, f, chains, cfg, rho0):
+    """Step every chain's admissible cells, all chains at one cell index.
+
+    At cell index k one ``marcus_jump_rows`` call transports the chains
+    that still have a k-th cell, each row exactly as a single-path call
+    would, and then each row is projected by its own ``guarded_step``.  A
+    row that fails records its error on its chain, which then stops.  A
+    chain drops its increments once it stops.
+    """
+    d = f.dimension
+    for c in chains:
+        c.path = np.empty((c.n + 1, d))
+        c.path[0] = c.start
+        c.targets = np.empty((c.n, d))
+        c.dk_norms = np.zeros(c.n)
+    active = chains
+    k = 0
+    while True:
+        for c in active:
+            if c.error is not None or c.n == k:
+                c.dzs = None
+        active = [c for c in active if c.dzs is not None]
+        if not active:
+            break
+        targets, errors = marcus_jump_rows(
+            f, np.array([c.dzs[k] for c in active]),
+            np.array([c.path[k] for c in active]), cfg)
+        for c, target, error in zip(active, targets, errors):
+            try:
+                if error is not None:
+                    raise error
+                x, _, dk_norm = guarded_step(domain, target, rho0)
+            except ReflectedSDEError as exc:
+                c.error = exc
+                continue
+            c.path[k + 1] = x
+            c.targets[k] = target
+            c.dk_norms[k] = dk_norm
+        k += 1
 
 
 def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -309,7 +431,7 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
     X, K, Y, kvar = _buffers(len(out_t), start)
     grid_slot = np.searchsorted(out_t, pts)
     dzs = np.diff(z.value_at(pts), axis=0)
-    n_cells = _admissible_cells(dzs, f.sup_f, rho0)
+    n_cells, stop = _admissible_cells(dzs, f.sup_f, rho0)
 
     # substep fractions of a cell without observation times, built once
     bar = spec.substeps_bar
@@ -374,8 +496,8 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
         state, k_run, y_run, kvar_run = states[-1], ks[-1], ys[-1], kvs[-1]
         dk_count += int(np.count_nonzero(dk_norms))
 
-    if n_cells < len(dzs):
-        _check_delta(dzs[n_cells], f.sup_f, rho0)
+    if stop is not None:
+        raise stop
     return _output(domain, "wz-bar", spec.partition, out_t, (X, K, Y, kvar),
                    dk_count, interp=LINEAR)
 
@@ -455,6 +577,30 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
                    [_fill_step(out_t, pts, a) for a in paths], dk_count)
 
 
+def _reference_partition(z: GridPath, refine: int) -> Partition:
+    adapted = jump_adapted_partition(z, refine)
+    return Partition(np.union1d(adapted.points,
+                                z.times[z.times <= adapted.horizon]))
+
+
+def build_references(domain: Domain, f: Coefficient, x0, drivers,
+                     refine: int, flow_cfg: FlowConfig = REFERENCE_FLOW,
+                     observation_times=None) -> list:
+    """``build_reference`` for a block of drivers, built together.
+
+    Returns, per driver, its reference or the ReflectedSDEError that
+    stopped it.  With a state-dependent coefficient the paths' cells are
+    stepped in lockstep (``_projection_core``).  Each result is bitwise the
+    one that ``build_reference`` gives for that driver alone, whatever the
+    block's size and makeup.
+    """
+    if refine < 1:
+        raise ValueError("refine must be >= 1")
+    partitions = [_reference_partition(z, refine) for z in drivers]
+    return _projection_core(domain, f, x0, drivers, partitions, flow_cfg,
+                            "jump-adapted", observation_times)
+
+
 def build_reference(domain: Domain, f: Coefficient, x0, z: GridPath,
                     refine: int, flow_cfg: FlowConfig = REFERENCE_FLOW,
                     observation_times=None) -> SchemeOutput:
@@ -463,30 +609,31 @@ def build_reference(domain: Domain, f: Coefficient, x0, z: GridPath,
     Runs the jump-adapted step on the union of the driver's own sample grid
     and the jump-isolating partition of threshold 1/refine, with the
     high-accuracy flow configuration.  ``refine`` should be at least four
-    times finer than the finest experimental mesh.
+    times finer than the finest experimental mesh.  This is the batch of one
+    of ``build_references``.
     """
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
-    adapted = jump_adapted_partition(z, refine)
-    points = np.union1d(adapted.points, z.times[z.times <= adapted.horizon])
-    part = Partition(points)
-    spec = SchemeSpec(kind="jump-adapted", partition=part, flow_cfg=flow_cfg,
-                      observation_times=observation_times)
-    return _projection_core(domain, f, x0, z, spec, part, "jump-adapted")
+    return _only(build_references(domain, f, x0, [z], refine, flow_cfg,
+                                  observation_times))
+
+
+def _run_jump_adapted(domain, f, x0, z, spec):
+    # the threshold defaults to the resolution of the partition's mesh
+    n = spec.jump_threshold or max(1, round(1.0 / spec.partition.mesh))
+    return run_jump_adapted_scheme(domain, f, x0, z, n, spec)
+
+
+#: Scheme kind -> runner(domain, f, x0, z, spec).
+_RUNNERS = {
+    "projection": run_projection_scheme,
+    "jump-adapted": _run_jump_adapted,
+    "wz-hat": run_wz_hat_scheme,
+    "wz-bar": run_wz_bar_scheme,
+    "marcus-euler": run_marcus_euler,
+}
+SCHEME_KINDS = tuple(_RUNNERS)
 
 
 def run_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
                spec: SchemeSpec) -> SchemeOutput:
-    """Dispatch on ``spec.kind``."""
-    if spec.kind == "projection":
-        return run_projection_scheme(domain, f, x0, z, spec)
-    if spec.kind == "jump-adapted":
-        n = spec.jump_threshold or max(1, round(1.0 / spec.partition.mesh))
-        return run_jump_adapted_scheme(domain, f, x0, z, n, spec)
-    if spec.kind == "wz-hat":
-        return run_wz_hat_scheme(domain, f, x0, z, spec)
-    if spec.kind == "wz-bar":
-        return run_wz_bar_scheme(domain, f, x0, z, spec)
-    if spec.kind == "marcus-euler":
-        return run_marcus_euler(domain, f, x0, z, spec)
-    raise ValueError(f"unknown scheme kind: {spec.kind!r}")
+    """Run the scheme ``spec.kind`` names."""
+    return _RUNNERS[spec.kind](domain, f, x0, z, spec)

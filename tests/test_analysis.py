@@ -172,6 +172,23 @@ def test_convergence_study_records_nonfinite_cells(monkeypatch):
         assert row.n_ok == 0 and row.n_failed == 4
 
 
+def test_blocks_group_paths_only_for_the_lockstep():
+    """Paths share a block only where their references are built in
+    lockstep, at most ``_BLOCK_PATHS`` of them and no more than an even
+    share of the workers; blocks cover the paths in index order."""
+    def sizes(n_paths, jobs, lockstep):
+        blocks = analysis._blocks(n_paths, jobs, lockstep)
+        assert [i for block in blocks for i in block] == list(range(n_paths))
+        return [len(block) for block in blocks]
+
+    assert sizes(40, 1, True) == [16, 16, 8]
+    assert sizes(16, 2, True) == [8, 8]
+    assert sizes(16, 3, True) == [6, 6, 4]
+    assert sizes(2, 4, True) == [1, 1]
+    assert sizes(6, 1, False) == [1] * 6
+    assert sizes(6, 2, False) == [1] * 6
+
+
 def test_convergence_study_errors_shrink():
     plan = _tiny_plan(meshes=[0.5, 0.0625], n_paths=6)
     table = convergence_study(plan)

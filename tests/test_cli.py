@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from reflectsde import analysis
 from reflectsde.cli import main
 
 
@@ -114,6 +115,58 @@ def test_converge_parallel_is_byte_identical(tmp_path, capsys):
     payload = json.loads((out1 / "rate.json").read_text())
     rows = payload["table"]["rows"]
     assert [row["mesh"] for row in rows] == [0.25, 0.125]
+
+
+JUMP_CONV_YAML = """
+domain:
+  kind: exterior-of-ball
+  center: [0.0, 0.0]
+  radius: 0.5
+coefficient:
+  kind: catalog-smooth
+  id: gauss-rotation
+  amplitude: 0.4
+  sigma: 1.5
+driver:
+  steps: 64
+  dimension: 2
+  jump_rate: 3.0
+  jump_law: {kind: uniform-ball, radius: 0.3}
+  diffusion_scale: 0.2
+scheme:
+  kind: wz-hat
+experiment:
+  x0: [0.55, 0.0]
+  meshes: [0.25, 0.125]
+  n_paths: 12
+  reference_refine: 64
+  reference_substeps: 64
+"""
+
+
+def test_converge_blocks_are_byte_identical(tmp_path, capsys, monkeypatch):
+    """A state-dependent coefficient builds its references in blocks of
+    paths: 12 paths in one block (--jobs 1), in two blocks of 6 (--jobs 2),
+    in three of 4 (--jobs 3), and in blocks of 5 + 5 + 2 and of 1 run
+    serially all write the same rate.csv and rate.json."""
+    cfg = _write(tmp_path, "conv.yaml", JUMP_CONV_YAML)
+    outs = []
+    for jobs in (1, 2, 3):
+        outs.append(tmp_path / f"j{jobs}")
+        assert main(["converge", "--config", cfg, "--out", str(outs[-1]),
+                     "--jobs", str(jobs)]) == 0
+    for size in (5, 1):
+        monkeypatch.setattr(analysis, "_BLOCK_PATHS", size)
+        outs.append(tmp_path / f"blocks-of-{size}")
+        assert main(["converge", "--config", cfg, "--out", str(outs[-1]),
+                     "--jobs", "1"]) == 0
+    capsys.readouterr()
+    for out in outs[1:]:
+        for name in ("rate.csv", "rate.json"):
+            assert filecmp.cmp(outs[0] / name, out / name, shallow=False), (
+                out.name, name)
+    rows = json.loads((outs[0] / "rate.json").read_text())["table"]["rows"]
+    assert [row["n_ok"] for row in rows] == [12, 12]
 
 
 def test_remark4_command(tmp_path, capsys):

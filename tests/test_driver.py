@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reflectsde.driver as driver_module
 from reflectsde.driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
                                check_jump_condition, discretize,
                                jump_adapted_partition, linear_interpolate,
@@ -99,6 +100,53 @@ def test_jump_driver_inserts_exact_event_times():
         inc = z.values[i] - z.values[i - 1]
         dt = z.times[i] - z.times[i - 1]
         assert np.linalg.norm(inc - v) <= 6.0 * math.sqrt(dt) * math.sqrt(2.0)
+
+
+def mask_loop_values(z, seed, diffusion_scale):
+    """The driver's values with each jump added through a full-length mask,
+    rebuilt from the diffusion stream of ``sample_jump_driver``."""
+    gen = driver_module._rng(seed, driver_module._STREAM_DIFFUSION)
+    normals = gen.standard_normal((len(z.times) - 1, z.dimension))
+    increments = normals * np.sqrt(np.diff(z.times))[:, None] * diffusion_scale
+    values = np.vstack([np.zeros(z.dimension), np.cumsum(increments, axis=0)])
+    for t, v in zip(z.jump_times, z.jump_values):
+        values[z.times >= t] += v
+    return values
+
+
+class CoarseUniform:
+    """A generator whose uniform draws are rounded up to multiples of 1/8,
+    so that jump times coincide with each other and with grid points."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def uniform(self, low, high, size):
+        return np.ceil(self.gen.uniform(low, high, size) * 8.0) / 8.0
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024, 31337])
+def test_jump_additions_match_the_mask_loop(seed, monkeypatch):
+    z = sample_jump_driver(1.0, 64, 2, seed, jump_rate=20.0,
+                           jump_law={"kind": "uniform-ball", "radius": 0.5},
+                           diffusion_scale=0.7)
+    assert len(z.jump_times) > 5
+    np.testing.assert_array_equal(z.values, mask_loop_values(z, seed, 0.7))
+
+    rng = driver_module._rng
+    monkeypatch.setattr(driver_module, "_rng", lambda s, stream: (
+        CoarseUniform(rng(s, stream))
+        if stream == driver_module._STREAM_JUMPS else rng(s, stream)))
+    merged = sample_jump_driver(1.0, 16, 2, seed, jump_rate=40.0,
+                                diffusion_scale=0.7)
+    # more events than distinct times: some merged, on base grid points
+    assert 0 < len(merged.jump_times) <= 8
+    assert np.all(np.isin(merged.jump_times, np.linspace(0.0, 1.0, 17)))
+    np.testing.assert_array_equal(merged.values,
+                                  mask_loop_values(merged, seed, 0.7))
 
 
 def test_fixed_vector_jump_law():

@@ -15,10 +15,12 @@ import pytest
 
 from reflectsde.errors import DimensionMismatch, NonFinite
 from reflectsde.flow import (BLOWUP_GUARD, CATALOG, DEFAULT_FLOW,
-                             REFERENCE_FLOW, Coefficient, FlowConfig, catalog_coefficient,
+                             REFERENCE_FLOW, Coefficient, FlowConfig,
+                             catalog_coefficient,
                              coefficient_from_spec, constant_matrix, flow,
                              flow_partial, jump_defect, linear_diagonal,
-                             marcus_jump, marcus_jump_partial)
+                             marcus_jump, marcus_jump_partial,
+                             marcus_jump_rows)
 
 
 def test_flow_reproduces_exponential():
@@ -80,16 +82,88 @@ def test_marcus_jump_zero_increment_is_identity():
     np.testing.assert_array_equal(marcus_jump(f, np.zeros(2), x), x)
 
 
+BATCH_SPECS = [
+    {"kind": "catalog-smooth", "id": "gauss-rotation", "amplitude": 0.8,
+     "sigma": 2.0},
+    {"kind": "catalog-smooth", "id": "sine-diagonal", "amplitude": 0.9,
+     "dimension": 3},
+    {"kind": "catalog-smooth", "id": "cosine-shear", "amplitude": 0.7},
+    {"kind": "linear-diagonal", "scale": 0.5, "dimension": 2},
+    {"kind": "constant-matrix", "matrix": [[1.0, 0.3], [-0.2, 0.8]]},
+]
+
+
+def full_field():
+    """A state-dependent field with no zero entry: unlike the catalog's
+    diagonal and rotation fields, its products f(y) dz have two nonzero
+    terms per row, so their rounding depends on how they are formed."""
+    def ev(x):
+        s, c = np.sin(x[..., 0]), np.cos(x[..., 1])
+        return np.stack([np.stack([1.0 + 0.5 * s, 0.3 + 0.2 * c], axis=-1),
+                         np.stack([0.7 * c - 0.1, 1.1 + 0.4 * s], axis=-1)],
+                        axis=-2)
+    return Coefficient("full-field", 2, ev, sup_f=2.0)
+
+
 def test_marcus_jump_batched_matches_loop():
-    f = catalog_coefficient("gauss-rotation", amplitude=0.8, sigma=2.0)
+    """Each row of a batch is bitwise its single-row call: its own step
+    count (norms from 1e-3 to 3, so adaptive counts differ), and none for a
+    zero row."""
     rng = np.random.default_rng(5)
-    xs = rng.normal(0.0, 1.0, (6, 2))
-    dzs = rng.normal(0.0, 0.5, (6, 2))
-    cfg = FlowConfig(16, adaptive=False)
-    batched = marcus_jump(f, dzs, xs, cfg)
-    for i in range(len(xs)):
-        single = marcus_jump(f, dzs[i], xs[i], cfg)
-        np.testing.assert_allclose(batched[i], single, atol=1e-12)
+    for f in [coefficient_from_spec(spec) for spec in BATCH_SPECS] + [full_field()]:
+        for cfg in (FlowConfig(16, adaptive=False), DEFAULT_FLOW,
+                    REFERENCE_FLOW):
+            for rows in (1, 64):
+                xs = rng.normal(0.0, 1.0, (rows, f.dimension))
+                dzs = rng.normal(0.0, 1.0, (rows, f.dimension))
+                dzs *= np.geomspace(1e-3, 3.0, rows)[:, None] / np.linalg.norm(
+                    dzs, axis=1, keepdims=True)
+                dzs[rows // 2] = 0.0
+                batched = marcus_jump(f, dzs, xs, cfg)
+                rowwise, errors = marcus_jump_rows(f, dzs, xs, cfg)
+                assert errors == [None] * rows
+                np.testing.assert_array_equal(rowwise, batched)
+                for i in range(rows):
+                    np.testing.assert_array_equal(
+                        batched[i], marcus_jump(f, dzs[i], xs[i], cfg))
+                np.testing.assert_array_equal(batched[rows // 2],
+                                              xs[rows // 2])
+
+
+def test_marcus_jump_rows_fail_alone():
+    """A row that leaves the guard region gets the error its single-row
+    call raises; the other rows keep their single-row results."""
+    f = linear_diagonal(1.0, 1, region_radius=1e9)
+    cfg = FlowConfig(256, adaptive=False)
+    xs = np.array([[1.0], [1.0], [-2.0], [1.0]])
+    dzs = np.array([[0.5], [80.0], [0.25], [90.0]])
+    ys, errors = marcus_jump_rows(f, dzs, xs, cfg)
+    assert errors[0] is None and errors[2] is None
+    for i in (0, 2):
+        np.testing.assert_array_equal(ys[i], marcus_jump(f, dzs[i], xs[i], cfg))
+    for i in (1, 3):
+        with pytest.raises(NonFinite) as alone:
+            marcus_jump(f, dzs[i], xs[i], cfg)
+        assert type(errors[i]) is NonFinite
+        assert str(errors[i]) == str(alone.value)
+    with pytest.raises(NonFinite) as batched:
+        marcus_jump(f, dzs, xs, cfg)
+    assert str(batched.value) == str(errors[1])
+
+
+def test_marcus_jump_rows_constant_coefficient_fail_alone():
+    """A constant coefficient's rows fail alone too, with the single-row
+    error."""
+    f = constant_matrix([[1.0, 0.0], [0.0, 1.0]])
+    xs = np.array([[0.0, 0.0], [BLOWUP_GUARD, 0.0], [1.0, 1.0]])
+    dzs = np.array([[0.5, 0.5], [BLOWUP_GUARD, 0.0], [0.0, 0.0]])
+    ys, errors = marcus_jump_rows(f, dzs, xs, DEFAULT_FLOW)
+    assert errors[0] is None and errors[2] is None
+    with pytest.raises(NonFinite) as alone:
+        marcus_jump(f, dzs[1], xs[1], DEFAULT_FLOW)
+    assert str(errors[1]) == str(alone.value)
+    for i in (0, 2):
+        np.testing.assert_array_equal(ys[i], marcus_jump(f, dzs[i], xs[i]))
 
 
 def test_marcus_jump_partial_composes():

@@ -177,6 +177,25 @@ def test_boundary_count_vectorized():
     assert dom.boundary_count(pts) == 2
 
 
+@pytest.mark.parametrize("dom, on_boundary", [
+    (HalfSpace([1.0, 0.0], 0.0), (0.0, 3.0)),
+    (Ball([0.0, 0.0], 1.0), (0.6, 0.8)),
+    (Box([-1.0, -1.0], [1.0, 1.0]), (1.0, 0.5)),
+    (ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                      [-1.0, -1.0, -1.0]), (-1.0, 0.5)),
+    (ExteriorOfBall([0.0, 0.0], 0.5), (0.0, -0.5)),
+], ids=["half-space", "ball", "box", "convex-polyhedron", "exterior-of-ball"])
+def test_boundary_count_skips_rows_that_are_not_finite(dom, on_boundary):
+    """An infinite coordinate makes the default band infinite too; such a
+    row is never on the boundary."""
+    rows = np.array([on_boundary, [math.inf, 0.0], [0.0, -math.inf],
+                     [math.inf, math.inf], [math.nan, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dom.boundary_count(rows) == 1
+        assert dom.boundary_count(rows[1:]) == 0
+
+
 def test_spec_round_trip_all_kinds():
     domains = [
         HalfSpace([0.0, 2.0], 1.0),
@@ -320,5 +339,6 @@ def test_polyhedron_batch_margins_reject_infinite_rows_quietly(dom):
         warnings.simplefilter("error")
         inside = dom._inside_batch(rows)
         sd = dom._signed_distance_batch(rows)
+        assert dom.boundary_count(rows) == 0
     assert inside.tolist() == [True, False, False, False, False]
     assert sd[0] > 0.0 and not np.any(sd[1:] >= 0.0)
