@@ -12,8 +12,10 @@ variation comparisons of a constrained path against its internal driver.
 Monte Carlo fan-out derives one seed per path index, so results do not
 depend on scheduling.  With a state-dependent coefficient paths run in
 blocks of at most ``_BLOCK_PATHS``, whose references are built together in
-lockstep; a path's results do not depend on its block either, and a path
-whose reference fails fails alone.
+lockstep, and so are their scheme runs on each mesh of the ladder when the
+scheme steps through the projection core (projection, jump-adapted,
+wz-hat); a path's results do not depend on its block either, and a path
+whose reference or scheme run fails fails alone.
 Aggregation always walks results in index order, and the produced tables
 are byte-stable across worker counts.
 """
@@ -29,10 +31,11 @@ from .errors import DimensionMismatch, ReflectedSDEError
 from .flow import (REFERENCE_SUBSTEPS, SCHEME_SUBSTEPS, FlowConfig,
                    coefficient_from_spec, constant_matrix)
 from .geometry import Ball, Domain, HalfSpace
-# bench/layers.py wraps the binding analysis.build_reference
+# bench/layers.py wraps the bindings analysis.build_reference and
+# analysis.run_scheme
 from .schemes import (SCHEME_KINDS, SchemeSpec, build_reference,  # noqa: F401
-                      build_references, run_projection_scheme, run_scheme,
-                      run_wz_bar_scheme)
+                      build_references, run_projection_scheme,
+                      run_scheme, run_schemes, run_wz_bar_scheme)
 from .skorokhod import check_lemma1, total_variation
 
 SUP_ERROR_MODES = ("uniform", "grid-points", "fixed-times")
@@ -273,11 +276,12 @@ def _study_block(plan_dict: dict, indices) -> list:
 
     Top-level so process pools can import it; rebuilds all objects from the
     plain-dict plan.  The block's references are built together by
-    ``build_references``; each is bitwise the one its path gets alone.
-    Returns one record of per-mesh errors per path index; scheme failures
-    are recorded per mesh instead of aborting the study.  Only x and k of a
-    reference are kept, and each path's driver and reference are let go
-    once the path is scored.
+    ``build_references``, and on each mesh one ``run_schemes`` call runs the
+    scheme on every path whose reference was built; each result is bitwise
+    the one its path gets alone.  Returns one record of per-mesh errors per
+    path index; reference and scheme failures are recorded per mesh instead
+    of aborting the study.  Only x and k of a reference are kept, and a
+    mesh's scheme outputs are let go once they are scored.
     """
     plan = StudyPlan.from_dict(plan_dict)
     domain = Domain.from_spec(plan.domain)
@@ -289,47 +293,45 @@ def _study_block(plan_dict: dict, indices) -> list:
                                   jump_law=plan.jump_law,
                                   diffusion_scale=plan.diffusion_scale)
                for index in indices]
-    refs = [ref if isinstance(ref, ReflectedSDEError) else (ref.x, ref.k)
-            for ref in build_references(
-                domain, f, plan.x0, drivers, plan.reference_refine,
-                flow_cfg=FlowConfig(plan.reference_substeps, True))]
+    refs = build_references(domain, f, plan.x0, drivers, plan.reference_refine,
+                            flow_cfg=FlowConfig(plan.reference_substeps, True))
+    per_mesh = [[] for _ in indices]
+    built = []
+    for i, ref in enumerate(refs):
+        if isinstance(ref, ReflectedSDEError):
+            per_mesh[i] = [{"ok": False,
+                            "error": f"reference: {type(ref).__name__}: {ref}"}
+                           for _ in plan.meshes]
+        else:
+            built.append((i, ref.x, ref.k))
+    refs = None
     flow_cfg = FlowConfig(plan.flow_substeps, plan.flow_adaptive)
-    records = []
-    for index in indices:
-        z, ref = drivers.pop(0), refs.pop(0)
-        per_mesh = _per_mesh(plan, domain, f, flow_cfg, z, ref)
-        records.append({"index": index, "per_mesh": per_mesh})
-    return records
-
-
-def _per_mesh(plan, domain, f, flow_cfg, z, ref) -> list:
-    """Error records of one path at each mesh against its reference's x, k."""
-    if isinstance(ref, ReflectedSDEError):
-        failure = {"ok": False,
-                   "error": f"reference: {type(ref).__name__}: {ref}"}
-        return [dict(failure) for _ in plan.meshes]
-
-    ref_x, ref_k = ref
-    per_mesh = []
     for mesh in plan.meshes:
         cells = max(1, round(plan.horizon / mesh))
-        part = Partition.uniform(plan.horizon, cells)
-        spec = SchemeSpec(kind=plan.scheme, partition=part, flow_cfg=flow_cfg,
-                          substeps_bar=plan.substeps_bar)
-        try:
-            out = run_scheme(domain, f, plan.x0, z, spec)
-            per_mesh.append({
-                "ok": True,
-                "err_unif": sup_error(out.x, ref_x, horizon=plan.horizon),
-                "err_grid": sup_error(out.x, ref_x, horizon=plan.horizon,
-                                      mode="grid-points"),
-                "k_err": sup_error(out.k, ref_k, horizon=plan.horizon),
-                "kvar_end": float(out.k_variation[-1]),
-            })
-        except ReflectedSDEError as exc:
-            per_mesh.append({"ok": False,
-                             "error": f"{type(exc).__name__}: {exc}"})
-    return per_mesh
+        spec = SchemeSpec(kind=plan.scheme,
+                          partition=Partition.uniform(plan.horizon, cells),
+                          flow_cfg=flow_cfg, substeps_bar=plan.substeps_bar)
+        outs = run_schemes(domain, f, plan.x0,
+                           [drivers[i] for i, _, _ in built], spec)
+        for (i, ref_x, ref_k), out in zip(built, outs):
+            per_mesh[i].append(_score(out, ref_x, ref_k, plan.horizon))
+        outs = out = None
+    return [{"index": index, "per_mesh": records}
+            for index, records in zip(indices, per_mesh)]
+
+
+def _score(out, ref_x, ref_k, horizon) -> dict:
+    """The error record of one scheme run against its reference's x, k."""
+    if isinstance(out, ReflectedSDEError):
+        return {"ok": False, "error": f"{type(out).__name__}: {out}"}
+    return {
+        "ok": True,
+        "err_unif": sup_error(out.x, ref_x, horizon=horizon),
+        "err_grid": sup_error(out.x, ref_x, horizon=horizon,
+                              mode="grid-points"),
+        "k_err": sup_error(out.k, ref_k, horizon=horizon),
+        "kvar_end": float(out.k_variation[-1]),
+    }
 
 
 def _blocks(n_paths: int, jobs: int, lockstep: bool) -> list:

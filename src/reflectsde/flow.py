@@ -18,10 +18,20 @@ on f and its derivative.
 All entry points are shape polymorphic: a state of shape (d,) with an
 increment (d,) integrates a single trajectory, while states (m, d) with
 increments (m, d) integrate m independent trajectories in one vectorized
-pass (used by the defect sweeps and by the lockstep reference build).
-``marcus_jump_rows`` is that pass, and each of its rows is exact: row i is
-bitwise the single-row jump map of (dz_i, x_i), with its own step count,
-and a row that leaves the finite-value guard fails alone.
+pass (``marcus_jump_rows``, used by the defect sweeps).  Each row is
+exact: row i is bitwise the single-row jump map (or partial jump map) of
+(dz_i, x_i), with its own step count, and a row that leaves the
+finite-value guard, or whose increment is not finite, fails alone.
+``marcus_jump_chains`` runs the same exact rows for lanes of jumps taken
+one after another, where the next jump of a lane starts from what the
+caller makes of the last one (the lockstep reference builds and scheme
+runs project it); each iteration moves every lane one RK4 step.
+
+The integrators never build the (m, d, d) matrices f(y): each Runge-Kutta
+stage asks the coefficient for the vector f(y) dz through the ``field``
+hook (:meth:`Coefficient.field`).  Its default is the stacked matrix
+product; the built-in state-dependent kinds pass a closed form that is
+bitwise that product, signed zeros included, at a fraction of its cost.
 """
 
 import copy
@@ -59,10 +69,20 @@ class FlowConfig:
             raise ValueError("substeps must be >= 1")
 
     def steps_for(self, dz_norm: float) -> int:
+        """RK4 steps for an increment of norm ``dz_norm``.
+
+        A non-finite norm raises NonFinite: no step count transports it.
+        """
+        dz_norm = float(dz_norm)
+        if not math.isfinite(dz_norm):
+            raise NonFinite(f"jump increment norm {dz_norm} is not finite")
         if not self.adaptive:
             return self.substeps
-        scaled = int(math.ceil(self.substeps * float(dz_norm)))
-        return max(1, min(self.substeps, scaled))
+        scaled = self.substeps * dz_norm
+        if scaled >= self.substeps:
+            # capped; also where the product overflows
+            return self.substeps
+        return max(1, int(math.ceil(scaled)))
 
 
 DEFAULT_FLOW = FlowConfig()
@@ -92,58 +112,75 @@ def _rk4(g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, span: float, n: i
     return y
 
 
-def _rk4_rows(f: "Coefficient", dz: np.ndarray, x: np.ndarray, steps: list):
-    """Row-wise ``_rk4`` of dy/du = f(y) dz_i over [0, 1] in steps[i] steps.
+def marcus_jump_chains(f: "Coefficient", lanes, follow,
+                       cfg: FlowConfig = DEFAULT_FLOW, span: float = 1.0):
+    """Chains of jump maps, one per lane, with the lanes stepped together.
 
-    Every row does the arithmetic of the single-row ``_rk4`` with h = 1 /
-    steps[i]; a row with 0 steps stays put.  The field is the stacked
-    product ``f(y) @ dz[..., None]``, which rounds like the 1-D product
-    ``f(y) @ dz`` (einsum does not).  Rows are sorted by step count and
-    retire once their steps are done, so each iteration works on the
-    leading rows that still have steps left.  A row that leaves the guard
-    region retires at the iteration the single-row call would raise, with
-    the error it would raise.  Returns (y, errors): per row None, or the
-    NonFinite that stopped it (its row of y is then not meaningful).
+    ``lanes[i]`` is (dzs, x): the (n_i, d) increments of lane i's jumps,
+    taken in order, and the start of its first.  When jump k of lane i is
+    done, ``follow(i, k, y, error)`` gets its result: y, or None and the
+    NonFinite error of the single call ``marcus_jump_partial(f, dzs[k],
+    start, span, cfg)``.  It returns the start of jump k + 1, or None to
+    stop the lane.  Each jump is bitwise that single call: its own step
+    count from ``cfg.steps_for(|dz|)`` (none for a zero increment), h =
+    span / steps, and the rows of ``f.field``.  Each iteration advances
+    every lane with a jump in progress by one RK4 step, so no lane waits
+    for the steps of another lane's jump.  A lane with no jump in progress
+    has dz = 0 and stays put at its last state (a failed jump's start), and
+    only lanes with a jump in progress are checked against the guard.  For
+    state-dependent coefficients; ``span`` must be positive.
     """
-    order = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
-    steps = [steps[r] for r in order]
-    rows = np.array(order, dtype=int)
-    y, col = x[rows], dz[rows, :, None]
-    # each row's h = 1 / steps as the single-row call forms it, spread over
-    # the row: same-shape products are the cheapest
-    h = np.array([[1.0 / n if n else 1.0] * x.shape[1] for n in steps])
-    half, sixth = 0.5 * h, h / 6.0
-    out = np.empty_like(x)
-    errors = [None] * len(steps)
+    m, d = len(lanes), f.dimension
+    # arrays, not lists: a float object would cost four times the memory
+    norms = [np.linalg.norm(dzs, axis=-1) for dzs, _ in lanes]
+    starts = [np.asarray(x, dtype=float) for _, x in lanes]
+    y = np.array(starts).reshape(m, d)
+    dz, h, half, sixth = (np.zeros((m, d)) for _ in range(4))
+    left = np.full(m, -1)   # RK4 steps left in each lane's jump
+    jobs = [0] * m          # the jump each lane is on, from starts[i]
+    field = f.field
 
-    def g(v):
-        return (f.evaluate(v) @ col)[..., 0]
+    def start(i, k, x):
+        """Put lane i on jump k from x; returns whether it is stepping.
 
-    i = 0
-    while True:
-        live = len(steps)
-        while live and steps[live - 1] <= i:
-            live -= 1
-        if live < len(steps):
-            out[rows[live:]] = y[live:]
-            del steps[live:]
-            rows, y, col, h, half, sixth = (
-                a[:live] for a in (rows, y, col, h, half, sixth))
-        if not live:
-            return out, errors
-        k1 = g(y)
-        k2 = g(y + half * k1)
-        k3 = g(y + half * k2)
-        k4 = g(y + h * k3)
+        Jumps that need no step, or fail before stepping, end here.
+        """
+        while x is not None and k < len(norms[i]):
+            try:
+                n = _jump_steps(cfg, float(norms[i][k]), span)
+            except NonFinite as exc:
+                x, k = follow(i, k, None, exc), k + 1
+                continue
+            if n == 0:
+                x, k = follow(i, k, x.copy(), None), k + 1
+                continue
+            y[i], dz[i], left[i], jobs[i], starts[i] = (
+                x, lanes[i][0][k], n, k, x)
+            step = span / n
+            h[i], half[i], sixth[i] = step, 0.5 * step, step / 6.0
+            return True
+        dz[i], left[i] = 0.0, -1
+        return False
+
+    busy = sum(start(i, 0, x) for i, x in enumerate(list(starts)))
+    while busy:
+        k1 = field(y, dz)
+        k2 = field(y + half * k1, dz)
+        k3 = field(y + half * k2, dz)
+        k4 = field(y + h * k3, dz)
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        left -= 1
         if not np.abs(y).max() <= BLOWUP_GUARD:
-            ok = np.abs(y).max(axis=1) <= BLOWUP_GUARD
-            for r in rows[~ok].tolist():
-                errors[r] = NonFinite(_GUARD_MESSAGE)
-            steps = [s for s, keep in zip(steps, ok.tolist()) if keep]
-            rows, y, col, h, half, sixth = (
-                a[ok] for a in (rows, y, col, h, half, sixth))
-        i += 1
+            # lanes that leave the guard region fail at this step, and go
+            # back to their jump's start
+            for i in np.flatnonzero(~(np.abs(y).max(axis=1) <= BLOWUP_GUARD)
+                                    & (left >= 0)).tolist():
+                k, y[i], left[i] = jobs[i], starts[i], -1
+                busy += start(i, k + 1, follow(
+                    i, k, None, NonFinite(_GUARD_MESSAGE))) - 1
+        for i in np.flatnonzero(left == 0).tolist():
+            k = jobs[i]
+            busy += start(i, k + 1, follow(i, k, y[i].copy(), None)) - 1
 
 
 def flow(g, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
@@ -168,15 +205,12 @@ def flow_partial(g, x, u_end: float, cfg: FlowConfig = DEFAULT_FLOW,
     return _rk4(g, x, u_end, substeps)
 
 
-def _increment_field(f: "Coefficient", dz: np.ndarray):
-    dz = np.asarray(dz, dtype=float)
-    if dz.ndim == 1:
-        def g(y):
-            return f.evaluate(y) @ dz
-    else:
-        def g(y):
-            return np.einsum("...ij,...j->...i", f.evaluate(y), dz)
-    return g
+def _jump_steps(cfg: FlowConfig, dz_norm: float, span: float) -> int:
+    """RK4 steps of the jump transport over [0, span]; 0 for a zero increment."""
+    if dz_norm == 0.0:
+        return 0
+    n = cfg.steps_for(dz_norm)
+    return n if span == 1.0 else max(1, int(math.ceil(n * span)))
 
 
 def marcus_jump(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
@@ -185,39 +219,19 @@ def marcus_jump(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.n
     For a constant coefficient the flow is exact in closed form (x + f dz)
     and the integrator is skipped entirely.  Batched input is mapped row by
     row through ``marcus_jump_rows``, and the first failed row's error is
-    raised.
+    raised.  A non-finite increment raises NonFinite.
     """
-    x = np.asarray(x, dtype=float)
-    dz = np.asarray(dz, dtype=float)
-    if x.shape[-1] != f.dimension or dz.shape[-1] != f.dimension:
-        raise DimensionMismatch(
-            f"state/increment dimension must be {f.dimension}"
-        )
-    if x.ndim > 1 or dz.ndim > 1:
-        x, dz = np.broadcast_arrays(x, dz)
-        d = f.dimension
-        y, errors = marcus_jump_rows(f, dz.reshape(-1, d), x.reshape(-1, d), cfg)
-        for err in errors:
-            if err is not None:
-                raise err
-        return y.reshape(x.shape)
-    if f.matrix is not None:
-        out = x + dz @ f.matrix.T
-        _check_finite(out)
-        return out
-    peak = float(np.linalg.norm(dz, axis=-1))
-    if peak == 0.0:
-        return x.copy()
-    n = cfg.steps_for(peak)
-    return _rk4(_increment_field(f, dz), x, 1.0, n)
+    return marcus_jump_partial(f, dz, x, 1.0, cfg)
 
 
-def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW):
+def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW,
+                     span: float = 1.0):
     """Jump maps of the rows of (m, d) increments dz and states x.
 
-    Row i is bitwise ``marcus_jump(f, dz[i], x[i], cfg)``: it gets its own
-    step count ``cfg.steps_for(|dz_i|)`` (none for a zero row, which maps
-    to itself), and a constant coefficient forms each row's product as the
+    Row i is bitwise ``marcus_jump_partial(f, dz[i], x[i], span, cfg)``
+    (``marcus_jump`` for the default span 1): it gets its own step count
+    from ``cfg.steps_for(|dz_i|)`` (none for a zero row, which maps to
+    itself), and a constant coefficient forms each row's product as the
     single-row call does.  Returns (y, errors): ``errors[i]`` is None, or
     the NonFinite that the single-row call raises for row i, whose row of y
     is then not meaningful; no other row is affected by it.
@@ -228,34 +242,59 @@ def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW):
         raise DimensionMismatch(
             f"states and increments must both have shape (m, {f.dimension})"
         )
+    span = float(span)
+    if span == 0.0:
+        return x.copy(), [None] * len(x)
     if f.matrix is not None:
         # a stack of (1, d) @ (d, d) products rounds like the 1-D dz @ M.T
-        y = x + (dz[:, None, :] @ f.matrix.T)[:, 0, :]
+        y = x + span * (dz[:, None, :] @ f.matrix.T)[:, 0, :]
         ok = (np.abs(y).max(axis=1) <= BLOWUP_GUARD).tolist()
         return y, [None if good else NonFinite(_GUARD_MESSAGE) for good in ok]
-    # the norms of the single-row call, and its zero-increment shortcut
-    norms = np.linalg.norm(dz, axis=-1).tolist()
-    return _rk4_rows(f, dz, x, [cfg.steps_for(v) if v != 0.0 else 0
-                                for v in norms])
+    y, errors = np.empty_like(x), [None] * len(x)
+
+    def follow(i, k, yi, error):
+        if error is None:
+            y[i] = yi
+        errors[i] = error
+
+    # one lane of one jump per row
+    marcus_jump_chains(f, [(dz[i:i + 1], x[i]) for i in range(len(x))],
+                       follow, cfg, span)
+    return y, errors
 
 
 def marcus_jump_partial(f: "Coefficient", dz, x, u_end: float,
                         cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
-    """Partial jump transport: flow of y -> f(y) dz over [0, u_end]."""
+    """Partial jump transport: flow of y -> f(y) dz over [0, u_end].
+
+    Batched input is mapped row by row through ``marcus_jump_rows``, each
+    row bitwise its single-row call, and the first failed row's error is
+    raised.
+    """
     x = np.asarray(x, dtype=float)
     dz = np.asarray(dz, dtype=float)
+    d = f.dimension
+    if x.shape[-1] != d or dz.shape[-1] != d:
+        raise DimensionMismatch(f"state/increment dimension must be {d}")
     u_end = float(u_end)
+    if x.ndim > 1 or dz.ndim > 1:
+        x, dz = np.broadcast_arrays(x, dz)
+        y, errors = marcus_jump_rows(f, dz.reshape(-1, d), x.reshape(-1, d),
+                                     cfg, u_end)
+        for err in errors:
+            if err is not None:
+                raise err
+        return y.reshape(x.shape)
     if u_end == 0.0:
         return x.copy()
     if f.matrix is not None:
         out = x + u_end * (dz @ f.matrix.T)
         _check_finite(out)
         return out
-    peak = float(np.max(np.linalg.norm(dz, axis=-1)))
-    if peak == 0.0:
+    n = _jump_steps(cfg, float(np.linalg.norm(dz, axis=-1)), u_end)
+    if n == 0:
         return x.copy()
-    n = max(1, int(math.ceil(cfg.steps_for(peak) * u_end)))
-    return _rk4(_increment_field(f, dz), x, u_end, n)
+    return _rk4(lambda y: f.field(y, dz), x, u_end, n)
 
 
 def jump_defect(f: "Coefficient", dz, x, cfg: FlowConfig = REFERENCE_FLOW) -> np.ndarray:
@@ -295,16 +334,21 @@ class Coefficient:
 
     ``spec`` is the plain-dict description that :meth:`spec` returns, or
     None for a coefficient that cannot be rebuilt from a spec.
+
+    ``field`` is an optional closed form of :meth:`field`, the product
+    f(y) dz, that must round exactly like the stacked matrix product it
+    replaces (see :meth:`field`).
     """
 
     def __init__(self, kind: str, dimension: int, evaluate, derivative=None,
                  sup_f=math.inf, sup_df=math.inf, sup_dff=math.inf,
                  lip_df=math.inf, region_radius=math.inf, matrix=None,
-                 label: str = "", spec: dict | None = None):
+                 label: str = "", spec: dict | None = None, field=None):
         self.kind = kind
         self.dimension = int(dimension)
         self._evaluate = evaluate
         self._derivative = derivative
+        self._field = field
         self.sup_f = float(sup_f)
         self.sup_df = float(sup_df)
         self.sup_dff = float(sup_dff)
@@ -322,6 +366,21 @@ class Coefficient:
         if x.shape[-1] != self.dimension:
             raise DimensionMismatch(f"state dimension must be {self.dimension}")
         return self._evaluate(x)
+
+    def field(self, y: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """The vector f(y) dz, for a state (d,) or states (m, d) and
+        increments of the same shape; float arrays, unchecked.
+
+        By default it is the stacked product ``(f(y) @ dz[..., None])[...,
+        0]``, which rounds like the 1-D ``f(y) @ dz``.  A closed form skips
+        building the (m, d, d) matrices.  Each row of f(y) of the built-in
+        kinds has one nonzero entry, so its product is exact in every term
+        but that one; adding 0.0 does what the matrix product's zero start
+        does to a -0.0 sum, so the closed forms are bitwise the product.
+        """
+        if self._field is not None:
+            return self._field(y, dz)
+        return (self._evaluate(y) @ dz[..., None])[..., 0]
 
     def derivative(self, x) -> np.ndarray:
         """d f_ij / d x_l as an (d, d, d) array indexed [i, j, l]."""
@@ -413,6 +472,9 @@ def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -
     def deriv(x):
         return eye_tensor.copy()
 
+    def field(y, dz):
+        return s * y * dz + 0.0
+
     return Coefficient(
         "linear-diagonal", d, ev, deriv,
         sup_f=abs(s) * r * grow,
@@ -423,6 +485,7 @@ def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -
         label=f"linear-diagonal(scale={s}, d={d})",
         spec={"kind": "linear-diagonal", "scale": s, "dimension": d,
               "region_radius": r},
+        field=field,
     )
 
 
@@ -444,6 +507,9 @@ def _sine_diagonal(amplitude: float, dimension: int) -> Coefficient:
             out[i, i, i] = a * math.cos(x[i])
         return out
 
+    def field(y, dz):
+        return a * np.sin(y) * dz + 0.0
+
     return Coefficient(
         "catalog-smooth", d, ev, deriv,
         sup_f=abs(a),
@@ -453,6 +519,7 @@ def _sine_diagonal(amplitude: float, dimension: int) -> Coefficient:
         label=f"sine-diagonal(a={a}, d={d})",
         spec={"kind": "catalog-smooth", "id": "sine-diagonal",
               "amplitude": a, "dimension": d},
+        field=field,
     )
 
 
@@ -460,9 +527,15 @@ def _gauss_rotation(amplitude: float, sigma: float) -> Coefficient:
     a = float(amplitude)
     s = float(sigma)
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    # the nonzero entries g (-a) and g a of f(x) = a g rot, which multiply
+    # dz_1 and dz_0: bitwise (a g)(-1) and (a g) 1
+    signed_a = np.array([-a, a])
+
+    # exp(-|x|^2 / (2 s^2)), the sign moved onto the divisor: same quotient
+    divisor = -(2.0 * s * s)
 
     def envelope(x):
-        return np.exp(-np.sum(x * x, axis=-1) / (2.0 * s * s))
+        return np.exp(np.add.reduce(x * x, axis=-1) / divisor)
 
     def ev(x):
         g = envelope(x)
@@ -479,6 +552,9 @@ def _gauss_rotation(amplitude: float, sigma: float) -> Coefficient:
             out[:, :, l] = a * g * (-x[l] / (s * s)) * rot
         return out
 
+    def field(y, dz):
+        return envelope(y)[..., None] * signed_a * dz[..., ::-1] + 0.0
+
     # sup |grad envelope| = exp(-1/2)/s; crude but certified Frobenius bounds
     return Coefficient(
         "catalog-smooth", 2, ev, deriv,
@@ -489,6 +565,7 @@ def _gauss_rotation(amplitude: float, sigma: float) -> Coefficient:
         label=f"gauss-rotation(a={a}, sigma={s})",
         spec={"kind": "catalog-smooth", "id": "gauss-rotation",
               "amplitude": a, "sigma": s},
+        field=field,
     )
 
 
@@ -509,6 +586,9 @@ def _cosine_shear(amplitude: float) -> Coefficient:
         out[1, 1, 0] = -a * math.sin(x[0])
         return out
 
+    def field(y, dz):
+        return a * np.cos(y[..., ::-1]) * dz + 0.0
+
     return Coefficient(
         "catalog-smooth", 2, ev, deriv,
         sup_f=abs(a),
@@ -517,6 +597,7 @@ def _cosine_shear(amplitude: float) -> Coefficient:
         lip_df=abs(a) * math.sqrt(2.0),
         label=f"cosine-shear(a={a})",
         spec={"kind": "catalog-smooth", "id": "cosine-shear", "amplitude": a},
+        field=field,
     )
 
 

@@ -10,13 +10,10 @@ projection      X_{k+1} = project(phi(f dZ_k, X_k)) on a fixed partition;
                 is carried along the coefficient flow before clipping.
 jump-adapted    the same step on the partition that isolates every jump of
                 magnitude > 1/n while keeping mesh <= 1/n.
-wz-hat          cell-interior transport of the same increments: on
-                [t_k, t_{k+1}) the state follows the cell flow of
-                f(.) dZ_k, is left unconstrained inside the cell, and is
-                projected exactly at grid points.  Its grid values coincide
-                bitwise with the projection scheme on the same partition,
-                because both are produced by the same flow evaluation and
-                the same projection call.
+wz-hat          the projection scheme's grid values, and between them the
+                unconstrained cell flow of f(.) dZ_k from the left grid
+                value, sampled at the observation times by a per-path
+                sampler (``_cell_interiors``).
 wz-bar          per-cell reflected polygonal dynamics: substeps_bar
                 projected Euler substeps per cell, giving a continuous
                 output path and a continuous compensator.
@@ -31,29 +28,31 @@ Every projection goes through ``skorokhod.guarded_step``: each runner
 validates its start point and the dimensions once per path and then
 projects each target once, unchecked (see the ``skorokhod`` docstring).
 
-projection, jump-adapted and the reference share one projection core,
-which steps a block of paths, each on its own partition; the runners are
-its batch of one, and ``build_references`` builds the references of many
-drivers at once.  With a constant coefficient (``f.matrix`` set) the
-increments do not depend on the state: f dZ_k per cell, and (f dZ_k) du per
-wz-bar substep.  Each path then steps through ``skorokhod.project_steps``
-(so does wz-bar), where runs of steps that stay inside the domain skip the
-projection, where it is the identity, and are advanced in bulk; the output
-is bitwise that of the step-by-step loop, because the same increments are
-summed in the same order.  Other coefficients step the block, a batch of
-one included, in lockstep by cell index: one ``marcus_jump_rows`` call
-transports every path that still has that cell, each row bitwise as a
-single-path call, and then each row is projected by its own
-``guarded_step``.  A path's output is therefore
+projection, jump-adapted, wz-hat and the reference share one projection
+core, which steps a block of paths, each on its own partition:
+``run_schemes`` and ``build_references`` run it on a block of drivers, and
+``run_scheme``, the runners and ``build_reference`` are their batch of one
+(wz-bar and marcus-euler run driver by driver).  With a constant
+coefficient (``f.matrix`` set) the increments do not depend on the state:
+f dZ_k per cell, and (f dZ_k) du per wz-bar substep.  Each path then steps
+through ``skorokhod.project_steps`` (so does wz-bar), where runs of steps
+that stay inside the domain skip the projection, where it is the identity,
+and are advanced in bulk; the output is bitwise that of the step-by-step
+loop, because the same increments are summed in the same order.  Other
+coefficients step the block, a batch of one included, in lockstep:
+``marcus_jump_chains`` moves every path one RK4 step of its current cell
+per iteration, each cell bitwise as a single-path call, and a path's cell
+is projected by its own ``guarded_step`` once transported, which starts
+its next cell.  A path's output is therefore
 bitwise independent of the block it runs in, and a path that fails
-(JumpTooLarge, NonFinite, ProjectionOutOfRange) fails alone, at the same
-step and with the same error as when it runs alone.  The cells before the
-first one that fails the jump guard are stepped first, and then the guard
-raises, as it would in a loop checking each cell before stepping it.
+(JumpTooLarge, NonFinite, ProjectionOutOfRange) fails alone, with the
+error it raises alone, in cell order: the jump guard of a cell, then
+wz-hat's sampling of its interior, then its step.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from .driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
 from .errors import (DimensionMismatch, JumpTooLarge, ReflectedSDEError,
                      StartOutsideDomain)
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
-                   marcus_jump, marcus_jump_partial, marcus_jump_rows)
+                   marcus_jump, marcus_jump_chains, marcus_jump_partial)
 from .geometry import Domain, OUTSIDE
 from .skorokhod import accumulate, guarded_step, project_steps
 
@@ -208,9 +207,14 @@ def _fill_step(out_t, grid_t, grid_vals):
 def run_projection_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
                           spec: SchemeSpec) -> SchemeOutput:
     """Projected transport on a fixed partition (piecewise-constant output)."""
-    return _only(_projection_core(domain, f, x0, [z], [spec.partition],
-                                  spec.flow_cfg, "projection",
-                                  spec.observation_times))
+    return run_scheme(domain, f, x0, z, replace(spec, kind="projection"))
+
+
+def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
+                      spec: SchemeSpec) -> SchemeOutput:
+    """Cell-flow transport, projected at grid points only: the projection
+    scheme's grid values, and the cell flow between them."""
+    return run_scheme(domain, f, x0, z, replace(spec, kind="wz-hat"))
 
 
 def run_jump_adapted_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -236,43 +240,63 @@ def _only(results):
 class _Chain:
     """One path of the projection core: its cells and its step records.
 
-    ``dzs`` holds the cell increments while the path still steps; the first
+    ``dzs`` holds the cell increments until the path finishes; the first
     ``n`` cells pass the jump guard, and ``stop`` is the guard's error at
     the next one (None when every cell passes), raised once the cells before
     it are stepped, as a loop checking each cell before stepping it would.
+    ``error`` is the error of the step of cell ``failed_at``.  The output
+    is sampled at ``out_t``; ``interiors`` is wz-hat's sampler of the times
+    inside the cells (``_cell_interiors``), or None.
     """
 
-    def __init__(self, start, partition, dzs, bound, rho0):
+    def __init__(self, start, partition, dzs, bound, rho0, out_t, interiors):
         self.start, self.partition, self.dzs = start, partition, dzs
+        self.out_t, self.interiors = out_t, interiors
         self.n, self.stop = _admissible_cells(dzs, bound, rho0)
-        self.error = None
-        # project_steps' (n + 1, d) path, (n, d) targets and (n,) |dk|
-        self.path = self.targets = self.dk_norms = None
+        self.error = self.failed_at = None
+        # the (n + 1, d) path, (n, d) targets and (n,) |dk| of the steps;
+        # the path up to a failing step stays for wz-hat's interiors
+        self.path = np.empty((self.n + 1, len(start)))
+        self.path[0], self.dk_norms = start, np.zeros(self.n)
+        self.targets = np.empty((self.n, len(start)))
 
-    def finish(self, domain, label, observation_times):
+    def finish(self, domain, label):
         """The path's SchemeOutput, or the error that stopped it.
 
-        Drops the step records, so a block holds each path's records or its
-        output, not both.
+        The sampler runs up to the failing cell, whose interior comes
+        before its step.  Drops the step records, so a block holds each
+        path's records or its output, not both.
         """
         xs, targets, dk_norms = self.path, self.targets, self.dk_norms
         self.dzs = self.path = self.targets = self.dk_norms = None
+        samples = ()
+        if self.interiors is not None:
+            cells = self.n if self.error is None else self.failed_at + 1
+            try:
+                samples = self.interiors(xs, cells)
+            except ReflectedSDEError as exc:
+                return exc
         error = self.error if self.error is not None else self.stop
         if error is not None:
             return error
-        paths = (xs,
-                 accumulate(np.zeros_like(self.start), xs[1:] - targets),
-                 accumulate(self.start, targets - xs[:-1]),
-                 accumulate(0.0, dk_norms))
-        out_t = _output_grid(self.partition, observation_times)
-        pts = self.partition.points
-        return _output(domain, label, self.partition, out_t,
-                       [_fill_step(out_t, pts, a) for a in paths],
+        out_t, pts = self.out_t, self.partition.points
+        X, K, Y, kvar = (
+            _fill_step(out_t, pts, a) for a in (
+                xs,
+                accumulate(np.zeros_like(self.start), xs[1:] - targets),
+                accumulate(self.start, targets - xs[:-1]),
+                accumulate(0.0, dk_norms)))
+        # an interior sample keeps K and the k-variation of its cell's
+        # left end, and moves Y with X
+        for slot, k, x in samples:
+            X[slot] = x
+            Y[slot] += x - xs[k]
+        return _output(domain, label, self.partition, out_t, (X, K, Y, kvar),
                        int(np.count_nonzero(dk_norms)))
 
 
 def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
-                     observation_times) -> list:
+                     observation_times, interiors=False) -> list:
     """The projection step of each driver on its own partition.
 
     Returns, per path, its SchemeOutput or the ReflectedSDEError that
@@ -280,7 +304,7 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
     coefficient each path's increments are known up front, and it steps
     through ``project_steps``, which advances interior runs in bulk.  Any
     other coefficient steps the block, a single path included, in lockstep
-    by cell index (``_step_in_lockstep``).
+    (``_step_in_lockstep``).  ``interiors`` samples wz-hat's cell interiors.
     """
     rho0 = domain.rho0
     chains = []
@@ -291,7 +315,11 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
             chains.append(exc)
             continue
         dzs = np.diff(z.value_at(part.points), axis=0)
-        chains.append(_Chain(start, part, dzs, f.sup_f, rho0))
+        out_t = _output_grid(part, observation_times)
+        sampler = None
+        if interiors and len(out_t) > len(part.points):
+            sampler = partial(_cell_interiors, f, cfg, dzs, part.points, out_t)
+        chains.append(_Chain(start, part, dzs, f.sup_f, rho0, out_t, sampler))
     stepping = [c for c in chains if isinstance(c, _Chain)]
 
     if f.matrix is not None:
@@ -301,116 +329,67 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
         for c in stepping:
             increments = np.array([dz @ mt for dz in c.dzs[:c.n]]).reshape(
                 c.n, len(c.start))
+
+            def target(k, x, c=c):
+                # interior runs cannot fail, so a failing step is the last
+                # one taken here
+                c.failed_at = k
+                return marcus_jump(f, c.dzs[k], x, cfg)
+
             try:
-                c.path, c.targets, c.dk_norms = project_steps(
-                    domain, c.start, rho0,
-                    lambda k, x, dzs=c.dzs: marcus_jump(f, dzs[k], x, cfg),
-                    c.n, increments)
+                c.dk_norms = project_steps(
+                    domain, c.start, rho0, target, c.n, increments,
+                    targets=c.targets, path=c.path)[2]
             except ReflectedSDEError as exc:
                 c.error = exc
-            c.dzs = None
     else:
         _step_in_lockstep(domain, f, stepping, cfg, rho0)
 
-    return [c.finish(domain, label, observation_times)
-            if isinstance(c, _Chain) else c for c in chains]
+    return [c.finish(domain, label) if isinstance(c, _Chain) else c
+            for c in chains]
+
+
+def _cell_interiors(f, cfg, dzs, pts, out_t, xs, cells) -> list:
+    """(slot, cell k, state) of each output time strictly inside the first
+    ``cells`` cells: the flow of f(.) dz_k from the grid value xs[k],
+    carried from one output time to the next by ``marcus_jump_partial``."""
+    grid_slot = np.searchsorted(out_t, pts)
+    samples = []
+    for k in range(cells):
+        lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
+        t0, dt = pts[k], pts[k + 1] - pts[k]
+        cur, u_prev = xs[k], 0.0
+        for slot in range(lo, hi):
+            u = (out_t[slot] - t0) / dt
+            cur = marcus_jump_partial(f, dzs[k], cur, u - u_prev, cfg)
+            samples.append((slot, k, cur))
+            u_prev = u
+    return samples
 
 
 def _step_in_lockstep(domain, f, chains, cfg, rho0):
-    """Step every chain's admissible cells, all chains at one cell index.
+    """Step every chain's admissible cells, the chains together.
 
-    At cell index k one ``marcus_jump_rows`` call transports the chains
-    that still have a k-th cell, each row exactly as a single-path call
-    would, and then each row is projected by its own ``guarded_step``.  A
-    row that fails records its error on its chain, which then stops.  A
-    chain drops its increments once it stops.
+    ``marcus_jump_chains`` transports each chain's cells in order, one lane
+    per chain, each cell exactly as a single-path call would, and each
+    transported target is then projected by its chain's ``guarded_step``,
+    whose result starts the chain's next cell.  A chain whose cell fails
+    records its error and stops.
     """
-    d = f.dimension
-    for c in chains:
-        c.path = np.empty((c.n + 1, d))
-        c.path[0] = c.start
-        c.targets = np.empty((c.n, d))
-        c.dk_norms = np.zeros(c.n)
-    active = chains
-    k = 0
-    while True:
-        for c in active:
-            if c.error is not None or c.n == k:
-                c.dzs = None
-        active = [c for c in active if c.dzs is not None]
-        if not active:
-            break
-        targets, errors = marcus_jump_rows(
-            f, np.array([c.dzs[k] for c in active]),
-            np.array([c.path[k] for c in active]), cfg)
-        for c, target, error in zip(active, targets, errors):
-            try:
-                if error is not None:
-                    raise error
-                x, _, dk_norm = guarded_step(domain, target, rho0)
-            except ReflectedSDEError as exc:
-                c.error = exc
-                continue
-            c.path[k + 1] = x
-            c.targets[k] = target
-            c.dk_norms[k] = dk_norm
-        k += 1
+    def follow(i, k, target, error):
+        c = chains[i]
+        try:
+            if error is not None:
+                raise error
+            x, _, dk_norm = guarded_step(domain, target, rho0)
+        except ReflectedSDEError as exc:
+            c.error, c.failed_at = exc, k
+            return None
+        c.path[k + 1], c.targets[k], c.dk_norms[k] = x, target, dk_norm
+        return x
 
-
-def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
-                      spec: SchemeSpec) -> SchemeOutput:
-    """Cell-flow transport, projected at grid points only.
-
-    Grid values are computed by exactly the same flow call and projection
-    call as the projection scheme, so at partition points the two schemes
-    agree bitwise; between grid points the state follows the unconstrained
-    cell flow, sampled at the requested observation times.
-    """
-    start = _validated_start(domain, f, x0, z)
-    rho0 = domain.rho0
-    cfg = spec.flow_cfg
-    pts = spec.partition.points
-    out_t = _output_grid(spec.partition, spec.observation_times)
-    X, K, Y, kvar = paths = _buffers(len(out_t), start)
-
-    # output slots of each partition point and of the strict cell interiors
-    grid_slot = np.searchsorted(out_t, pts)
-    k_run = np.zeros(len(start))
-    y_run = start.copy()
-    kvar_run = 0.0
-    dk_count = 0
-
-    state = start
-    for k, dz in enumerate(np.diff(z.value_at(pts), axis=0)):
-        t0, t1 = pts[k], pts[k + 1]
-        _check_delta(dz, f.sup_f, rho0)
-
-        lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
-        if hi > lo:
-            dt = t1 - t0
-            cur = state
-            u_prev = 0.0
-            for slot in range(lo, hi):
-                u = (out_t[slot] - t0) / dt
-                cur = marcus_jump_partial(f, dz, cur, u - u_prev, cfg)
-                X[slot] = cur
-                K[slot] = k_run
-                Y[slot] = y_run + (cur - state)
-                kvar[slot] = kvar_run
-                u_prev = u
-
-        left = marcus_jump(f, dz, state, cfg)
-        nxt, dk, dk_norm = guarded_step(domain, left, rho0)
-        y_run = y_run + (left - state)
-        k_run = k_run + dk
-        kvar_run += dk_norm
-        if dk_norm > 0.0:
-            dk_count += 1
-        slot = grid_slot[k + 1]
-        X[slot], K[slot], Y[slot], kvar[slot] = nxt, k_run, y_run, kvar_run
-        state = nxt
-
-    return _output(domain, "wz-hat", spec.partition, out_t, paths, dk_count)
+    marcus_jump_chains(f, [(c.dzs[:c.n], c.start) for c in chains], follow,
+                       cfg)
 
 
 def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -478,7 +457,7 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
             dys = np.empty((len(dus), len(start)))
 
             def target(j, x):
-                dys[j] = f.evaluate(x) @ dzs[cell_of[j]] * dus[j]
+                dys[j] = f.field(x, dzs[cell_of[j]]) * dus[j]
                 return x + dys[j]
 
         path, targets, dk_norms = project_steps(
@@ -533,8 +512,7 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
         _check_delta(zvals[k + 1] - zvals[k], f.sup_f, rho0)
 
         # walk the driver increments inside (t_k, t_{k+1}]
-        seq_t = [pts[k]]
-        seq_v = [zvals[k]]
+        seq_t, seq_v = [pts[k]], [zvals[k]]
         for i in range(inner[k], inner[k + 1]):
             if z.times[i] > pts[k]:
                 seq_t.append(float(z.times[i]))
@@ -543,9 +521,7 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
             seq_t.append(float(pts[k + 1]))
             seq_v.append(zvals[k + 1])
 
-        dzc = np.zeros(d)
-        qc = np.zeros((d, d))
-        jumps = []
+        dzc, qc, jumps = np.zeros(d), np.zeros((d, d)), []
         for i in range(1, len(seq_t)):
             delta = seq_v[i] - seq_v[i - 1]
             jv = jump_set.get(seq_t[i])
@@ -555,22 +531,17 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
             dzc += delta
             qc += np.outer(delta, delta)
 
-        fx = f.evaluate(state)
-        incr = fx @ dzc
+        incr = f.field(state, dzc)
         if np.any(qc):
             corr = f.correction(state)
             incr = incr + 0.5 * np.einsum("ijm,jm->i", corr, qc)
         for jv in jumps:
             incr = incr + (marcus_jump(f, jv, state, cfg) - state)
 
-        nxt, dk, dk_norm = guarded_step(domain, state + incr, rho0)
-        ys[k + 1] = ys[k] + incr
-        ks[k + 1] = ks[k] + dk
+        state, dk, dk_norm = guarded_step(domain, state + incr, rho0)
+        states[k + 1], ys[k + 1], ks[k + 1] = state, ys[k] + incr, ks[k] + dk
         kvar[k + 1] = kvar[k] + dk_norm
-        if dk_norm > 0.0:
-            dk_count += 1
-        states[k + 1] = nxt
-        state = nxt
+        dk_count += dk_norm > 0.0
 
     out_t = _output_grid(spec.partition, spec.observation_times)
     return _output(domain, "marcus-euler", spec.partition, out_t,
@@ -616,24 +587,42 @@ def build_reference(domain: Domain, f: Coefficient, x0, z: GridPath,
                                   observation_times))
 
 
-def _run_jump_adapted(domain, f, x0, z, spec):
-    # the threshold defaults to the resolution of the partition's mesh
-    n = spec.jump_threshold or max(1, round(1.0 / spec.partition.mesh))
-    return run_jump_adapted_scheme(domain, f, x0, z, n, spec)
+#: Kinds the projection core steps, a block of drivers at once.
+_CORE_KINDS = ("projection", "jump-adapted", "wz-hat")
+#: Kind -> runner(domain, f, x0, z, spec) of the kinds run driver by driver.
+_LOOPED = {"wz-bar": run_wz_bar_scheme, "marcus-euler": run_marcus_euler}
+SCHEME_KINDS = _CORE_KINDS + tuple(_LOOPED)
 
 
-#: Scheme kind -> runner(domain, f, x0, z, spec).
-_RUNNERS = {
-    "projection": run_projection_scheme,
-    "jump-adapted": _run_jump_adapted,
-    "wz-hat": run_wz_hat_scheme,
-    "wz-bar": run_wz_bar_scheme,
-    "marcus-euler": run_marcus_euler,
-}
-SCHEME_KINDS = tuple(_RUNNERS)
+def run_schemes(domain: Domain, f: Coefficient, x0, drivers,
+                spec: SchemeSpec) -> list:
+    """The scheme ``spec.kind`` names on each driver: per driver, its
+    SchemeOutput or the ReflectedSDEError that stopped it.
+
+    projection, jump-adapted and wz-hat step the drivers together in the
+    projection core, each bitwise as ``run_scheme`` on its driver alone.
+    """
+    kind = spec.kind
+    if kind in _LOOPED:
+        results = []
+        for z in drivers:
+            try:
+                results.append(_LOOPED[kind](domain, f, x0, z, spec))
+            except ReflectedSDEError as exc:
+                results.append(exc)
+        return results
+    if kind == "jump-adapted":
+        # the threshold defaults to the resolution of the partition's mesh
+        n = spec.jump_threshold or max(1, round(1.0 / spec.partition.mesh))
+        partitions = [jump_adapted_partition(z, n) for z in drivers]
+    else:
+        partitions = [spec.partition] * len(drivers)
+    return _projection_core(domain, f, x0, drivers, partitions, spec.flow_cfg,
+                            kind, spec.observation_times,
+                            interiors=kind == "wz-hat")
 
 
 def run_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
                spec: SchemeSpec) -> SchemeOutput:
-    """Run the scheme ``spec.kind`` names."""
-    return _RUNNERS[spec.kind](domain, f, x0, z, spec)
+    """Run the scheme ``spec.kind`` names: ``run_schemes`` on one driver."""
+    return _only(run_schemes(domain, f, x0, [z], spec))

@@ -110,7 +110,8 @@ def interior_run(domain: Domain, x: np.ndarray, increments: np.ndarray) -> np.nd
 
 def project_steps(domain: Domain, x: np.ndarray, rho0: float, target, n: int,
                   increments: np.ndarray | None = None,
-                  targets: np.ndarray | None = None):
+                  targets: np.ndarray | None = None,
+                  path: np.ndarray | None = None):
     """Step x_{j+1} = project(target(j, x_j)) for j < n, from x_0 = x.
 
     Returns the (n + 1, d) path x_0 .. x_n, the (n, d) targets and the (n,)
@@ -120,9 +121,11 @@ def project_steps(domain: Domain, x: np.ndarray, rho0: float, target, n: int,
     other rows, and every row without ``increments``, go through
     ``guarded_step``.  The targets are written to ``targets`` when given,
     which may be ``increments`` itself: row j of the increments is read
-    before target j is written.
+    before target j is written.  The path is written to ``path`` when
+    given, so when step j raises, its rows up to x_j are still there.
     """
-    path = np.empty((n + 1, len(x)))
+    if path is None:
+        path = np.empty((n + 1, len(x)))
     path[0] = x
     states = path[1:]
     if targets is None:

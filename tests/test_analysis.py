@@ -15,10 +15,12 @@ from reflectsde.csvio import (path_csv_text, rate_csv_text, read_path_csv,
                               read_rate_csv, read_solution_csv,
                               solution_csv_text, write_path_csv,
                               write_rate_csv, write_solution_csv)
-from reflectsde.driver import GridPath, Partition, sample_brownian
-from reflectsde.errors import ConfigError, CsvFormatError
-from reflectsde.flow import Coefficient
-from reflectsde.geometry import HalfSpace
+from reflectsde.driver import (GridPath, Partition, path_seed, sample_brownian,
+                               sample_jump_driver)
+from reflectsde.errors import ConfigError, CsvFormatError, ReflectedSDEError
+from reflectsde.flow import Coefficient, FlowConfig, coefficient_from_spec
+from reflectsde.geometry import Domain, HalfSpace
+from reflectsde.schemes import SchemeSpec, build_reference, run_scheme
 from reflectsde.skorokhod import solve_skorokhod
 
 
@@ -187,6 +189,80 @@ def test_blocks_group_paths_only_for_the_lockstep():
     assert sizes(2, 4, True) == [1, 1]
     assert sizes(6, 1, False) == [1] * 6
     assert sizes(6, 2, False) == [1] * 6
+
+
+def loop_study_records(plan, indices):
+    """Each path's per-mesh records, one path and one run at a time: its
+    reference alone, then ``run_scheme`` on each mesh, scored against the
+    reference's x and k."""
+    domain = Domain.from_spec(plan.domain)
+    f = coefficient_from_spec(plan.coefficient)
+    records = []
+    for index in indices:
+        z = sample_jump_driver(plan.horizon, plan.driver_steps,
+                               plan.driver_dimension,
+                               path_seed(plan.seed, index),
+                               jump_rate=plan.jump_rate,
+                               jump_law=plan.jump_law,
+                               diffusion_scale=plan.diffusion_scale)
+        try:
+            ref = build_reference(domain, f, plan.x0, z, plan.reference_refine,
+                                  FlowConfig(plan.reference_substeps, True))
+        except ReflectedSDEError as exc:
+            records.append({"index": index, "per_mesh": [
+                {"ok": False,
+                 "error": f"reference: {type(exc).__name__}: {exc}"}
+                for _ in plan.meshes]})
+            continue
+        per_mesh = []
+        for mesh in plan.meshes:
+            part = Partition.uniform(plan.horizon,
+                                     max(1, round(plan.horizon / mesh)))
+            spec = SchemeSpec(kind=plan.scheme, partition=part,
+                              flow_cfg=FlowConfig(plan.flow_substeps,
+                                                  plan.flow_adaptive),
+                              substeps_bar=plan.substeps_bar)
+            try:
+                out = run_scheme(domain, f, plan.x0, z, spec)
+            except ReflectedSDEError as exc:
+                per_mesh.append({"ok": False,
+                                 "error": f"{type(exc).__name__}: {exc}"})
+                continue
+            per_mesh.append({
+                "ok": True,
+                "err_unif": sup_error(out.x, ref.x, horizon=plan.horizon),
+                "err_grid": sup_error(out.x, ref.x, horizon=plan.horizon,
+                                      mode="grid-points"),
+                "k_err": sup_error(out.k, ref.k, horizon=plan.horizon),
+                "kvar_end": float(out.k_variation[-1]),
+            })
+        records.append({"index": index, "per_mesh": per_mesh})
+    return records
+
+
+@pytest.mark.parametrize("scheme", ["wz-hat", "jump-adapted", "wz-bar"])
+def test_study_block_matches_a_loop_over_paths(scheme):
+    """A block's records, its references built and its runs made together,
+    equal a loop over its paths, each built and run alone; with a reach of
+    0.5 and jumps up to 0.6, some references and runs fail."""
+    plan = StudyPlan(
+        domain={"kind": "exterior-of-ball", "center": [0.0, 0.0],
+                "radius": 0.5},
+        coefficient={"kind": "catalog-smooth", "id": "gauss-rotation",
+                     "amplitude": 0.8, "sigma": 1.5},
+        x0=(0.55, 0.0), scheme=scheme, meshes=(0.25, 0.125),
+        driver_steps=64, driver_dimension=2, jump_rate=3.0,
+        jump_law={"kind": "uniform-ball", "radius": 0.6},
+        diffusion_scale=0.2, n_paths=10, seed=4, reference_refine=64,
+        reference_substeps=64, substeps_bar=8)
+    got = analysis._study_block(plan.as_dict(), range(10))
+    assert got == loop_study_records(plan, range(10))
+    cells = [cell for rec in got for cell in rec["per_mesh"]]
+    assert any(not c["ok"] and c["error"].startswith("reference")
+               for c in cells)
+    assert any(not c["ok"] and not c["error"].startswith("reference")
+               for c in cells)
+    assert sum(c["ok"] for c in cells) >= 8
 
 
 def test_convergence_study_errors_shrink():

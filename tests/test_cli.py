@@ -144,12 +144,16 @@ experiment:
 """
 
 
-def test_converge_blocks_are_byte_identical(tmp_path, capsys, monkeypatch):
-    """A state-dependent coefficient builds its references in blocks of
-    paths: 12 paths in one block (--jobs 1), in two blocks of 6 (--jobs 2),
-    in three of 4 (--jobs 3), and in blocks of 5 + 5 + 2 and of 1 run
-    serially all write the same rate.csv and rate.json."""
-    cfg = _write(tmp_path, "conv.yaml", JUMP_CONV_YAML)
+@pytest.mark.parametrize("scheme", ["wz-hat", "projection", "jump-adapted"])
+def test_converge_blocks_are_byte_identical(tmp_path, capsys, monkeypatch,
+                                            scheme):
+    """A state-dependent coefficient builds its references, and runs these
+    schemes, in blocks of paths: 12 paths in one block (--jobs 1), in two
+    blocks of 6 (--jobs 2), in three of 4 (--jobs 3), and in blocks of
+    5 + 5 + 2 and of 1 run serially all write the same rate.csv and
+    rate.json."""
+    cfg = _write(tmp_path, "conv.yaml",
+                 JUMP_CONV_YAML.replace("kind: wz-hat", f"kind: {scheme}"))
     outs = []
     for jobs in (1, 2, 3):
         outs.append(tmp_path / f"j{jobs}")
@@ -165,8 +169,9 @@ def test_converge_blocks_are_byte_identical(tmp_path, capsys, monkeypatch):
         for name in ("rate.csv", "rate.json"):
             assert filecmp.cmp(outs[0] / name, out / name, shallow=False), (
                 out.name, name)
-    rows = json.loads((outs[0] / "rate.json").read_text())["table"]["rows"]
-    assert [row["n_ok"] for row in rows] == [12, 12]
+    table = json.loads((outs[0] / "rate.json").read_text())["table"]
+    assert table["scheme"] == scheme
+    assert [row["n_ok"] for row in table["rows"]] == [12, 12]
 
 
 def test_remark4_command(tmp_path, capsys):

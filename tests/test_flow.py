@@ -19,8 +19,8 @@ from reflectsde.flow import (BLOWUP_GUARD, CATALOG, DEFAULT_FLOW,
                              catalog_coefficient,
                              coefficient_from_spec, constant_matrix, flow,
                              flow_partial, jump_defect, linear_diagonal,
-                             marcus_jump, marcus_jump_partial,
-                             marcus_jump_rows)
+                             marcus_jump, marcus_jump_chains,
+                             marcus_jump_partial, marcus_jump_rows)
 
 
 def test_flow_reproduces_exponential():
@@ -164,6 +164,181 @@ def test_marcus_jump_rows_constant_coefficient_fail_alone():
     assert str(errors[1]) == str(alone.value)
     for i in (0, 2):
         np.testing.assert_array_equal(ys[i], marcus_jump(f, dzs[i], xs[i]))
+
+
+@pytest.mark.parametrize("dz", [(math.nan, 0.0), (math.inf, 0.0)],
+                         ids=["nan", "inf"])
+def test_marcus_jump_rejects_a_non_finite_increment(dz):
+    """No step count transports a non-finite increment: NonFinite, on the
+    adaptive and the fixed configuration, and from ``steps_for`` itself."""
+    f = catalog_coefficient("gauss-rotation", amplitude=0.8, sigma=2.0)
+    for cfg in (DEFAULT_FLOW, FlowConfig(16, adaptive=False)):
+        with pytest.raises(NonFinite):
+            marcus_jump(f, np.array(dz), np.array([0.5, 0.0]), cfg)
+        with pytest.raises(NonFinite):
+            cfg.steps_for(dz[0])
+
+
+def test_steps_for_caps_a_norm_whose_scaled_count_overflows():
+    assert DEFAULT_FLOW.steps_for(1e308) == DEFAULT_FLOW.substeps
+
+
+def test_marcus_jump_rows_non_finite_increment_fails_alone():
+    """A NaN or infinite increment fails its own row with the single-row
+    error, next to good rows that keep their single-row results."""
+    f = catalog_coefficient("gauss-rotation", amplitude=0.8, sigma=2.0)
+    xs = np.array([[0.5, 0.0], [0.1, 0.2], [-0.3, 0.4], [0.0, 1.0],
+                   [0.2, 0.2]])
+    dzs = np.array([[0.3, 0.1], [math.nan, 0.0], [0.0, 0.0],
+                    [math.inf, 0.0], [-0.05, 0.2]])
+    ys, errors = marcus_jump_rows(f, dzs, xs, DEFAULT_FLOW)
+    for i in (0, 2, 4):
+        assert errors[i] is None
+        np.testing.assert_array_equal(ys[i], marcus_jump(f, dzs[i], xs[i]))
+    for i in (1, 3):
+        with pytest.raises(NonFinite) as alone:
+            marcus_jump(f, dzs[i], xs[i])
+        assert type(errors[i]) is NonFinite
+        assert str(errors[i]) == str(alone.value)
+
+
+def test_marcus_jump_partial_batched_matches_loop():
+    """Each row of a batched partial transport is bitwise its single-row
+    call, with its own step count over the span."""
+    rng = np.random.default_rng(11)
+    for f in [coefficient_from_spec(spec) for spec in BATCH_SPECS] + [full_field()]:
+        for cfg in (FlowConfig(16, adaptive=False), DEFAULT_FLOW,
+                    REFERENCE_FLOW):
+            for u_end in (0.0, 0.3, 1.0):
+                xs = rng.normal(0.0, 1.0, (64, f.dimension))
+                dzs = rng.normal(0.0, 1.0, (64, f.dimension))
+                dzs *= np.geomspace(1e-3, 3.0, 64)[:, None] / np.linalg.norm(
+                    dzs, axis=1, keepdims=True)
+                dzs[32] = 0.0
+                batched = marcus_jump_partial(f, dzs, xs, u_end, cfg)
+                rowwise, errors = marcus_jump_rows(f, dzs, xs, cfg, u_end)
+                assert errors == [None] * 64
+                np.testing.assert_array_equal(rowwise, batched)
+                for i in range(64):
+                    np.testing.assert_array_equal(
+                        batched[i],
+                        marcus_jump_partial(f, dzs[i], xs[i], u_end, cfg))
+                np.testing.assert_array_equal(batched[32], xs[32])
+
+
+def chain_oracle(f, dzs, x, cfg, span, next_start):
+    """One lane of ``marcus_jump_chains`` as a loop of single calls:
+    (k, y or None, error type and text or None) per jump taken."""
+    out = []
+    for k, dz in enumerate(dzs):
+        try:
+            y = marcus_jump_partial(f, dz, x, span, cfg)
+            out.append((k, y, None))
+        except NonFinite as exc:
+            y = None
+            out.append((k, None, (type(exc), str(exc))))
+        x = next_start(k, y)
+        if x is None:
+            break
+    return out
+
+
+@pytest.mark.parametrize("span", [1.0, 0.4])
+def test_marcus_jump_chains_match_a_loop_of_single_calls(span):
+    """Lanes of different lengths, with zero, NaN and blow-up increments
+    mid-lane and a lane that its caller stops early, all give each jump
+    bitwise its single call, in order, and continue from the start the
+    caller returns."""
+    f = linear_diagonal(1.0, 2, region_radius=1e9)
+    cfg = FlowConfig(32, adaptive=True)
+    rng = np.random.default_rng(9)
+    lanes = []
+    for length in (0, 1, 5, 17, 40, 3):
+        dzs = rng.normal(0.0, 0.3, (length, 2))
+        dzs[::4] *= 5.0
+        lanes.append((dzs, rng.normal(0.0, 1.0, 2)))
+    lanes[2][0][1] = 0.0
+    lanes[3][0][4] = [np.nan, 0.0]
+    lanes[3][0][9] = [80.0, 0.0]
+    lanes[4][0][6] = [0.0, np.inf]
+
+    def next_start(i, k, y):
+        if i == 4 and k == 20:
+            return None
+        # after an error, a fresh start; else on from the jump's end
+        return np.array([0.5, -0.5]) if y is None else y * 0.9
+
+    got = [[] for _ in lanes]
+
+    def follow(i, k, y, error):
+        got[i].append((k, y, None if error is None
+                       else (type(error), str(error))))
+        return next_start(i, k, y)
+
+    marcus_jump_chains(f, lanes, follow, cfg, span)
+    for i, (dzs, x) in enumerate(lanes):
+        want = chain_oracle(f, dzs, x, cfg, span,
+                            lambda k, y, i=i: next_start(i, k, y))
+        assert len(got[i]) == len(want)
+        for (k, y, err), (k2, y2, err2) in zip(got[i], want):
+            assert k == k2 and err == err2
+            assert (y is None) == (y2 is None)
+            if y is not None:
+                assert bits(y) == bits(y2)
+    assert [len(g) for g in got] == [0, 1, 5, 17, 21, 3]
+    assert sum(err is not None for g in got for _, _, err in g) == 3
+
+
+FIELD_KINDS = [
+    linear_diagonal(0.7, 2),
+    linear_diagonal(-1.3, 3),
+    catalog_coefficient("sine-diagonal", amplitude=0.8, dimension=2),
+    catalog_coefficient("sine-diagonal", amplitude=-0.5, dimension=3),
+    catalog_coefficient("gauss-rotation", amplitude=0.4, sigma=1.5),
+    # a negative amplitude, and an envelope that underflows to zero
+    catalog_coefficient("gauss-rotation", amplitude=-0.9, sigma=0.01),
+    catalog_coefficient("cosine-shear", amplitude=1.1),
+    catalog_coefficient("cosine-shear", amplitude=-0.6),
+]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("f", FIELD_KINDS, ids=lambda f: f.label)
+def test_field_closed_forms_match_the_matrix_product(f):
+    """Every closed-form field is bitwise the stacked product f(y) dz and
+    the 1-D product, signed zeros included, on rows with +-0.0 components,
+    zero rows, tiny and large states."""
+    assert f._field is not None
+    rng = np.random.default_rng(17)
+    d = f.dimension
+    for _ in range(50):
+        ys = rng.normal(size=(64, d)) * rng.choice([1e-300, 1.0, 50.0],
+                                                   size=(64, 1))
+        dzs = rng.normal(size=(64, d)) * rng.choice([1e-300, 1e-8, 1.0],
+                                                    size=(64, 1))
+        for a in (ys, dzs):
+            mask = rng.random(a.shape) < 0.3
+            a[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+        dzs[::7], dzs[3::7] = 0.0, -0.0
+        want = (f.evaluate(ys) @ dzs[..., None])[..., 0]
+        got = f.field(ys, dzs)
+        np.testing.assert_array_equal(got, want)
+        assert bits(got) == bits(want)
+        for i in range(0, 64, 5):
+            one = f.field(ys[i], dzs[i])
+            assert one.shape == (d,)
+            assert bits(one) == bits(want[i]) == bits(f.evaluate(ys[i]) @ dzs[i])
+
+
+def test_default_field_is_the_matrix_product():
+    f = full_field()
+    rng = np.random.default_rng(2)
+    ys, dzs = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
+    assert bits(f.field(ys, dzs)) == bits((f.evaluate(ys) @ dzs[..., None])[..., 0])
+    assert bits(f.field(ys[0], dzs[0])) == bits(f.evaluate(ys[0]) @ dzs[0])
 
 
 def test_marcus_jump_partial_composes():
