@@ -2,8 +2,8 @@
 
 The package builds three layers:
 
-* geometry: closed domains with projection maps and normal-cone checks
-  (half-spaces, balls, boxes, convex polyhedra, ball exteriors);
+* geometry: closed domains with projection maps, inward normals and their
+  reach (half-spaces, balls, boxes, convex polyhedra, ball exteriors);
 * dynamics: sampled driver paths, unit-time coefficient flows and jump
   transport, the discrete reflection step, and five constrained
   time-stepping schemes;
@@ -16,26 +16,23 @@ from .analysis import (RateRow, RateTable, Remark4Report, StudyPlan,
                        convergence_study, fit_rate, remark4_report,
                        sup_error, variation_report)
 from .driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
-                     check_jump_condition, discretize, jump_adapted_partition,
-                     linear_interpolate, path_seed, quadratic_variation,
-                     sample_brownian, sample_jump_driver)
+                     jump_adapted_partition, path_seed, sample_brownian,
+                     sample_jump_driver)
 from .errors import (ConfigError, CsvFormatError, DimensionMismatch,
                      JumpTooLarge, NonFinite, NotOnBoundary,
                      ProjectionOutOfRange, ReflectedSDEError,
                      StartOutsideDomain)
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
                    catalog_coefficient, coefficient_from_spec,
-                   constant_matrix, flow, flow_partial, jump_defect,
-                   linear_diagonal, marcus_jump, marcus_jump_partial)
+                   constant_matrix, jump_defect, linear_diagonal,
+                   marcus_jump, marcus_jump_partial)
 from .geometry import (BOUNDARY, INTERIOR, OUTSIDE, Ball, Box,
-                       ConvexPolyhedron, Domain, DomainConstants,
-                       ExteriorOfBall, HalfSpace, default_boundary_tol)
+                       ConvexPolyhedron, Domain, ExteriorOfBall, HalfSpace,
+                       default_boundary_tol)
 from .schemes import (SCHEME_KINDS, SchemeOutput, SchemeSpec, build_reference,
-                      run_jump_adapted_scheme, run_marcus_euler,
-                      run_projection_scheme, run_scheme, run_wz_bar_scheme,
-                      run_wz_hat_scheme)
+                      run_marcus_euler, run_scheme, run_wz_bar_scheme)
 from .skorokhod import (Lemma1Report, SkorokhodSolution, check_lemma1,
-                        reflect_step, solve_skorokhod, total_variation)
+                        solve_skorokhod, total_variation)
 from .config import ExperimentConfig, default_config, load_config
 
 __version__ = "0.1.0"
@@ -43,21 +40,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BOUNDARY", "CADLAG_STEP", "Ball", "Box", "Coefficient", "ConfigError",
     "ConvexPolyhedron", "CsvFormatError", "DEFAULT_FLOW", "DimensionMismatch",
-    "Domain", "DomainConstants", "ExperimentConfig", "ExteriorOfBall",
-    "FlowConfig", "GridPath", "HalfSpace", "INTERIOR", "JumpTooLarge",
-    "LINEAR", "Lemma1Report", "NonFinite", "NotOnBoundary", "OUTSIDE",
-    "Partition", "ProjectionOutOfRange", "REFERENCE_FLOW", "RateRow",
-    "RateTable", "ReflectedSDEError", "Remark4Report", "SCHEME_KINDS",
-    "SchemeOutput", "SchemeSpec", "SkorokhodSolution", "StartOutsideDomain",
-    "StudyPlan", "build_reference", "catalog_coefficient",
-    "check_jump_condition", "check_lemma1", "coefficient_from_spec",
-    "constant_matrix", "convergence_study", "default_boundary_tol",
-    "default_config", "discretize", "fit_rate", "flow", "flow_partial",
-    "jump_adapted_partition", "jump_defect", "linear_diagonal",
-    "linear_interpolate", "load_config", "marcus_jump", "marcus_jump_partial",
-    "path_seed", "quadratic_variation", "reflect_step", "remark4_report",
-    "run_jump_adapted_scheme", "run_marcus_euler", "run_projection_scheme",
-    "run_scheme", "run_wz_bar_scheme", "run_wz_hat_scheme", "sample_brownian",
+    "Domain", "ExperimentConfig", "ExteriorOfBall", "FlowConfig", "GridPath",
+    "HalfSpace", "INTERIOR", "JumpTooLarge", "LINEAR", "Lemma1Report",
+    "NonFinite", "NotOnBoundary", "OUTSIDE", "Partition",
+    "ProjectionOutOfRange", "REFERENCE_FLOW", "RateRow", "RateTable",
+    "ReflectedSDEError", "Remark4Report", "SCHEME_KINDS", "SchemeOutput",
+    "SchemeSpec", "SkorokhodSolution", "StartOutsideDomain", "StudyPlan",
+    "build_reference", "catalog_coefficient", "check_lemma1",
+    "coefficient_from_spec", "constant_matrix", "convergence_study",
+    "default_boundary_tol", "default_config", "fit_rate",
+    "jump_adapted_partition", "jump_defect", "linear_diagonal", "load_config",
+    "marcus_jump", "marcus_jump_partial", "path_seed", "remark4_report",
+    "run_marcus_euler", "run_scheme", "run_wz_bar_scheme", "sample_brownian",
     "sample_jump_driver", "solve_skorokhod", "sup_error", "total_variation",
     "variation_report", "__version__",
 ]

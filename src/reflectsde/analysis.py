@@ -34,8 +34,7 @@ from .geometry import Ball, Domain, HalfSpace
 # bench/layers.py wraps the bindings analysis.build_reference and
 # analysis.run_scheme
 from .schemes import (SCHEME_KINDS, SchemeSpec, build_reference,  # noqa: F401
-                      build_references, run_projection_scheme,
-                      run_scheme, run_schemes, run_wz_bar_scheme)
+                      build_references, run_scheme, run_schemes)
 from .skorokhod import check_lemma1, total_variation
 
 SUP_ERROR_MODES = ("uniform", "grid-points", "fixed-times")
@@ -514,11 +513,11 @@ def remark4_report(substeps=(64, 128, 256, 512),
         part = partition_for(mesh)
         for j, m in enumerate(substeps):
             spec = SchemeSpec(kind="wz-bar", partition=part, substeps_bar=m)
-            out = run_wz_bar_scheme(domain, f, x0, z, spec)
+            out = run_scheme(domain, f, x0, z, spec)
             flow_endpoints[i, j] = out.x.values[-1]
 
     proj_spec = SchemeSpec(kind="projection", partition=partition_for(meshes[-1]))
-    marcus_endpoint = run_projection_scheme(domain, f, x0, z, proj_spec).x.values[-1]
+    marcus_endpoint = run_scheme(domain, f, x0, z, proj_spec).x.values[-1]
 
     gaps = tuple(
         float(np.linalg.norm(flow_endpoints[i, -1] - marcus_endpoint))
@@ -552,8 +551,8 @@ def remark4_report(substeps=(64, 128, 256, 512),
     part = partition_for(meshes[-1])
     bar_spec = SchemeSpec(kind="wz-bar", partition=part, substeps_bar=substeps[-1])
     prj_spec = SchemeSpec(kind="projection", partition=part)
-    end_bar = run_wz_bar_scheme(line, f_line, (0.5,), z_line, bar_spec).x.values[-1]
-    end_prj = run_projection_scheme(line, f_line, (0.5,), z_line, prj_spec).x.values[-1]
+    end_bar = run_scheme(line, f_line, (0.5,), z_line, bar_spec).x.values[-1]
+    end_prj = run_scheme(line, f_line, (0.5,), z_line, prj_spec).x.values[-1]
     half_line_gap = float(np.linalg.norm(end_bar - end_prj))
 
     # no jump at all: both conventions keep the state put
@@ -562,8 +561,8 @@ def remark4_report(substeps=(64, 128, 256, 512),
         values=np.zeros((3, 2)),
         interp="cadlag-step",
     )
-    end_bar = run_wz_bar_scheme(domain, f, x0, z_quiet, bar_spec).x.values[-1]
-    end_prj = run_projection_scheme(domain, f, x0, z_quiet, prj_spec).x.values[-1]
+    end_bar = run_scheme(domain, f, x0, z_quiet, bar_spec).x.values[-1]
+    end_prj = run_scheme(domain, f, x0, z_quiet, prj_spec).x.values[-1]
     zero_jump_gap = float(np.linalg.norm(end_bar - end_prj))
 
     return Remark4Report(

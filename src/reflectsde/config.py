@@ -179,13 +179,16 @@ class ExperimentConfig:
         for name in ("domain", "coefficient"):
             if _has_nan(getattr(self, name)):
                 problems.append(f"{name}: NaN is not a valid number")
+        # OverflowError: an integer too large for a float
+        bad_spec = (ReflectedSDEError, ValueError, KeyError, TypeError,
+                    OverflowError)
         try:
             domain = Domain.from_spec(self.domain)
-        except (ReflectedSDEError, ValueError, KeyError, TypeError) as exc:
+        except bad_spec as exc:
             problems.append(f"domain: {exc}")
         try:
             coefficient = coefficient_from_spec(self.coefficient)
-        except (ReflectedSDEError, ValueError, KeyError, TypeError) as exc:
+        except bad_spec as exc:
             problems.append(f"coefficient: {exc}")
 
         # scalars that pass their checks, keyed "section.key"

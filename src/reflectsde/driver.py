@@ -1,4 +1,4 @@
-"""Sampled driver paths, partitions, and path transforms.
+"""Sampled driver paths and partitions.
 
 A ``GridPath`` stores a d-dimensional path sampled on a strictly increasing
 time grid starting at 0.  Driver paths start at the origin.  Two
@@ -71,7 +71,8 @@ class GridPath:
             raise ValueError(f"unknown interp rule: {self.interp!r}")
         jt = np.asarray(self.jump_times, dtype=float)
         jv = np.asarray(self.jump_values, dtype=float)
-        if jv.ndim == 1 and jv.size == 0:
+        if jv.size == 0:
+            # no jumps: (0, d), whatever empty shape was passed
             jv = np.empty((0, values.shape[1]))
         if jv.ndim != 2 or len(jt) != len(jv) or (len(jv) and jv.shape[1] != values.shape[1]):
             raise DimensionMismatch("jump_values must be (m, d) matching jump_times")
@@ -120,13 +121,6 @@ class GridPath:
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
-
-    def jump_at(self, t: float) -> np.ndarray | None:
-        """Recorded jump vector at time t, or None."""
-        idx = np.searchsorted(self.jump_times, t)
-        if idx < len(self.jump_times) and self.jump_times[idx] == t:
-            return self.jump_values[idx]
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,30 +246,6 @@ def _draw_jump_vectors(gen, jump_law, count, dimension):
     raise ValueError(f"unknown jump law: {kind!r}")
 
 
-def discretize(z: GridPath, p: Partition) -> GridPath:
-    """Freeze z along the partition: a step path constant on each cell.
-
-    Every partition point with a nonzero increment becomes a recorded jump
-    of the output, which is a pure-jump step path by construction.
-    """
-    if p.horizon > z.horizon + 1e-12:
-        raise ValueError("partition extends past the path horizon")
-    values = z.value_at(p.points)
-    increments = np.diff(values, axis=0)
-    moved = np.any(increments != 0.0, axis=1)
-    return GridPath(
-        p.points, values, interp=CADLAG_STEP,
-        jump_times=p.points[1:][moved], jump_values=increments[moved],
-    )
-
-
-def linear_interpolate(z: GridPath, p: Partition) -> GridPath:
-    """Piecewise-linear path through the values of z at the partition points."""
-    if p.horizon > z.horizon + 1e-12:
-        raise ValueError("partition extends past the path horizon")
-    return GridPath(p.points, z.value_at(p.points), interp=LINEAR)
-
-
 def jump_adapted_partition(z: GridPath, n: int) -> Partition:
     """Partition isolating every jump of z larger than 1/n, with mesh <= 1/n.
 
@@ -300,52 +270,3 @@ def jump_adapted_partition(z: GridPath, n: int) -> Partition:
         points.append(nxt)
         t = nxt
     return Partition(np.array(points))
-
-
-def quadratic_variation(z: GridPath, p: Partition):
-    """Discrete quadratic variation of z along p, split into parts.
-
-    Returns three running scalar paths on the partition grid
-    (total, continuous_part, jump_part): the total sums |dZ|^2 over the
-    partition increments; the jump part sums |J|^2 over recorded jumps; the
-    continuous part sums |dZ - J_cell|^2 with the recorded jump vectors of
-    each cell removed, so both parts are nonnegative and nondecreasing.
-    The identity total = continuous + jump holds exactly whenever each cell
-    increment is purely a recorded jump or purely diffusion, and in the
-    small-mesh limit in general.
-    """
-    values = z.value_at(p.points)
-    increments = np.diff(values, axis=0)
-    total_sq = np.sum(increments ** 2, axis=1)
-
-    jump_in_cell = np.zeros_like(increments)
-    jump_sq = np.zeros(len(increments))
-    if len(z.jump_times):
-        cells = np.searchsorted(p.points, z.jump_times, side="left") - 1
-        for t, v, c in zip(z.jump_times, z.jump_values, cells):
-            if t <= p.points[0] or t > p.points[-1]:
-                continue
-            c = int(np.clip(c, 0, len(increments) - 1))
-            jump_in_cell[c] += v
-            jump_sq[c] += float(v @ v)
-    cont_sq = np.sum((increments - jump_in_cell) ** 2, axis=1)
-
-    def running(cell_terms):
-        return GridPath(p.points,
-                        np.concatenate([[0.0], np.cumsum(cell_terms)]),
-                        interp=CADLAG_STEP)
-
-    return running(total_sq), running(cont_sq), running(jump_sq)
-
-
-def check_jump_condition(z: GridPath, coefficient_bound: float, rho0: float) -> bool:
-    """True iff every recorded jump satisfies |dZ| * bound < rho0."""
-    if not len(z.jump_times):
-        return True
-    if math.isinf(rho0):
-        return True
-    L = float(coefficient_bound)
-    if L <= 0.0:
-        return True
-    biggest = float(np.max(np.linalg.norm(z.jump_values, axis=1)))
-    return biggest * L < float(rho0)

@@ -5,10 +5,10 @@ phi(f dz, x) transports a state across a driver increment dz by following
 
     dy/du = f(y) dz,    y(0) = x,    u in [0, 1],
 
-and evaluating y(1).  ``flow`` integrates a generic vector field g over unit
-parameter time with the classical fourth-order Runge-Kutta rule on a fixed
-substep grid, so the integration error is O(substeps^-4).  ``jump_defect``
-measures how far the jump map deviates from its linearization,
+and evaluating y(1) with the classical fourth-order Runge-Kutta rule on a
+fixed substep grid, so the integration error is O(substeps^-4).
+``jump_defect`` measures how far the jump map deviates from its
+linearization,
 
     phi(f dz, x) - x - f(x) dz,
 
@@ -36,6 +36,7 @@ bitwise that product, signed zeros included, at a fraction of its cost.
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -181,28 +182,6 @@ def marcus_jump_chains(f: "Coefficient", lanes, follow,
         for i in np.flatnonzero(left == 0).tolist():
             k = jobs[i]
             busy += start(i, k + 1, follow(i, k, y[i].copy(), None)) - 1
-
-
-def flow(g, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
-    """Unit-time flow of the vector field g from state x.
-
-    ``adaptive`` has no effect here (there is no increment to scale by); the
-    full ``cfg.substeps`` count is always used.
-    """
-    return _rk4(g, x, 1.0, cfg.substeps)
-
-
-def flow_partial(g, x, u_end: float, cfg: FlowConfig = DEFAULT_FLOW,
-                 substeps: int | None = None) -> np.ndarray:
-    """Flow of g from x over the parameter interval [0, u_end], u_end <= 1."""
-    u_end = float(u_end)
-    if u_end < 0.0:
-        raise ValueError("u_end must be nonnegative")
-    if u_end == 0.0:
-        return np.asarray(x, dtype=float).copy()
-    if substeps is None:
-        substeps = max(1, int(math.ceil(cfg.substeps * u_end)))
-    return _rk4(g, x, u_end, substeps)
 
 
 def _jump_steps(cfg: FlowConfig, dz_norm: float, span: float) -> int:
@@ -423,11 +402,29 @@ class Coefficient:
         return f"Coefficient({self.label!r}, d={self.dimension})"
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is finite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _dimension(value) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def constant_matrix(matrix) -> Coefficient:
     """Constant coefficient f(x) = M.  Exact jump map, zero defect."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch("constant coefficient needs a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("constant coefficient matrix must be finite")
     d = m.shape[0]
     zero = np.zeros((d, d, d))
 
@@ -452,9 +449,12 @@ def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -
     Transport over an increment of norm up to 1 can enlarge |x| by at most
     exp(|scale|), which the certified suprema account for.
     """
-    s = float(scale)
-    d = int(dimension)
-    r = float(region_radius)
+    s = _finite("scale", scale)
+    d = _dimension(dimension)
+    r = _finite("region_radius", region_radius)
+    if not r > 0.0:
+        raise ValueError(
+            f"region_radius must be positive, got {region_radius!r}")
     grow = math.exp(abs(s))  # worst-case enlargement for |dz| <= 1
 
     def ev(x):
@@ -490,8 +490,8 @@ def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -
 
 
 def _sine_diagonal(amplitude: float, dimension: int) -> Coefficient:
-    a = float(amplitude)
-    d = int(dimension)
+    a = _finite("amplitude", amplitude)
+    d = _dimension(dimension)
 
     def ev(x):
         out = np.zeros(x.shape[:-1] + (d, d))
@@ -524,8 +524,12 @@ def _sine_diagonal(amplitude: float, dimension: int) -> Coefficient:
 
 
 def _gauss_rotation(amplitude: float, sigma: float) -> Coefficient:
-    a = float(amplitude)
-    s = float(sigma)
+    a = _finite("amplitude", amplitude)
+    s = _finite("sigma", sigma)
+    if not (s > 0.0 and s * s > 0.0):
+        # the bounds divide by s and s^2
+        raise ValueError(f"sigma must be positive with a nonzero square, "
+                         f"got {sigma!r}")
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     # the nonzero entries g (-a) and g a of f(x) = a g rot, which multiply
     # dz_1 and dz_0: bitwise (a g)(-1) and (a g) 1
@@ -570,7 +574,7 @@ def _gauss_rotation(amplitude: float, sigma: float) -> Coefficient:
 
 
 def _cosine_shear(amplitude: float) -> Coefficient:
-    a = float(amplitude)
+    a = _finite("amplitude", amplitude)
 
     def ev(x):
         out = np.zeros(x.shape[:-1] + (2, 2))

@@ -12,19 +12,16 @@ region D.  Five region kinds are built in:
 
 Each kind supports membership classification with a boundary tolerance band,
 nearest-point projection onto the closure, inward unit normals on the
-boundary, and an exterior-sphere certificate check.  ``DomainConstants``
-carries the three constants used by step-size and jump-size guards
-elsewhere: the reach ``rho0`` (radius of exterior tangent spheres; +inf for
-convex domains), and the cone-aperture pair ``(beta, delta)``.
+boundary, and its reach ``rho0``, the one constant the step-size and
+jump-size guards elsewhere use: the largest r such that every boundary
+point x has an exterior tangent sphere of radius r, that is a unit normal n
+with
 
-A unit vector n is an exterior-sphere normal of radius r at a boundary
-point x exactly when
+    <y - x, n> + |y - x|^2 / (2 r) >= 0   for every y in the closure.
 
-    <y - x, n> + |y - x|^2 / (2 r) >= 0   for every y in the closure,
-
-which is the inequality ``verify_normal_inequality`` samples.  Projection is
-single valued at any point whose distance from the closure is below rho0,
-and then (project(x) - x) normalized is itself such a normal at project(x).
+It is +inf for the convex kinds.  Projection is single valued at any point
+whose distance from the closure is below rho0, and then (project(x) - x)
+normalized is itself such a normal at project(x).
 
 Validation contract: constructors reject non-finite parameters, and the
 public methods (``project``, ``distance_outside``, ``contains``, ...) check
@@ -55,10 +52,6 @@ from .flow import BLOWUP_GUARD
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
-
-# Surrogate for "every aperture radius works" on convex domains, kept finite
-# so reports and JSON artifacts stay numeric.
-DELTA_UNLIMITED = 1e18
 
 _DYKSTRA_MAX_CYCLES = 10_000
 _DYKSTRA_TOL = 1e-12
@@ -104,37 +97,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if norm <= 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / norm
-
-
-class DomainConstants:
-    """Geometric constants of a domain: reach rho0 and cone pair (beta, delta).
-
-    rho0 is the largest radius r such that every boundary point admits an
-    exterior tangent sphere of radius r; beta >= 1 bounds the aperture of the
-    inward normal cone on boundary patches of diameter delta > 0.
-    """
-
-    __slots__ = ("rho0", "beta", "delta")
-
-    def __init__(self, rho0: float, beta: float, delta: float):
-        if not rho0 > 0.0:
-            raise ValueError("rho0 must be positive")
-        if beta < 1.0:
-            raise ValueError("beta must be >= 1")
-        if not delta > 0.0:
-            raise ValueError("delta must be positive")
-        self.rho0 = float(rho0)
-        self.beta = float(beta)
-        self.delta = float(delta)
-
-    def as_dict(self) -> dict:
-        return {"rho0": self.rho0, "beta": self.beta, "delta": self.delta}
-
-    def __repr__(self):
-        return (
-            f"DomainConstants(rho0={self.rho0!r}, beta={self.beta!r}, "
-            f"delta={self.delta!r})"
-        )
 
 
 class Domain:
@@ -214,34 +176,10 @@ class Domain:
             raise NotOnBoundary(f"point {p.tolist()} is not on the boundary")
         return self._normal(p, band)
 
-    def verify_normal_inequality(self, x, n, r, samples, tol: float = 1e-9) -> bool:
-        """Check the exterior-sphere inequality of radius ``r`` at ``x``.
-
-        Returns True iff  <y - x, n> + |y - x|^2/(2r) >= -tol  for every
-        sample point y.  Samples are arbitrary points of the closure chosen
-        by the caller; the check is necessary, not sufficient.
-        """
-        p = _as_point(x, self.dimension)
-        nv = _as_point(n, self.dimension)
-        r = float(r)
-        if not r > 0.0:
-            raise ValueError("radius r must be positive")
-        for y in samples:
-            yv = _as_point(y, self.dimension)
-            diff = yv - p
-            value = float(diff @ nv)
-            if math.isfinite(r):
-                value += float(diff @ diff) / (2.0 * r)
-            if value < -tol:
-                return False
-        return True
-
-    def constants(self) -> DomainConstants:
-        raise NotImplementedError
-
     @property
     def rho0(self) -> float:
-        return self.constants().rho0
+        """Reach of the closure: +inf unless a kind says otherwise."""
+        return math.inf
 
     def boundary_count(self, points: np.ndarray, tol: float | None = None) -> int:
         """Number of rows of ``points`` lying in the boundary tolerance band.
@@ -319,9 +257,6 @@ class HalfSpace(Domain):
     def _normal(self, x, tol):
         return self.normal.copy()
 
-    def constants(self):
-        return DomainConstants(math.inf, 1.0, DELTA_UNLIMITED)
-
     def spec(self):
         return {
             "kind": self.kind,
@@ -367,9 +302,6 @@ class Ball(Domain):
     def _normal(self, x, tol):
         rel = x - self.center
         return -_unit(rel)
-
-    def constants(self):
-        return DomainConstants(math.inf, 1.0, DELTA_UNLIMITED)
 
     def spec(self):
         return {
@@ -440,9 +372,6 @@ class Box(Domain):
         if active == 0 or np.linalg.norm(inward) <= 0.0:
             raise NotOnBoundary("no active face found within tolerance")
         return _unit(inward)
-
-    def constants(self):
-        return DomainConstants(math.inf, 1.0, DELTA_UNLIMITED)
 
     def spec(self):
         return {
@@ -544,9 +473,6 @@ class ConvexPolyhedron(Domain):
             avg = self.normals[active][0]
         return _unit(avg)
 
-    def constants(self):
-        return DomainConstants(math.inf, 1.0, DELTA_UNLIMITED)
-
     def spec(self):
         return {
             "kind": self.kind,
@@ -559,8 +485,7 @@ class ExteriorOfBall(Domain):
     """Complement of a closed ball: {x : |x - center| > radius}.
 
     The one nonconvex built-in.  Its reach equals the deleted ball's radius,
-    so projection is single valued everywhere except at the center, and the
-    certificate pair is (beta, delta) = (sqrt(2), radius / 2).
+    so projection is single valued everywhere except at the center.
     """
 
     kind = "exterior-of-ball"
@@ -602,8 +527,9 @@ class ExteriorOfBall(Domain):
     def _normal(self, x, tol):
         return _unit(x - self.center)
 
-    def constants(self):
-        return DomainConstants(self.radius, math.sqrt(2.0), self.radius / 2.0)
+    @property
+    def rho0(self) -> float:
+        return self.radius
 
     def spec(self):
         return {

@@ -31,14 +31,14 @@ projects each target once, unchecked (see the ``skorokhod`` docstring).
 projection, jump-adapted, wz-hat and the reference share one projection
 core, which steps a block of paths, each on its own partition:
 ``run_schemes`` and ``build_references`` run it on a block of drivers, and
-``run_scheme``, the runners and ``build_reference`` are their batch of one
-(wz-bar and marcus-euler run driver by driver).  With a constant
-coefficient (``f.matrix`` set) the increments do not depend on the state:
-f dZ_k per cell, and (f dZ_k) du per wz-bar substep.  Each path then steps
-through ``skorokhod.project_steps`` (so does wz-bar), where runs of steps
-that stay inside the domain skip the projection, where it is the identity,
-and are advanced in bulk; the output is bitwise that of the step-by-step
-loop, because the same increments are summed in the same order.  Other
+``run_scheme`` and ``build_reference`` are their batch of one (wz-bar and
+marcus-euler run driver by driver, each through ``project_steps``).  With a
+constant coefficient (``f.matrix`` set) the increments do not depend on the
+state: f dZ_k per cell, and (f dZ_k) du per wz-bar substep.  Each path then
+steps through ``skorokhod.project_steps``, where runs of steps that stay
+inside the domain skip the projection, where it is the identity, and are
+advanced in bulk; the output is bitwise that of the step-by-step loop,
+because the same increments are summed in the same order.  Other
 coefficients step the block, a batch of one included, in lockstep:
 ``marcus_jump_chains`` moves every path one RK4 step of its current cell
 per iteration, each cell bitwise as a single-path call, and a path's cell
@@ -51,7 +51,7 @@ wz-hat's sampling of its interior, then its step.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -73,8 +73,8 @@ _BAR_BLOCK_ROWS = 4096
 class SchemeSpec:
     """What to run: scheme kind, partition, flow settings, and sampling.
 
-    ``substeps_bar`` only matters for wz-bar.  ``jump_threshold`` only
-    matters for jump-adapted (defaults to round(1/mesh) of the partition).
+    ``substeps_bar`` only matters for wz-bar; jump-adapted isolates the
+    jumps above 1/n with n = round(1/mesh) of the partition.
     ``observation_times`` are extra output times merged into the partition
     grid.
     """
@@ -83,7 +83,6 @@ class SchemeSpec:
     partition: Partition
     flow_cfg: FlowConfig = DEFAULT_FLOW
     substeps_bar: int = 64
-    jump_threshold: int | None = None
     observation_times: np.ndarray | None = None
 
     def __post_init__(self):
@@ -137,29 +136,19 @@ def _validated_start(domain: Domain, f: Coefficient, x0, z: GridPath) -> np.ndar
     return start
 
 
-def _check_delta(dz: np.ndarray, bound: float, rho0: float):
-    if math.isfinite(rho0):
-        dz_norm = math.sqrt(dz.dot(dz))
-        if dz_norm * bound >= rho0:
-            raise JumpTooLarge(
-                f"increment norm {dz_norm:.6g} times coefficient bound "
-                f"{bound:.6g} reaches the projection radius {rho0:.6g}"
-            )
-
-
 def _admissible_cells(dzs: np.ndarray, bound: float, rho0: float):
-    """Leading cell increments that pass ``_check_delta``.
+    """Leading cell increments that pass the jump guard |dz| * bound < rho0.
 
     Returns their number and the JumpTooLarge of the first cell that fails,
-    or None when every cell passes.
+    or None when every cell passes (always, when rho0 is infinite).
     """
-    if not math.isfinite(rho0):
-        return len(dzs), None
-    for k, dz in enumerate(dzs):
-        try:
-            _check_delta(dz, bound, rho0)
-        except JumpTooLarge as exc:
-            return k, exc
+    if math.isfinite(rho0):
+        for k, dz in enumerate(dzs):
+            dz_norm = math.sqrt(dz.dot(dz))
+            if dz_norm * bound >= rho0:
+                return k, JumpTooLarge(
+                    f"increment norm {dz_norm:.6g} times coefficient bound "
+                    f"{bound:.6g} reaches the projection radius {rho0:.6g}")
     return len(dzs), None
 
 
@@ -202,31 +191,6 @@ def _fill_step(out_t, grid_t, grid_vals):
     idx = np.searchsorted(grid_t, out_t, side="right") - 1
     idx = np.clip(idx, 0, len(grid_t) - 1)
     return grid_vals[idx]
-
-
-def run_projection_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
-                          spec: SchemeSpec) -> SchemeOutput:
-    """Projected transport on a fixed partition (piecewise-constant output)."""
-    return run_scheme(domain, f, x0, z, replace(spec, kind="projection"))
-
-
-def run_wz_hat_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
-                      spec: SchemeSpec) -> SchemeOutput:
-    """Cell-flow transport, projected at grid points only: the projection
-    scheme's grid values, and the cell flow between them."""
-    return run_scheme(domain, f, x0, z, replace(spec, kind="wz-hat"))
-
-
-def run_jump_adapted_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
-                            n: int, spec: SchemeSpec) -> SchemeOutput:
-    """Projected transport on the jump-isolating partition of threshold 1/n.
-
-    For a continuous driver this coincides with the projection scheme on
-    the uniform mesh 1/n grid.
-    """
-    part = jump_adapted_partition(z, n)
-    return _only(_projection_core(domain, f, x0, [z], [part], spec.flow_cfg,
-                                  "jump-adapted", spec.observation_times))
 
 
 def _only(results):
@@ -481,6 +445,52 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
                    dk_count, interp=LINEAR)
 
 
+def _continuous_parts(z: GridPath, pts: np.ndarray, zvals: np.ndarray):
+    """Per cell of the grid ``pts``: the continuous increment dZc (cells, d),
+    its quadratic covariation d[Zc] (cells, d, d) and its recorded jumps.
+
+    A cell's increments run over its left end value ``zvals[k]``, the
+    driver's own samples inside it, and its right end value when no sample
+    is there, each with the jump recorded at its time removed.  dZc and
+    d[Zc] sum them, and their outer products, in time order from zero, all
+    cells together.
+    """
+    cells = len(pts) - 1
+    # the samples lo[k] .. lo[k] + count[k] - 1 lie in (pts[k], pts[k + 1]]
+    inner = np.searchsorted(z.times, pts, side="right")
+    lo, count = inner[:-1], np.diff(inner)
+    last = z.times[np.maximum(inner[1:] - 1, 0)]
+    per_cell = count + ((count == 0) | (last != pts[1:]))
+    # increment j of cell k, in row first[k] + j, ends at sample lo[k] + j,
+    # or at the cell's right end value after its last sample
+    first = np.cumsum(per_cell) - per_cell
+    cell = np.repeat(np.arange(cells), per_cell)
+    j = np.arange(len(cell)) - first[cell]
+    sample = lo[cell] + j
+    ahead = np.where((j < count[cell])[:, None],
+                     z.values[np.minimum(sample, len(z.times) - 1)],
+                     zvals[cell + 1])
+    behind = np.where((j == 0)[:, None], zvals[cell], z.values[sample - 1])
+    deltas = ahead - behind
+    jump_rows = np.searchsorted(z.times, z.jump_times)
+    taken = (jump_rows >= inner[0]) & (jump_rows < inner[-1])
+    at = np.searchsorted(inner, jump_rows[taken], side="right") - 1
+    rows = first[at] + jump_rows[taken] - lo[at]
+    deltas[rows] = deltas[rows] - z.jump_values[taken]
+    squares = deltas[:, :, None] * deltas[:, None, :]
+    # summed one increment of every cell at a time, as a loop over the
+    # cell's increments sums them
+    dzcs = np.zeros((cells, z.dimension))
+    qcs = np.zeros((cells, z.dimension, z.dimension))
+    for step in range(per_cell.max()):
+        busy = np.flatnonzero(per_cell > step)
+        dzcs[busy] += deltas[first[busy] + step]
+        qcs[busy] += squares[first[busy] + step]
+    bounds = np.searchsorted(jump_rows, inner)
+    jumps = [z.jump_values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return dzcs, qcs, jumps
+
+
 def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
                      spec: SchemeSpec) -> SchemeOutput:
     """Expanded one-step rule with exact transport across recorded jumps.
@@ -491,61 +501,36 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
                         + sum over recorded jumps J of (phi(f J, X) - X) )
 
     where dZc and d[Zc] are the continuous-part increment and quadratic
-    covariation matrix of the cell, computed from the driver's own sample
-    increments with the recorded jump vectors removed.
+    covariation matrix of the cell (``_continuous_parts``).  The cells step
+    through ``project_steps``; Y sums the cells' increments.
     """
     start = _validated_start(domain, f, x0, z)
-    rho0 = domain.rho0
-    cfg = spec.flow_cfg
+    rho0, cfg = domain.rho0, spec.flow_cfg
     pts = spec.partition.points
     zvals = z.value_at(pts)
-    d = len(start)
-    states, ks, ys, kvar = paths = _buffers(len(pts), start)
-    dk_count = 0
+    dzcs, qcs, jumps = _continuous_parts(z, pts, zvals)
+    n, stop = _admissible_cells(np.diff(zvals, axis=0), f.sup_f, rho0)
+    incrs = np.empty((n, len(start)))
+    curved = qcs.any(axis=(1, 2)).tolist()
 
-    # driver sample times falling in each cell
-    inner = np.searchsorted(z.times, pts, side="right")
-    jump_set = {float(t): v for t, v in zip(z.jump_times, z.jump_values)}
+    def target(k, x):
+        incr = f.field(x, dzcs[k])
+        if curved[k]:
+            incr = incr + 0.5 * np.einsum("ijm,jm->i", f.correction(x), qcs[k])
+        for jv in jumps[k]:
+            incr = incr + (marcus_jump(f, jv, x, cfg) - x)
+        incrs[k] = incr
+        return x + incr
 
-    state = start
-    for k in range(len(pts) - 1):
-        _check_delta(zvals[k + 1] - zvals[k], f.sup_f, rho0)
-
-        # walk the driver increments inside (t_k, t_{k+1}]
-        seq_t, seq_v = [pts[k]], [zvals[k]]
-        for i in range(inner[k], inner[k + 1]):
-            if z.times[i] > pts[k]:
-                seq_t.append(float(z.times[i]))
-                seq_v.append(z.values[i])
-        if seq_t[-1] != pts[k + 1]:
-            seq_t.append(float(pts[k + 1]))
-            seq_v.append(zvals[k + 1])
-
-        dzc, qc, jumps = np.zeros(d), np.zeros((d, d)), []
-        for i in range(1, len(seq_t)):
-            delta = seq_v[i] - seq_v[i - 1]
-            jv = jump_set.get(seq_t[i])
-            if jv is not None:
-                jumps.append(jv)
-                delta = delta - jv
-            dzc += delta
-            qc += np.outer(delta, delta)
-
-        incr = f.field(state, dzc)
-        if np.any(qc):
-            corr = f.correction(state)
-            incr = incr + 0.5 * np.einsum("ijm,jm->i", corr, qc)
-        for jv in jumps:
-            incr = incr + (marcus_jump(f, jv, state, cfg) - state)
-
-        state, dk, dk_norm = guarded_step(domain, state + incr, rho0)
-        states[k + 1], ys[k + 1], ks[k + 1] = state, ys[k] + incr, ks[k] + dk
-        kvar[k + 1] = kvar[k] + dk_norm
-        dk_count += dk_norm > 0.0
-
+    xs, targets, dk_norms = project_steps(domain, start, rho0, target, n)
+    if stop is not None:
+        raise stop
     out_t = _output_grid(spec.partition, spec.observation_times)
+    paths = (xs, accumulate(np.zeros_like(start), xs[1:] - targets),
+             accumulate(start, incrs), accumulate(0.0, dk_norms))
     return _output(domain, "marcus-euler", spec.partition, out_t,
-                   [_fill_step(out_t, pts, a) for a in paths], dk_count)
+                   [_fill_step(out_t, pts, a) for a in paths],
+                   int(np.count_nonzero(dk_norms)))
 
 
 def _reference_partition(z: GridPath, refine: int) -> Partition:
@@ -612,8 +597,8 @@ def run_schemes(domain: Domain, f: Coefficient, x0, drivers,
                 results.append(exc)
         return results
     if kind == "jump-adapted":
-        # the threshold defaults to the resolution of the partition's mesh
-        n = spec.jump_threshold or max(1, round(1.0 / spec.partition.mesh))
+        # the threshold is the resolution of the partition's mesh
+        n = max(1, round(1.0 / spec.partition.mesh))
         partitions = [jump_adapted_partition(z, n) for z in drivers]
     else:
         partitions = [spec.partition] * len(drivers)

@@ -161,16 +161,6 @@ def accumulate(first, rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(out, axis=0, out=out)
 
 
-def reflect_step(domain: Domain, x: np.ndarray, dy: np.ndarray, rho0: float):
-    """One projection step: returns (x_next, dk) for the increment dy.
-
-    ``x`` and ``dy`` are float arrays of shape (domain.dimension,); like
-    ``guarded_step``, a non-finite result raises NonFinite.
-    """
-    x_next, dk, _ = guarded_step(domain, x + dy, rho0)
-    return x_next, dk
-
-
 def solve_skorokhod(domain: Domain, y: GridPath, y0=None) -> SkorokhodSolution:
     """Solve the discrete constrained decomposition for the path y.
 

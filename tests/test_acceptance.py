@@ -21,8 +21,7 @@ from reflectsde.flow import (catalog_coefficient, constant_matrix,
                              jump_defect, linear_diagonal)
 from reflectsde.geometry import (Ball, Box, ConvexPolyhedron, ExteriorOfBall,
                                  HalfSpace)
-from reflectsde.schemes import (SchemeSpec, run_jump_adapted_scheme,
-                                run_projection_scheme, run_wz_hat_scheme)
+from reflectsde.schemes import SchemeSpec, run_scheme
 from reflectsde.skorokhod import check_lemma1, solve_skorokhod
 
 FREE_BOX = Box([-1e6], [1e6])
@@ -115,7 +114,7 @@ def test_criterion_3_jump_exponential_oracle(capsys):
                                          "radius": 0.4})
         spec = SchemeSpec(kind="jump-adapted",
                           partition=Partition.uniform(1.0, 1024))
-        out = run_jump_adapted_scheme(FREE_BOX, f, (1.0,), z, 1024, spec)
+        out = run_scheme(FREE_BOX, f, (1.0,), z, spec)
         exact = np.exp(z.value_at(out.x.times))
         errs.append(float(np.max(np.abs(out.x.values - exact))))
     med = float(np.median(errs))
@@ -145,7 +144,7 @@ def test_criterion_4_stratonovich_not_ito(capsys):
             part = Partition.uniform(1.0, cells)
             spec = SchemeSpec(kind="wz-hat", partition=part,
                               observation_times=tt)
-            out = run_wz_hat_scheme(FREE_BOX, f, (1.0,), z, spec)
+            out = run_scheme(FREE_BOX, f, (1.0,), z, spec)
             vals = out.x.value_at(tt)[:, 0]
             unif[m, i] = float(np.max(np.abs(vals - exact)))
             if m == len(meshes) - 1:
@@ -220,9 +219,9 @@ def test_criterion_5_chord_scheme_grid_identity(capsys):
     for idx in range(100):
         dom, f, x0, z, cells, obs = _random_identity_config(rng, idx)
         part = Partition.uniform(1.0, cells)
-        proj = run_projection_scheme(
+        proj = run_scheme(
             dom, f, x0, z, SchemeSpec(kind="projection", partition=part))
-        hat = run_wz_hat_scheme(
+        hat = run_scheme(
             dom, f, x0, z, SchemeSpec(kind="wz-hat", partition=part,
                                       observation_times=obs))
         sel = np.searchsorted(hat.x.times, part.points)

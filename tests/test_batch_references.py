@@ -22,8 +22,9 @@ from reflectsde.flow import (REFERENCE_FLOW, Coefficient, FlowConfig,
                              marcus_jump_partial)
 from reflectsde.geometry import (Ball, Box, ConvexPolyhedron, ExteriorOfBall,
                                  HalfSpace)
-from reflectsde.schemes import (SchemeSpec, _check_delta, build_reference,
-                                build_references, run_scheme, run_schemes)
+from reflectsde.schemes import (SchemeSpec, _admissible_cells,
+                                build_reference, build_references, run_scheme,
+                                run_schemes)
 from reflectsde.skorokhod import guarded_step
 
 DOMAINS = [
@@ -50,6 +51,13 @@ def driver(seed, steps=64, scale=1.0):
                               diffusion_scale=scale)
 
 
+def check_delta(dz, f, dom):
+    """The schemes' jump guard on one cell increment."""
+    stop = _admissible_cells(dz[None], f.sup_f, dom.rho0)[1]
+    if stop is not None:
+        raise stop
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -72,7 +80,7 @@ def loop_reference(dom, f, x0, z, refine, cfg):
     xs, ys, kvar = [x], [x], [0.0]
     try:
         for dz in np.diff(z.value_at(pts), axis=0):
-            _check_delta(dz, f.sup_f, dom.rho0)
+            check_delta(dz, f, dom)
             target = marcus_jump(f, dz, x, cfg)
             nxt, _, dk_norm = guarded_step(dom, target, dom.rho0)
             ys.append(ys[-1] + (target - x))
@@ -202,7 +210,7 @@ def loop_wz_hat(dom, f, x0, z, spec):
     state, k_run, y_run, kvar_run = start, np.zeros(len(start)), start, 0.0
     try:
         for k, dz in enumerate(np.diff(z.value_at(pts), axis=0)):
-            _check_delta(dz, f.sup_f, dom.rho0)
+            check_delta(dz, f, dom)
             cur, u_prev = state, 0.0
             for slot in range(grid_slot[k] + 1, grid_slot[k + 1]):
                 u = (out_t[slot] - pts[k]) / (pts[k + 1] - pts[k])

@@ -144,7 +144,8 @@ experiment:
 """
 
 
-@pytest.mark.parametrize("scheme", ["wz-hat", "projection", "jump-adapted"])
+@pytest.mark.parametrize("scheme", ["wz-hat", "projection", "jump-adapted",
+                                    "wz-bar", "marcus-euler"])
 def test_converge_blocks_are_byte_identical(tmp_path, capsys, monkeypatch,
                                             scheme):
     """A state-dependent coefficient builds its references, and runs these
@@ -217,6 +218,27 @@ def test_malformed_number_exits_2(tmp_path, capsys, text, field):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "configuration"
     assert any(field in problem for problem in err["problems"])
+
+
+@pytest.mark.parametrize("coefficient", [
+    "{kind: catalog-smooth, id: gauss-rotation, amplitude: 0.4, sigma: 0}",
+    "{kind: catalog-smooth, id: gauss-rotation, amplitude: .inf, sigma: 1.5}",
+    "{kind: linear-diagonal, scale: 1.0, dimension: 2, region_radius: -1}",
+    "{kind: catalog-smooth, id: sine-diagonal, amplitude: 1.0, "
+    "dimension: 2.5}",
+    f"{{kind: constant-matrix, matrix: [[{10 ** 400}, 0], [0, 1]]}}",
+], ids=["sigma-0", "amplitude-inf", "radius-negative", "dimension-2.5",
+        "integer-overflow"])
+def test_bad_coefficient_parameters_exit_2(tmp_path, capsys, coefficient):
+    cfg = _write(tmp_path, "bad.yaml", SIM_YAML.replace(
+        "coefficient:\n  kind: constant-matrix\n"
+        "  matrix: [[0.5, 0.0], [0.0, 0.5]]", f"coefficient: {coefficient}"))
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration"
+    assert any(p.startswith("coefficient: ") for p in err["problems"])
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

@@ -7,10 +7,10 @@ import pytest
 
 import reflectsde.driver as driver_module
 from reflectsde.driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
-                               check_jump_condition, discretize,
-                               jump_adapted_partition, linear_interpolate,
-                               path_seed, quadratic_variation,
+                               jump_adapted_partition, path_seed,
                                sample_brownian, sample_jump_driver)
+from reflectsde.errors import JumpTooLarge
+from reflectsde.schemes import _admissible_cells, _continuous_parts
 
 
 def step_path():
@@ -45,8 +45,6 @@ def test_value_at_sides():
     assert z.value_at(3.0, side="left")[0] == 1.0
     np.testing.assert_array_equal(z.value_at([0.0, 1.5, 3.0]).ravel(),
                                   [0.0, 1.0, -1.0])
-    assert z.jump_at(1.0)[0] == 1.0
-    assert z.jump_at(1.5) is None
 
 
 def test_linear_value_at_interpolates():
@@ -88,10 +86,9 @@ def test_jump_driver_rate_zero_matches_brownian():
 def test_jump_driver_inserts_exact_event_times():
     z = sample_jump_driver(1.0, 32, 2, seed=42, jump_rate=5.0,
                            jump_law={"kind": "uniform-ball", "radius": 0.5})
-    for t in z.jump_times:
+    assert len(z.jump_times) == len(z.jump_values) > 0
+    for t, jv in zip(z.jump_times, z.jump_values):
         assert t in z.times
-        jv = z.jump_at(float(t))
-        assert jv is not None
         assert np.linalg.norm(jv) <= 0.5 + 1e-12
     # the recorded jump accounts for the increment at that time, up to the
     # diffusion motion over the (short) cell that ends there
@@ -166,26 +163,6 @@ def test_path_seed_is_order_independent():
     assert path_seed(7, 0) != path_seed(8, 0)
 
 
-def test_discretize_freezes_along_partition():
-    z = GridPath(np.array([0.0, 0.5, 1.0, 1.5, 2.0]),
-                 np.array([[0.0], [1.0], [1.0], [2.0], [3.0]]))
-    p = Partition.uniform(2.0, 2)
-    d = discretize(z, p)
-    np.testing.assert_array_equal(d.values.ravel(), [0.0, 1.0, 3.0])
-    np.testing.assert_array_equal(d.jump_times, [1.0, 2.0])
-    np.testing.assert_array_equal(d.jump_values.ravel(), [1.0, 2.0])
-    assert d.interp == CADLAG_STEP
-
-
-def test_linear_interpolate_through_partition():
-    z = step_path()
-    p = Partition.uniform(3.0, 3)
-    li = linear_interpolate(z, p)
-    assert li.interp == LINEAR
-    np.testing.assert_array_equal(li.values.ravel(), [0.0, 1.0, 1.0, -1.0])
-    assert li.value_at(0.5)[0] == pytest.approx(0.5)
-
-
 def test_jump_adapted_partition_isolates_big_jumps():
     z = GridPath(
         times=np.array([0.0, 0.3, 1.0]),
@@ -210,46 +187,56 @@ def test_jump_adapted_partition_isolates_big_jumps():
     np.testing.assert_allclose(q.points, [0.0, 0.5, 1.0])
 
 
+def cell_parts(z, cells):
+    """marcus-euler's continuous increments, covariations and recorded
+    jumps of the cells of a uniform partition of z's horizon."""
+    pts = Partition.uniform(z.horizon, cells).points
+    return _continuous_parts(z, pts, z.value_at(pts))
+
+
 def test_quadratic_variation_split_is_jump_aware():
+    """Each cell increment splits into its continuous part and its recorded
+    jumps, and the covariation sees only the continuous part."""
     z = step_path()
-    p = Partition.uniform(3.0, 3)
-    total, cont, jump = quadratic_variation(z, p)
+    dzcs, qcs, jumps = cell_parts(z, 3)
     # increments are +1 (jump), 0, -2 (jump)
-    np.testing.assert_allclose(total.values.ravel(), [0.0, 1.0, 1.0, 5.0])
-    np.testing.assert_allclose(jump.values.ravel(), [0.0, 1.0, 1.0, 5.0])
-    np.testing.assert_allclose(cont.values.ravel(), [0.0, 0.0, 0.0, 0.0])
-    # running paths never decrease
-    for path in (total, cont, jump):
-        assert np.all(np.diff(path.values.ravel()) >= -1e-15)
+    np.testing.assert_array_equal(dzcs, np.zeros((3, 1)))
+    np.testing.assert_array_equal(qcs, np.zeros((3, 1, 1)))
+    assert [j.ravel().tolist() for j in jumps] == [[1.0], [], [-2.0]]
 
 
 def test_quadratic_variation_mixed_cell():
-    """Diffusion sharing a cell with a jump goes to the continuous part."""
+    """Diffusion sharing a cell with a jump goes to the continuous part,
+    summed over the driver's own samples in the cell."""
     z = GridPath(
         times=np.array([0.0, 0.5, 1.0]),
         values=np.array([[0.0], [0.2], [1.5]]),
         jump_times=np.array([1.0]),
         jump_values=np.array([[1.0]]),
     )
-    p = Partition.uniform(1.0, 1)
-    total, cont, jump = quadratic_variation(z, p)
-    assert total.values[-1, 0] == pytest.approx(1.5 ** 2)
-    assert jump.values[-1, 0] == pytest.approx(1.0)
-    assert cont.values[-1, 0] == pytest.approx(0.25)
+    dzcs, qcs, jumps = cell_parts(z, 1)
+    assert dzcs[0, 0] == pytest.approx(0.2 + 0.3)
+    assert qcs[0, 0, 0] == pytest.approx(0.2 ** 2 + 0.3 ** 2)
+    assert [j.ravel().tolist() for j in jumps] == [[1.0]]
 
 
 def test_brownian_quadratic_variation_approaches_horizon():
+    """The covariations sum the squared sample increments, whatever the
+    partition, and their trace approaches the horizon."""
     z = sample_brownian(1.0, 4096, 1, seed=31)
-    p = Partition.uniform(1.0, 4096)
-    total, cont, jump = quadratic_variation(z, p)
-    assert total.values[-1, 0] == pytest.approx(1.0, abs=0.1)
-    assert jump.values[-1, 0] == 0.0
+    _, fine, jumps = cell_parts(z, 4096)
+    _, coarse, _ = cell_parts(z, 64)
+    assert fine.sum() == pytest.approx(1.0, abs=0.1)
+    assert coarse.sum() == pytest.approx(fine.sum(), rel=1e-12)
+    assert all(len(j) == 0 for j in jumps)
 
 
 def test_check_jump_condition():
-    z = step_path()
-    assert check_jump_condition(z, 0.4, 1.0)        # 2 * 0.4 < 1
-    assert not check_jump_condition(z, 0.6, 1.0)    # 2 * 0.6 >= 1
-    assert check_jump_condition(z, 100.0, math.inf)
-    quiet = sample_brownian(1.0, 8, 1, seed=1)
-    assert check_jump_condition(quiet, 100.0, 0.5)
+    """The schemes' jump guard passes the leading cells with
+    |dZ| * bound < rho0 and stops at the first that fails."""
+    dzs = np.diff(step_path().value_at([0.0, 1.0, 2.0, 3.0]), axis=0)
+    assert _admissible_cells(dzs, 0.4, 1.0) == (3, None)    # 2 * 0.4 < 1
+    n, stop = _admissible_cells(dzs, 0.6, 1.0)              # 2 * 0.6 >= 1
+    assert n == 2 and isinstance(stop, JumpTooLarge)
+    assert _admissible_cells(dzs, 100.0, math.inf) == (3, None)
+    assert _admissible_cells(np.zeros((4, 1)), 100.0, 0.5) == (4, None)

@@ -17,32 +17,39 @@ from reflectsde.errors import DimensionMismatch, NonFinite
 from reflectsde.flow import (BLOWUP_GUARD, CATALOG, DEFAULT_FLOW,
                              REFERENCE_FLOW, Coefficient, FlowConfig,
                              catalog_coefficient,
-                             coefficient_from_spec, constant_matrix, flow,
-                             flow_partial, jump_defect, linear_diagonal,
+                             coefficient_from_spec, constant_matrix,
+                             jump_defect, linear_diagonal,
                              marcus_jump, marcus_jump_chains,
                              marcus_jump_partial, marcus_jump_rows)
 
 
+def exp_flow(n):
+    """The RK4 transport of f(x) = x across dz = 1 from x = 1, in n steps:
+    the flow of y' = y at time 1."""
+    return marcus_jump(linear_diagonal(1.0, 1), np.array([1.0]),
+                       np.array([1.0]), FlowConfig(n, adaptive=False))
+
+
 def test_flow_reproduces_exponential():
-    cfg = FlowConfig(substeps=64, adaptive=False)
-    out = flow(lambda y: y, np.array([1.0]), cfg)
-    assert abs(out[0] - math.e) < 1e-8
+    assert abs(exp_flow(64)[0] - math.e) < 1e-8
 
 
 def test_flow_reproduces_rotation():
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    out = flow(lambda y: rot @ y, np.array([1.0, 0.0]),
-               FlowConfig(64, adaptive=False))
+    """f(x) dz = (-x_1, x_0) for dz = (1, 0): the rotation generator."""
+    def ev(x):
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0], out[..., 1, 0] = -x[..., 1], x[..., 0]
+        return out
+
+    out = marcus_jump(Coefficient("rotation", 2, ev), np.array([1.0, 0.0]),
+                      np.array([1.0, 0.0]), FlowConfig(64, adaptive=False))
     np.testing.assert_allclose(out, [math.cos(1.0), math.sin(1.0)], atol=1e-10)
 
 
 def test_flow_is_fourth_order():
     """Halving the substep count should scale the error by about 2^4."""
-    target = math.e
-
     def err(n):
-        out = flow(lambda y: y, np.array([1.0]), FlowConfig(n, adaptive=False))
-        return abs(out[0] - target)
+        return abs(exp_flow(n)[0] - math.e)
 
     ratio1 = err(4) / err(8)
     ratio2 = err(8) / err(16)
@@ -51,11 +58,13 @@ def test_flow_is_fourth_order():
 
 
 def test_flow_semigroup_property():
-    g = lambda y: np.sin(y) + 0.5
-    x = np.array([0.3, -0.7])
-    whole = flow(g, x, FlowConfig(64, adaptive=False))
-    half = flow_partial(g, x, 0.5, substeps=32)
-    rest = flow_partial(g, half, 0.5, substeps=32)
+    """Two half-span transports of 32 steps compose to the 64-step one."""
+    f = catalog_coefficient("sine-diagonal", amplitude=1.3, dimension=2)
+    cfg = FlowConfig(64, adaptive=False)
+    x, dz = np.array([0.3, -0.7]), np.array([1.0, 0.5])
+    whole = marcus_jump(f, dz, x, cfg)
+    half = marcus_jump_partial(f, dz, x, 0.5, cfg)
+    rest = marcus_jump_partial(f, dz, half, 0.5, cfg)
     np.testing.assert_allclose(whole, rest, atol=1e-12)
 
 
@@ -474,3 +483,48 @@ def test_default_configs():
     assert REFERENCE_FLOW.substeps == 256
     with pytest.raises(ValueError):
         FlowConfig(substeps=0)
+
+
+# ---------------------------------------------------------------------------
+# bad parameters are rejected at construction
+
+def test_constant_matrix_rejects_non_finite_entries():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            constant_matrix([[1.0, 0.0], [bad, 1.0]])
+
+
+def test_linear_diagonal_rejects_bad_parameters():
+    """A negative region radius would give a negative sup|f|, which turns
+    the jump guard off."""
+    for kwargs in ({"scale": math.inf}, {"region_radius": -1.0}, {"region_radius": 0.0},
+                   {"region_radius": math.inf}, {"dimension": 2.5},
+                   {"dimension": 0}, {"dimension": True}):
+        args = {"scale": 1.0, "dimension": 2, "region_radius": 10.0, **kwargs}
+        with pytest.raises(ValueError):
+            linear_diagonal(**args)
+    assert linear_diagonal(1.0, 2.0).dimension == 2
+
+
+def test_sine_diagonal_rejects_bad_parameters():
+    for kwargs in ({"amplitude": math.nan}, {"dimension": 2.5},
+                   {"dimension": -1}, {"dimension": "2"}):
+        with pytest.raises(ValueError):
+            catalog_coefficient("sine-diagonal",
+                                **{"amplitude": 1.0, "dimension": 2, **kwargs})
+
+
+def test_gauss_rotation_rejects_bad_parameters():
+    """sigma = 0 used to divide by zero in the bounds."""
+    for kwargs in ({"amplitude": math.inf}, {"sigma": 0.0}, {"sigma": -1.5},
+                   {"sigma": 1e-200}, {"sigma": math.inf}):
+        with pytest.raises(ValueError):
+            catalog_coefficient("gauss-rotation",
+                                **{"amplitude": 1.0, "sigma": 1.5, **kwargs})
+
+
+def test_cosine_shear_rejects_bad_parameters():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="amplitude"):
+            catalog_coefficient("cosine-shear", amplitude=bad)
+

@@ -1,4 +1,4 @@
-"""Domain classification, projection, normals, and certificate checks."""
+"""Domain classification, projection, normals, and reach."""
 
 import math
 import warnings
@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reflectsde.errors import (DimensionMismatch, NotOnBoundary,
                                ProjectionOutOfRange)
-from reflectsde.geometry import (BOUNDARY, DELTA_UNLIMITED, INTERIOR, OUTSIDE,
-                                 Ball, Box, ConvexPolyhedron, Domain,
-                                 DomainConstants, ExteriorOfBall, HalfSpace,
-                                 default_boundary_tol)
+from reflectsde.geometry import (BOUNDARY, INTERIOR, OUTSIDE, Ball, Box,
+                                 ConvexPolyhedron, Domain, ExteriorOfBall,
+                                 HalfSpace, default_boundary_tol)
 from reflectsde.flow import BLOWUP_GUARD
 from reflectsde.skorokhod import guarded_step
 
@@ -112,28 +111,26 @@ def test_exterior_of_ball_projection_and_reach():
     np.testing.assert_allclose(dom.project([0.5, 0.0]), [1.0, 0.0])
     with pytest.raises(ProjectionOutOfRange):
         dom.project([0.0, 0.0])
-    c = dom.constants()
-    assert c.rho0 == 1.0
-    assert c.beta == pytest.approx(math.sqrt(2.0))
-    assert c.delta == pytest.approx(0.5)
+    assert dom.rho0 == 1.0
+    with pytest.raises(AttributeError):
+        dom.rho0 = 2.0
 
 
 def test_convex_constants_are_unlimited():
     for dom in (HalfSpace([1.0], 0.0), Ball([0.0], 1.0),
                 Box([0.0], [1.0]), ConvexPolyhedron([[1.0]], [0.0])):
-        c = dom.constants()
-        assert math.isinf(c.rho0)
-        assert c.beta == 1.0
-        assert c.delta == DELTA_UNLIMITED
+        assert math.isinf(dom.rho0)
 
 
-def test_domain_constants_validation():
-    with pytest.raises(ValueError):
-        DomainConstants(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        DomainConstants(1.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        DomainConstants(1.0, 1.0, 0.0)
+def normal_inequality(x, n, r, samples, tol=1e-9):
+    """Whether <y - x, n> + |y - x|^2 / (2 r) >= -tol for every sample y:
+    the exterior-sphere inequality of radius r at x, checked on samples of
+    the closure (necessary, not sufficient)."""
+    diffs = np.asarray(samples) - x
+    values = diffs @ n
+    if math.isfinite(r):
+        values = values + np.einsum("ij,ij->i", diffs, diffs) / (2.0 * r)
+    return bool(np.all(values >= -tol))
 
 
 def test_normal_inequality_convex_accepts_infinite_radius():
@@ -143,20 +140,21 @@ def test_normal_inequality_convex_accepts_infinite_radius():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.0, 1.0, (200, 2))
     samples = [p for p in pts if dom.contains(p) != OUTSIDE]
-    assert dom.verify_normal_inequality(x, n, math.inf, samples)
+    assert normal_inequality(x, n, dom.rho0, samples)
 
 
 def test_normal_inequality_exterior_needs_finite_radius():
     """The frozen counterexample: across the deleted ball the linear term
-    is -2 while the quadratic correction is 4/(2r), so any r > 1 fails."""
+    is -2 while the quadratic correction is 4/(2r), so any r > 1 fails,
+    and the reach rho0 = 1 holds."""
     dom = ExteriorOfBall([0.0, 0.0], 1.0)
     x = np.array([1.0, 0.0])
     n = dom.normal_cone_vector(x)
     np.testing.assert_allclose(n, [1.0, 0.0])
     far_side = [np.array([-1.0, 0.0])]
-    assert dom.verify_normal_inequality(x, n, 1.0, far_side)
-    assert not dom.verify_normal_inequality(x, n, 2.0, far_side)
-    assert not dom.verify_normal_inequality(x, n, math.inf, far_side)
+    assert normal_inequality(x, n, dom.rho0, far_side)
+    assert not normal_inequality(x, n, 2.0 * dom.rho0, far_side)
+    assert not normal_inequality(x, n, math.inf, far_side)
 
 
 def test_projection_direction_is_normal_at_projected_point():

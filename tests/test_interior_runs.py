@@ -21,8 +21,8 @@ from reflectsde.flow import (DEFAULT_FLOW, Coefficient, constant_matrix,
                              marcus_jump)
 from reflectsde.geometry import (Ball, Box, ConvexPolyhedron, ExteriorOfBall,
                                  HalfSpace)
-from reflectsde.schemes import (SchemeSpec, _check_delta, build_reference,
-                                run_scheme)
+from reflectsde.schemes import (SchemeSpec, _admissible_cells,
+                                build_reference, run_scheme)
 from reflectsde.skorokhod import guarded_step, solve_skorokhod
 
 # (domain, start point) for each kind; the driver below hits every boundary
@@ -37,6 +37,13 @@ DOMAINS = [
 IDS = [d.kind for d, _ in DOMAINS]
 MATRIX = [[0.7, -0.3], [0.2, 1.1]]
 OBSERVATIONS = np.linspace(0.0, 1.0, 23)
+
+
+def check_delta(dz, f, dom):
+    """The schemes' jump guard on one cell increment."""
+    stop = _admissible_cells(dz[None], f.sup_f, dom.rho0)[1]
+    if stop is not None:
+        raise stop
 
 
 def same_bits(a, b):
@@ -81,7 +88,7 @@ def loop_projection(dom, f, x0, z, pts):
     x = np.asarray(x0, dtype=float)
     xs, ks, ys, kvar, count = [x], [np.zeros_like(x)], [x], [0.0], 0
     for dz in np.diff(z.value_at(pts), axis=0):
-        _check_delta(dz, f.sup_f, dom.rho0)
+        check_delta(dz, f, dom)
         target = marcus_jump(f, dz, x, DEFAULT_FLOW)
         nxt, dk, dk_norm = guarded_step(dom, target, dom.rho0)
         ys.append(ys[-1] + (target - x))
@@ -99,7 +106,7 @@ def loop_wz_bar(dom, f, x0, z, pts, bar):
     xs, ks, ys, kvar = [x], [k], [y], [kv]
     dus = np.diff(np.linspace(0.0, 1.0, bar + 1)).tolist()
     for dz in np.diff(z.value_at(pts), axis=0):
-        _check_delta(dz, f.sup_f, dom.rho0)
+        check_delta(dz, f, dom)
         for du in dus:
             dy = f.evaluate(x) @ dz * du
             x, dk, dk_norm = guarded_step(dom, x + dy, dom.rho0)

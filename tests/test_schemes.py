@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reflectsde.driver import (GridPath, Partition, discretize,
+from reflectsde.driver import (CADLAG_STEP, GridPath, Partition,
                                jump_adapted_partition, sample_brownian,
                                sample_jump_driver)
 from reflectsde.errors import (DimensionMismatch, JumpTooLarge, NonFinite,
@@ -14,10 +14,7 @@ from reflectsde.flow import (Coefficient, FlowConfig, catalog_coefficient,
                              constant_matrix, linear_diagonal, marcus_jump,
                              marcus_jump_partial)
 from reflectsde.geometry import Ball, Box, ExteriorOfBall, HalfSpace
-from reflectsde.schemes import (SchemeSpec, build_reference,
-                                run_jump_adapted_scheme, run_marcus_euler,
-                                run_projection_scheme, run_scheme,
-                                run_wz_bar_scheme, run_wz_hat_scheme)
+from reflectsde.schemes import SchemeSpec, build_reference, run_scheme
 from reflectsde.skorokhod import solve_skorokhod
 
 FREE_BOX = Box([-1e6], [1e6])
@@ -26,13 +23,14 @@ FREE_BOX = Box([-1e6], [1e6])
 def test_projection_scheme_equals_skorokhod_for_identity_coefficient():
     """With f = I the transported increment is the plain increment, so the
     projection scheme is exactly the discrete constrained decomposition of
-    the discretized driver."""
+    the driver frozen on the partition (a step path through its values
+    there)."""
     dom = HalfSpace([1.0], 0.0)
     z = sample_brownian(1.0, 128, 1, seed=21)
     part = Partition.uniform(1.0, 32)
     spec = SchemeSpec(kind="projection", partition=part)
-    out = run_projection_scheme(dom, constant_matrix([[1.0]]), (0.0,), z, spec)
-    frozen = discretize(z, part)
+    out = run_scheme(dom, constant_matrix([[1.0]]), (0.0,), z, spec)
+    frozen = GridPath(part.points, z.value_at(part.points), interp=CADLAG_STEP)
     sol = solve_skorokhod(dom, frozen)
     np.testing.assert_allclose(out.x.values, sol.x.values, atol=1e-12)
     np.testing.assert_allclose(out.k.values, sol.k.values, atol=1e-12)
@@ -44,7 +42,7 @@ def test_output_identity_x_equals_y_plus_k():
     f = catalog_coefficient("gauss-rotation", amplitude=0.6, sigma=2.0)
     z = sample_brownian(1.0, 128, 2, seed=33)
     spec = SchemeSpec(kind="projection", partition=Partition.uniform(1.0, 64))
-    out = run_projection_scheme(dom, f, (0.5, 0.0), z, spec)
+    out = run_scheme(dom, f, (0.5, 0.0), z, spec)
     np.testing.assert_allclose(out.x.values, out.y.values + out.k.values,
                                atol=1e-12)
     assert np.all(np.diff(out.k_variation) >= -1e-15)
@@ -56,7 +54,7 @@ def test_jump_adapted_matches_exponential_oracle():
     z = sample_jump_driver(1.0, 256, 1, seed=93, jump_rate=2.0,
                            jump_law={"kind": "uniform-ball", "radius": 0.4})
     spec = SchemeSpec(kind="jump-adapted", partition=Partition.uniform(1.0, 256))
-    out = run_jump_adapted_scheme(FREE_BOX, f, (1.0,), z, 256, spec)
+    out = run_scheme(FREE_BOX, f, (1.0,), z, spec)
     exact = np.exp(z.value_at(out.x.times))
     err = np.max(np.abs(out.x.values - exact))
     assert err < 1e-4
@@ -72,8 +70,7 @@ def test_jump_adapted_partition_used():
         jump_values=np.array([[1.0]]),
     )
     spec = SchemeSpec(kind="jump-adapted", partition=Partition.uniform(1.0, 4))
-    out = run_jump_adapted_scheme(FREE_BOX, constant_matrix([[1.0]]),
-                                  (0.0,), z, 4, spec)
+    out = run_scheme(FREE_BOX, constant_matrix([[1.0]]), (0.0,), z, spec)
     assert 0.37 in out.x.times
 
 
@@ -84,11 +81,11 @@ def test_wz_hat_grid_values_match_projection_bitwise():
                            jump_law={"kind": "uniform-ball", "radius": 0.6})
     part = Partition.uniform(1.0, 16)
     obs = np.linspace(0.0, 1.0, 49)
-    proj = run_projection_scheme(dom, f, (0.3, 0.2), z,
-                                 SchemeSpec(kind="projection", partition=part))
-    hat = run_wz_hat_scheme(dom, f, (0.3, 0.2), z,
-                            SchemeSpec(kind="wz-hat", partition=part,
-                                       observation_times=obs))
+    proj = run_scheme(dom, f, (0.3, 0.2), z,
+                      SchemeSpec(kind="projection", partition=part))
+    hat = run_scheme(dom, f, (0.3, 0.2), z,
+                     SchemeSpec(kind="wz-hat", partition=part,
+                                observation_times=obs))
     sel = np.searchsorted(hat.x.times, part.points)
     np.testing.assert_array_equal(hat.x.values[sel], proj.x.values)
     np.testing.assert_array_equal(hat.k.values[sel], proj.k.values)
@@ -101,9 +98,9 @@ def test_wz_hat_interior_follows_cell_flow():
     part = Partition.uniform(1.0, 1)
     obs = np.array([0.25, 0.5])
     cfg = FlowConfig(32, adaptive=True)
-    out = run_wz_hat_scheme(FREE_BOX, f, (0.4,), z,
-                            SchemeSpec(kind="wz-hat", partition=part,
-                                       flow_cfg=cfg, observation_times=obs))
+    out = run_scheme(FREE_BOX, f, (0.4,), z,
+                     SchemeSpec(kind="wz-hat", partition=part,
+                                flow_cfg=cfg, observation_times=obs))
     dz = np.array([0.8])
     s1 = marcus_jump_partial(f, dz, np.array([0.4]), 0.25, cfg)
     s2 = marcus_jump_partial(f, dz, s1, 0.25, cfg)
@@ -123,9 +120,9 @@ def test_wz_bar_reflected_ramp_closed_form():
                  interp="linear")
     part = Partition.uniform(1.0, 4)
     obs = np.array([0.125, 0.375, 0.625, 0.875])
-    out = run_wz_bar_scheme(dom, f, (0.5,), z,
-                            SchemeSpec(kind="wz-bar", partition=part,
-                                       substeps_bar=8, observation_times=obs))
+    out = run_scheme(dom, f, (0.5,), z,
+                     SchemeSpec(kind="wz-bar", partition=part,
+                                substeps_bar=8, observation_times=obs))
     for t in np.concatenate([part.points, obs]):
         expected = max(0.5 - t, 0.0)
         assert out.x.value_at(t)[0] == pytest.approx(expected, abs=1e-12)
@@ -138,10 +135,10 @@ def test_wz_bar_compensator_is_continuous():
     dom = Ball([0.0, 0.0], 1.0)
     f = constant_matrix(0.5 * np.eye(2))
     z = sample_brownian(1.0, 128, 2, seed=71)
-    out = run_wz_bar_scheme(dom, f, (0.9, 0.0), z,
-                            SchemeSpec(kind="wz-bar",
-                                       partition=Partition.uniform(1.0, 32),
-                                       substeps_bar=16))
+    out = run_scheme(dom, f, (0.9, 0.0), z,
+                     SchemeSpec(kind="wz-bar",
+                                partition=Partition.uniform(1.0, 32),
+                                substeps_bar=16))
     steps = np.linalg.norm(np.diff(out.k.values, axis=0), axis=1)
     # per-cell compensator increments shrink with the substep size; none of
     # them can exceed the largest per-substep driver motion
@@ -157,7 +154,7 @@ def test_marcus_euler_tracks_transported_exponential():
     z = sample_brownian(1.0, 1024, 1, seed=365)
     spec = SchemeSpec(kind="marcus-euler",
                       partition=Partition.uniform(1.0, 256))
-    out = run_marcus_euler(FREE_BOX, f, (1.0,), z, spec)
+    out = run_scheme(FREE_BOX, f, (1.0,), z, spec)
     w_end = float(z.values[-1, 0])
     transported = math.exp(w_end)
     uncorrected = math.exp(w_end - 0.5)
@@ -179,7 +176,7 @@ def test_marcus_euler_transports_jumps_exactly():
     cfg = FlowConfig(64, adaptive=False)
     spec = SchemeSpec(kind="marcus-euler",
                       partition=Partition.uniform(1.0, 2), flow_cfg=cfg)
-    out = run_marcus_euler(FREE_BOX, f, (1.0,), z, spec)
+    out = run_scheme(FREE_BOX, f, (1.0,), z, spec)
     expected = marcus_jump(f, np.array([0.8]), np.array([1.0]), cfg)
     np.testing.assert_allclose(out.x.values[-1], expected, atol=1e-12)
 
@@ -195,7 +192,7 @@ def test_jump_size_guard_raises():
     )
     spec = SchemeSpec(kind="projection", partition=Partition.uniform(1.0, 2))
     with pytest.raises(JumpTooLarge):
-        run_projection_scheme(dom, f, (2.0, 0.0), z, spec)
+        run_scheme(dom, f, (2.0, 0.0), z, spec)
 
 
 def test_start_outside_raises():
@@ -203,8 +200,7 @@ def test_start_outside_raises():
     z = sample_brownian(1.0, 8, 2, seed=2)
     spec = SchemeSpec(kind="projection", partition=Partition.uniform(1.0, 4))
     with pytest.raises(StartOutsideDomain):
-        run_projection_scheme(dom, constant_matrix(np.eye(2)), (3.0, 0.0),
-                              z, spec)
+        run_scheme(dom, constant_matrix(np.eye(2)), (3.0, 0.0), z, spec)
 
 
 def test_observation_times_are_merged_into_output():
@@ -212,8 +208,7 @@ def test_observation_times_are_merged_into_output():
     obs = np.array([0.1, 0.55, 0.9])
     spec = SchemeSpec(kind="projection", partition=Partition.uniform(1.0, 4),
                       observation_times=obs)
-    out = run_projection_scheme(FREE_BOX, constant_matrix([[1.0]]), (0.0,),
-                                z, spec)
+    out = run_scheme(FREE_BOX, constant_matrix([[1.0]]), (0.0,), z, spec)
     for t in obs:
         assert t in out.x.times
         # step output: value at an off-grid time equals the cell start value

@@ -18,8 +18,8 @@ from reflectsde.errors import (NonFinite, ProjectionOutOfRange,
                                StartOutsideDomain)
 from reflectsde.geometry import (BOUNDARY, INTERIOR, OUTSIDE, Ball, Box,
                                  ConvexPolyhedron, ExteriorOfBall, HalfSpace)
-from reflectsde.skorokhod import (check_lemma1, guarded_step, reflect_step,
-                                  solve_skorokhod, total_variation)
+from reflectsde.skorokhod import (check_lemma1, guarded_step, solve_skorokhod,
+                                  total_variation)
 
 
 def half_line():
@@ -95,8 +95,9 @@ def test_reflect_step_per_step_bound():
     x = np.array([1.0, 0.0])
     for _ in range(200):
         dy = rng.normal(0.0, 0.5, 2)
-        x_next, dk = reflect_step(dom, x, dy, dom.rho0)
-        assert np.linalg.norm(dk) <= np.linalg.norm(dy) + 1e-12
+        x_next, dk, dk_norm = guarded_step(dom, x + dy, dom.rho0)
+        assert dk_norm == np.linalg.norm(dk)
+        assert dk_norm <= np.linalg.norm(dy) + 1e-12
         x = x_next
 
 
@@ -106,9 +107,9 @@ def test_exterior_domain_excursion_guard():
     # target lands within 0.01 of the deleted ball's center: the step
     # excursion 0.995 reaches the 0.99 * rho0 margin
     with pytest.raises(ProjectionOutOfRange):
-        reflect_step(dom, x, np.array([-0.995, 0.0]), dom.rho0)
+        guarded_step(dom, x + np.array([-0.995, 0.0]), dom.rho0)
     # a subcritical excursion is fine
-    x_next, dk = reflect_step(dom, x, np.array([-0.5, 0.0]), dom.rho0)
+    x_next, _, _ = guarded_step(dom, x + np.array([-0.5, 0.0]), dom.rho0)
     assert np.linalg.norm(x_next) == pytest.approx(1.0)
 
 
