@@ -17,11 +17,12 @@ scheme steps through the projection core (projection, jump-adapted,
 wz-hat); a path's results do not depend on its block either, and a path
 whose reference or scheme run fails fails alone.
 Aggregation always walks results in index order, and the produced tables
-are byte-stable across worker counts.
+are byte-stable across worker counts.  The process pool is imported only
+when a study runs with more than one worker, so importing the package does
+not load ``concurrent.futures`` or ``multiprocessing``.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,6 +365,7 @@ def convergence_study(plan: StudyPlan, jobs: int = 1) -> RateTable:
     lockstep = coefficient_from_spec(plan.coefficient).matrix is None
     blocks = _blocks(plan.n_paths, jobs, lockstep)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_study_block, plan_dict, block)
                        for block in blocks]

@@ -10,8 +10,11 @@ Four subcommands, all driven by the same YAML configuration:
 Every artifact is deterministic for a given configuration and seed: CSV
 floats use the fixed %.17g format (exact on round trip, not shortest),
 JSON keys are sorted, no timestamps are embedded, and parallel fan-out
-(``--jobs``) never changes any output byte.  Exit status: 0 success, 2
-configuration problem, 3 runtime failure.
+(``--jobs``) never changes any output byte.  ``path.csv`` and
+``solution.csv`` are streamed to disk by the ``csvio`` writers, a block of
+rows at a time, so a long path's CSV is never held as one string; the
+small artifacts (JSON, ``rate.csv``) are built as text and written whole.
+Exit status: 0 success, 2 configuration problem, 3 runtime failure.
 """
 
 import argparse
@@ -21,7 +24,10 @@ from pathlib import Path
 
 from .analysis import convergence_study, remark4_report, variation_report
 from .config import ExperimentConfig, default_config, load_config
-from .csvio import path_csv_text, rate_csv_text, solution_csv_text
+# bench/layers.py wraps the bindings cli.path_csv_text and
+# cli.solution_csv_text
+from .csvio import (path_csv_text, rate_csv_text,  # noqa: F401
+                    solution_csv_text, write_path_csv, write_solution_csv)
 from .driver import GridPath
 from .errors import ConfigError, ReflectedSDEError
 from .schemes import run_scheme
@@ -61,15 +67,10 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# characters per write of an artifact: one write would encode a copy of the
-# whole text, which is most of the peak memory of a long path's CSV
-_WRITE_CHARS = 1 << 16
-
-
 def _write(out_dir: Path, name: str, text: str) -> str:
+    """Write a small artifact (JSON, rate.csv) whole."""
     with open(out_dir / name, "w") as handle:
-        for start in range(0, len(text), _WRITE_CHARS):
-            handle.write(text[start:start + _WRITE_CHARS])
+        handle.write(text)
     return name
 
 
@@ -89,12 +90,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list:
         "k_variation_end": float(out.k_variation[-1]),
         "variation": variation,
     }
-    return [
-        _write(out_dir, "path.csv", path_csv_text(z)),
-        _write(out_dir, "solution.csv",
-               solution_csv_text(out.x, out.k, out.k_variation)),
-        _write(out_dir, "summary.json", _json_text(summary)),
-    ]
+    write_path_csv(out_dir / "path.csv", z)
+    write_solution_csv(out_dir / "solution.csv", out.x, out.k,
+                       out.k_variation)
+    return ["path.csv", "solution.csv",
+            _write(out_dir, "summary.json", _json_text(summary))]
 
 
 def cmd_skorokhod(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list:
@@ -113,12 +113,11 @@ def cmd_skorokhod(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list:
         "k_variation_end": float(sol.k_variation[-1]),
         "variation": variation,
     }
-    return [
-        _write(out_dir, "path.csv", path_csv_text(y)),
-        _write(out_dir, "solution.csv",
-               solution_csv_text(sol.x, sol.k, sol.k_variation)),
-        _write(out_dir, "summary.json", _json_text(summary)),
-    ]
+    write_path_csv(out_dir / "path.csv", y)
+    write_solution_csv(out_dir / "solution.csv", sol.x, sol.k,
+                       sol.k_variation)
+    return ["path.csv", "solution.csv",
+            _write(out_dir, "summary.json", _json_text(summary))]
 
 
 def cmd_converge(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list:

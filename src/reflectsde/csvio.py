@@ -13,6 +13,13 @@ repeated row template.  '%.17g' already writes nan, inf and -inf, and no
 token it writes needs CSV quoting, so the bytes are those of a per-value
 format and ``csv.writer`` loop.  The block bound keeps the stacked copy
 and the block's text small next to the arrays being written.
+
+Given a filesystem path, a writer streams its blocks to the file, so the
+whole text is never held in memory; the command line writes ``path.csv``
+and ``solution.csv`` this way.  Every writer validates its input before
+it opens the file, so input it rejects with CsvFormatError leaves no file
+behind.  The ``*_csv_text`` helpers return the whole text as one string,
+for small tables (``rate.csv``) and for tests.
 """
 
 import contextlib

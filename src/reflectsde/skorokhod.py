@@ -197,17 +197,18 @@ def total_variation(path: GridPath, t_from: float, t_to: float) -> float:
     """Variation of a step path over the window (t_from, t_to].
 
     Sums |increment| over grid times inside the window.  Window endpoints
-    must satisfy 0 <= t_from <= t_to <= horizon.
+    must satisfy 0 <= t_from <= t_to <= horizon (NaN fails).  The grid
+    times inside are the rows lo .. hi-1 found by bisection; lo >= 1 since
+    every path starts at time 0, so their increments are one diff of the
+    slice of rows lo-1 .. hi-1, which copies no rows.
     """
     t_from, t_to = float(t_from), float(t_to)
-    if t_from < 0.0 or t_to > path.horizon + 1e-12 or t_from > t_to:
+    if not 0.0 <= t_from <= t_to <= path.horizon + 1e-12:
         raise ValueError("variation window must satisfy 0 <= t_from <= t_to <= horizon")
-    times = path.times
-    mask = (times > t_from) & (times <= t_to)
-    idx = np.nonzero(mask)[0]
-    if len(idx) == 0:
+    lo, hi = np.searchsorted(path.times, (t_from, t_to), side="right")
+    if hi <= lo:
         return 0.0
-    increments = path.values[idx] - path.values[idx - 1]
+    increments = np.diff(path.values[lo - 1:hi], axis=0)
     return float(np.sum(np.linalg.norm(increments, axis=1)))
 
 

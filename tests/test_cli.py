@@ -2,11 +2,17 @@
 
 import filecmp
 import json
+import tracemalloc
 
 import pytest
 
-from reflectsde import analysis
+from reflectsde import analysis, csvio
+from reflectsde.analysis import convergence_study
 from reflectsde.cli import main
+from reflectsde.config import default_config, load_config
+from reflectsde.driver import GridPath
+from reflectsde.schemes import run_scheme
+from reflectsde.skorokhod import solve_skorokhod
 
 
 def _write(tmp_path, name, text):
@@ -173,6 +179,80 @@ def test_converge_blocks_are_byte_identical(tmp_path, capsys, monkeypatch,
     table = json.loads((outs[0] / "rate.json").read_text())["table"]
     assert table["scheme"] == scheme
     assert [row["n_ok"] for row in table["rows"]] == [12, 12]
+
+
+def test_streamed_csv_artifacts_equal_the_text_writers(tmp_path, capsys):
+    """path.csv and solution.csv are streamed to disk and rate.csv is
+    written as text; all three are byte for byte the ``*_csv_text`` of the
+    objects the command computes."""
+    sk, sim, conv = tmp_path / "sk", tmp_path / "sim", tmp_path / "conv"
+    sim_cfg = _write(tmp_path, "sim.yaml", SIM_YAML)
+    conv_cfg = _write(tmp_path, "conv.yaml", CONV_YAML)
+    assert main(["skorokhod", "--out", str(sk)]) == 0
+    assert main(["simulate", "--config", sim_cfg, "--out", str(sim)]) == 0
+    assert main(["converge", "--config", conv_cfg, "--out", str(conv)]) == 0
+    capsys.readouterr()
+
+    cfg = default_config()
+    z = cfg.sample_driver(cfg.seed())
+    y = GridPath(z.times, z.values + cfg.x0(), interp=z.interp,
+                 jump_times=z.jump_times, jump_values=z.jump_values)
+    sol = solve_skorokhod(cfg.build_domain(), y)
+    assert (sk / "path.csv").read_bytes() == csvio.path_csv_text(y).encode()
+    assert (sk / "solution.csv").read_bytes() == csvio.solution_csv_text(
+        sol.x, sol.k, sol.k_variation).encode()
+
+    cfg = load_config(sim_cfg)
+    z = cfg.sample_driver(cfg.seed())
+    out = run_scheme(cfg.build_domain(), cfg.build_coefficient(), cfg.x0(),
+                     z, cfg.build_scheme_spec())
+    assert (sim / "path.csv").read_bytes() == csvio.path_csv_text(z).encode()
+    assert (sim / "solution.csv").read_bytes() == csvio.solution_csv_text(
+        out.x, out.k, out.k_variation).encode()
+
+    table = convergence_study(load_config(conv_cfg).study_plan())
+    assert (conv / "rate.csv").read_bytes() == csvio.rate_csv_text(
+        table.csv_rows()).encode()
+
+
+LONG_SKOROKHOD_YAML = """
+domain:
+  kind: convex-polyhedron
+  normals: [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [-1.0, 0.3]]
+  offsets: [-1.0, -1.0, -1.0, -1.2]
+coefficient:
+  kind: constant-matrix
+  matrix: [[1.0, 0.0], [0.0, 1.0]]
+driver:
+  steps: 25000
+  dimension: 2
+  jump_rate: 50.0
+  jump_law: {kind: uniform-ball, radius: 0.8}
+  diffusion_scale: 1.5
+experiment:
+  x0: [0.0, 0.0]
+  seed: 11
+"""
+
+
+def test_skorokhod_streams_its_csv_artifacts(tmp_path, capsys):
+    """A 25k-step skorokhod run allocates less than 5 MB at its peak, while
+    its solution.csv alone is over 2.5 MB: the CSV text is never held
+    whole (building it as one string peaked at 7.9 MB)."""
+    cfg = _write(tmp_path, "long.yaml", LONG_SKOROKHOD_YAML)
+    # a short run first, so one-time allocations are not counted
+    assert main(["skorokhod", "--out", str(tmp_path / "warm")]) == 0
+    out = tmp_path / "long"
+    tracemalloc.start()
+    try:
+        code = main(["skorokhod", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert (out / "solution.csv").stat().st_size > 2.5e6
+    assert peak < 5e6
 
 
 def test_remark4_command(tmp_path, capsys):

@@ -132,6 +132,19 @@ def test_solution_csv_rejects_a_short_variation():
         write_solution_csv(io.StringIO(), x, x, np.zeros(2))
 
 
+def test_rejected_solution_creates_no_file(tmp_path):
+    """The writer validates before it opens the file: a short k-variation,
+    or x and k of different shapes, raise and leave no file behind."""
+    x = GridPath(_times(3), np.zeros((3, 2)))
+    k = GridPath(_times(3), np.zeros((3, 1)))
+    target = tmp_path / "solution.csv"
+    with pytest.raises(csvio.CsvFormatError):
+        write_solution_csv(target, x, x, np.zeros(2))
+    with pytest.raises(csvio.CsvFormatError):
+        write_solution_csv(str(target), x, k, np.zeros(3))
+    assert not target.exists()
+
+
 def test_rate_csv_matches_per_value_writer():
     rows = [
         {key: v for key, v in zip(csvio.RATE_HEADER, SPECIAL)},

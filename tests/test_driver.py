@@ -240,3 +240,59 @@ def test_check_jump_condition():
     assert n == 2 and isinstance(stop, JumpTooLarge)
     assert _admissible_cells(dzs, 100.0, math.inf) == (3, None)
     assert _admissible_cells(np.zeros((4, 1)), 100.0, 0.5) == (4, None)
+
+
+def exact_admissible_cells(dzs, bound, rho0):
+    """The jump guard tested cell by cell with math.sqrt(dz.dot(dz))."""
+    if math.isfinite(rho0):
+        for k, dz in enumerate(dzs):
+            dz_norm = math.sqrt(dz.dot(dz))
+            if dz_norm * bound >= rho0:
+                return k, (f"increment norm {dz_norm:.6g} times coefficient "
+                           f"bound {bound:.6g} reaches the projection radius "
+                           f"{rho0:.6g}")
+    return len(dzs), None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_screened_jump_guard_is_the_exact_loop(d):
+    """The einsum screen keeps the exact loop's decision and message: the
+    largest cell's exact norm times the bound sits within a few ulps of
+    rho0, where the einsum norm alone decides some cells the other way
+    when dot fuses multiply and add (6 of these 600 trials for d = 2 on
+    x86-64); cells are also zero, tiny, huge, NaN and inf."""
+    rng = np.random.default_rng(d)
+    rho0 = 0.75
+    for trial in range(600):
+        n = int(rng.integers(1, 40))
+        dzs = rng.normal(scale=0.1, size=(n, d))
+        if trial % 4 == 0:
+            dzs[rng.integers(0, n, 3)] = 0.0
+        if trial % 5 == 1:
+            dzs[rng.integers(0, n)] *= 10.0 ** rng.choice([-170, -155, 152,
+                                                           160])
+        if trial % 7 == 2:
+            dzs[rng.integers(0, n), 0] = rng.choice([np.nan, np.inf])
+        with np.errstate(over="ignore"):  # the exact dot of a huge cell
+            exact = np.array([math.sqrt(dz.dot(dz)) for dz in dzs])
+            k = int(np.argmax(np.where(np.isfinite(exact), exact, -1.0)))
+            # the bound that puts cell k's exact norm at rho0, nudged by ulps
+            bound = rho0 / exact[k] if 0.0 < exact[k] < math.inf else 2.0
+            bound *= 1.0 + float(rng.integers(-3, 4)) * 2.0 ** -52
+            expect = exact_admissible_cells(dzs, bound, rho0)
+            n_ok, stop = _admissible_cells(dzs, bound, rho0)
+        assert (n_ok, stop if stop is None else str(stop)) == expect
+        assert stop is None or isinstance(stop, JumpTooLarge)
+
+
+def test_jump_guard_does_not_screen_a_sum_that_overflows_in_dot_only():
+    """Where dot fuses multiply and add (x86-64), the einsum sum of squares
+    of this cell is the largest double while dot's overflows, so with a
+    tiny bound the screened norm alone would pass a cell the exact test
+    stops."""
+    dzs = np.array([[0.1, 0.0], [3.7618274148337565e+153,
+                                 1.2869264469550572e+154]])
+    with np.errstate(over="ignore"):
+        expect = exact_admissible_cells(dzs, 1e-160, 0.75)
+        n_ok, stop = _admissible_cells(dzs, 1e-160, 0.75)
+    assert (n_ok, stop if stop is None else str(stop)) == expect

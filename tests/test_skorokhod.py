@@ -121,6 +121,48 @@ def test_total_variation_window():
     assert total_variation(path, 2.5, 2.75) == 0.0
     with pytest.raises(ValueError):
         total_variation(path, 2.0, 1.0)
+    for window in ((math.nan, 1.0), (0.0, math.nan), (-1.0, 1.0),
+                   (0.0, 3.5)):
+        with pytest.raises(ValueError):
+            total_variation(path, *window)
+
+
+def masked_total_variation(path, t_from, t_to):
+    """The variation summed over a boolean mask of the window's grid
+    times and fancy-indexed increments."""
+    times = path.times
+    idx = np.nonzero((times > t_from) & (times <= t_to))[0]
+    if len(idx) == 0:
+        return 0.0
+    increments = path.values[idx] - path.values[idx - 1]
+    return float(np.sum(np.linalg.norm(increments, axis=1)))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (50, 1), (3000, 2),
+                                  (700, 3)])
+def test_total_variation_is_the_masked_sum_bitwise(n, d):
+    """Slicing the window's rows gives bitwise the masked sum: on empty
+    windows, (0, 0), (t, t), (0, horizon), ends on grid times, between
+    them and past the last one within the horizon's 1e-12 slack."""
+    rng = np.random.default_rng(n + d)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
+    path = GridPath(times, rng.normal(size=(n, d)))
+    horizon = path.horizon
+    mids = (times[:-1] + times[1:]) / 2.0
+    windows = [(0.0, 0.0), (0.0, horizon), (horizon, horizon),
+               (0.0, horizon + 1e-13)]
+    windows += [(t, t) for t in times[:5]]
+    windows += [(m, m) for m in mids[:5]]
+    windows += [(lo, hi) for lo, hi in zip(times[:-1], mids)]   # empty
+    windows += [(a, b) for a, b in zip(mids[:-1], mids[1:])]
+    for _ in range(200):
+        ends = np.sort(rng.choice(np.concatenate([times, mids]), 2))
+        windows.append(tuple(ends))
+        windows.append(tuple(np.sort(rng.uniform(0.0, horizon, 2))))
+    for t_from, t_to in windows:
+        got = total_variation(path, t_from, t_to)
+        assert got == masked_total_variation(path, t_from, t_to), (t_from,
+                                                                   t_to)
 
 
 def test_variation_bounds_on_windows():
