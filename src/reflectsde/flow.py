@@ -15,17 +15,14 @@ linearization,
 which is quadratically small in |dz| with a constant computable from bounds
 on f and its derivative.
 
-All entry points are shape polymorphic: a state of shape (d,) with an
-increment (d,) integrates a single trajectory, while states (m, d) with
-increments (m, d) integrate m independent trajectories in one vectorized
-pass (``marcus_jump_rows``, used by the defect sweeps).  Each row is
-exact: row i is bitwise the single-row jump map (or partial jump map) of
-(dz_i, x_i), with its own step count, and a row that leaves the
-finite-value guard, or whose increment is not finite, fails alone.
-``marcus_jump_chains`` runs the same exact rows for lanes of jumps taken
-one after another, where the next jump of a lane starts from what the
-caller makes of the last one (the lockstep reference builds and scheme
-runs project it); each iteration moves every lane one RK4 step.
+Every jump transport runs on ``marcus_jump_chains``, the one RK4 loop: it
+steps lanes of jumps, each with its own increment, span and step count,
+where a lane's next jump starts from what the caller makes of the last
+(the lockstep projects it, wz-hat's sampler goes on to the next
+observation time).  ``marcus_jump_rows`` maps (m, d) rows as lanes of one
+jump, and a state (d,) is a batch of one row, so a row gives the same bits
+alone or in any batch, and fails alone when it leaves the finite-value
+guard or its increment is not finite.
 
 The integrators never build the (m, d, d) matrices f(y): each Runge-Kutta
 stage asks the coefficient for the vector f(y) dz through the ``field``
@@ -38,7 +35,6 @@ import copy
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -93,48 +89,43 @@ REFERENCE_FLOW = FlowConfig(substeps=REFERENCE_SUBSTEPS, adaptive=True)
 _GUARD_MESSAGE = "flow trajectory left the finite-value guard region"
 
 
-def _check_finite(y: np.ndarray):
-    # one reduction: the negated test also fails on nan, and inf exceeds it
-    if not np.abs(y).max() <= BLOWUP_GUARD:
-        raise NonFinite(_GUARD_MESSAGE)
-
-
-def _rk4(g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, span: float, n: int):
-    """Integrate dy/du = g(y) over a parameter span with n RK4 steps."""
-    h = span / n
-    y = np.asarray(x, dtype=float).copy()
-    for _ in range(n):
-        k1 = g(y)
-        k2 = g(y + 0.5 * h * k1)
-        k3 = g(y + 0.5 * h * k2)
-        k4 = g(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(y)
-    return y
+def _constant_jump(f: "Coefficient", dz, x, span):
+    """The closed-form jump map x + span f dz of a constant coefficient, for
+    a state (d,) or rows (m, d), and whether each result is in the guard
+    region.  A stack of (1, d) @ (d, d) products rounds like the 1-D
+    ``dz @ f.matrix.T``, so a row is bitwise its single state."""
+    y = x + span * (dz[..., None, :] @ f.matrix.T)[..., 0, :]
+    return y, np.abs(y).max(axis=-1) <= BLOWUP_GUARD
 
 
 def marcus_jump_chains(f: "Coefficient", lanes, follow,
-                       cfg: FlowConfig = DEFAULT_FLOW, span: float = 1.0):
+                       cfg: FlowConfig = DEFAULT_FLOW):
     """Chains of jump maps, one per lane, with the lanes stepped together.
 
-    ``lanes[i]`` is (dzs, x): the (n_i, d) increments of lane i's jumps,
-    taken in order, and the start of its first.  When jump k of lane i is
-    done, ``follow(i, k, y, error)`` gets its result: y, or None and the
-    NonFinite error of the single call ``marcus_jump_partial(f, dzs[k],
-    start, span, cfg)``.  It returns the start of jump k + 1, or None to
-    stop the lane.  Each jump is bitwise that single call: its own step
-    count from ``cfg.steps_for(|dz|)`` (none for a zero increment), h =
-    span / steps, and the rows of ``f.field``.  Each iteration advances
-    every lane with a jump in progress by one RK4 step, so no lane waits
-    for the steps of another lane's jump.  A lane with no jump in progress
-    has dz = 0 and stays put at its last state (a failed jump's start), and
-    only lanes with a jump in progress are checked against the guard.  For
-    state-dependent coefficients; ``span`` must be positive.
+    ``lanes[i]`` is (dzs, spans, x): the (n_i, d) increments of lane i's
+    jumps, taken in order, their (n_i,) spans, and the start of its first.
+    Jump k from x is the flow of y -> f(y) dzs[k] over [0, spans[k]]: a
+    copy of x for a zero span, whatever the increment; the closed form
+    (``_constant_jump``) for a constant coefficient; otherwise
+    ``_jump_steps`` RK4 steps of h = span / steps through the rows of
+    ``f.field`` (none for a zero increment, a copy of x again).  It fails
+    with NonFinite on a non-finite increment (the guard's error, for a
+    constant coefficient) or a result, checked after every step, outside
+    the guard region.  ``follow(i, k, y, error)`` gets y, or None and the
+    error, once jump k of lane i is done, and returns the start of jump
+    k + 1, or None to stop the lane.  Each iteration advances every lane
+    with a jump in progress by one RK4 step, so no lane waits for the steps
+    of another lane's jump.  A lane with no jump in progress has dz = 0 and
+    stays put at its last state (a failed jump's start), and only lanes
+    with a jump in progress are checked against the guard.
     """
     m, d = len(lanes), f.dimension
-    # arrays, not lists: a float object would cost four times the memory
-    norms = [np.linalg.norm(dzs, axis=-1) for dzs, _ in lanes]
-    starts = [np.asarray(x, dtype=float) for _, x in lanes]
+    constant = f.matrix is not None
+    # arrays, not lists: a float object would cost four times the memory;
+    # a closed form needs no norm, whose squares may overflow where it does not
+    norms = [] if constant else [np.linalg.norm(dzs, axis=-1)
+                                 for dzs, _, _ in lanes]
+    starts = [np.asarray(x, dtype=float) for _, _, x in lanes]
     y = np.array(starts).reshape(m, d)
     dz, h, half, sixth = (np.zeros((m, d)) for _ in range(4))
     left = np.full(m, -1)   # RK4 steps left in each lane's jump
@@ -146,20 +137,29 @@ def marcus_jump_chains(f: "Coefficient", lanes, follow,
 
         Jumps that need no step, or fail before stepping, end here.
         """
-        while x is not None and k < len(norms[i]):
+        dzs, spans, _ = lanes[i]
+        while x is not None and k < len(spans):
+            span = float(spans[k])
             try:
-                n = _jump_steps(cfg, float(norms[i][k]), span)
+                if span == 0.0:
+                    out = x.copy()
+                elif constant:
+                    out, inside = _constant_jump(f, dzs[k], x, span)
+                    if not inside:
+                        raise NonFinite(_GUARD_MESSAGE)
+                else:
+                    n = _jump_steps(cfg, float(norms[i][k]), span)
+                    if n:
+                        y[i], dz[i], left[i], jobs[i], starts[i] = (
+                            x, dzs[k], n, k, x)
+                        step = span / n
+                        h[i], half[i], sixth[i] = step, 0.5 * step, step / 6.0
+                        return True
+                    out = x.copy()
             except NonFinite as exc:
                 x, k = follow(i, k, None, exc), k + 1
                 continue
-            if n == 0:
-                x, k = follow(i, k, x.copy(), None), k + 1
-                continue
-            y[i], dz[i], left[i], jobs[i], starts[i] = (
-                x, lanes[i][0][k], n, k, x)
-            step = span / n
-            h[i], half[i], sixth[i] = step, 0.5 * step, step / 6.0
-            return True
+            x, k = follow(i, k, out, None), k + 1
         dz[i], left[i] = 0.0, -1
         return False
 
@@ -193,12 +193,9 @@ def _jump_steps(cfg: FlowConfig, dz_norm: float, span: float) -> int:
 
 
 def marcus_jump(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
-    """Jump map phi(f dz, x): unit-time flow of the field y -> f(y) dz.
-
-    For a constant coefficient the flow is exact in closed form (x + f dz)
-    and the integrator is skipped entirely.  Batched input is mapped row by
-    row through ``marcus_jump_rows``, and the first failed row's error is
-    raised.  A non-finite increment raises NonFinite.
+    """Jump map phi(f dz, x): unit-time flow of the field y -> f(y) dz,
+    ``marcus_jump_partial`` over [0, 1].  A constant coefficient's flow is
+    its closed form x + f dz.  A non-finite increment raises NonFinite.
     """
     return marcus_jump_partial(f, dz, x, 1.0, cfg)
 
@@ -207,13 +204,13 @@ def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW,
                      span: float = 1.0):
     """Jump maps of the rows of (m, d) increments dz and states x.
 
-    Row i is bitwise ``marcus_jump_partial(f, dz[i], x[i], span, cfg)``
-    (``marcus_jump`` for the default span 1): it gets its own step count
-    from ``cfg.steps_for(|dz_i|)`` (none for a zero row, which maps to
-    itself), and a constant coefficient forms each row's product as the
-    single-row call does.  Returns (y, errors): ``errors[i]`` is None, or
-    the NonFinite that the single-row call raises for row i, whose row of y
-    is then not meaningful; no other row is affected by it.
+    Row i is the jump of ``marcus_jump_chains`` from x[i] over dz[i] and
+    ``span``: its own step count from ``cfg.steps_for(|dz_i|)``, and none
+    for a zero row or span, which maps x[i] to itself; a constant
+    coefficient forms all rows' closed forms at once (``_constant_jump``),
+    each bitwise its row alone.  Returns (y, errors): ``errors[i]`` is None, or the NonFinite
+    that row i fails with, whose row of y is then not meaningful; no other
+    row is affected by it.
     """
     x = np.asarray(x, dtype=float)
     dz = np.asarray(dz, dtype=float)
@@ -222,13 +219,10 @@ def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW,
             f"states and increments must both have shape (m, {f.dimension})"
         )
     span = float(span)
-    if span == 0.0:
-        return x.copy(), [None] * len(x)
-    if f.matrix is not None:
-        # a stack of (1, d) @ (d, d) products rounds like the 1-D dz @ M.T
-        y = x + span * (dz[:, None, :] @ f.matrix.T)[:, 0, :]
-        ok = (np.abs(y).max(axis=1) <= BLOWUP_GUARD).tolist()
-        return y, [None if good else NonFinite(_GUARD_MESSAGE) for good in ok]
+    if f.matrix is not None and span != 0.0:
+        y, inside = _constant_jump(f, dz, x, span)
+        return y, [None if good else NonFinite(_GUARD_MESSAGE)
+                   for good in inside.tolist()]
     y, errors = np.empty_like(x), [None] * len(x)
 
     def follow(i, k, yi, error):
@@ -237,8 +231,9 @@ def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW,
         errors[i] = error
 
     # one lane of one jump per row
-    marcus_jump_chains(f, [(dz[i:i + 1], x[i]) for i in range(len(x))],
-                       follow, cfg, span)
+    spans = np.array([span])
+    marcus_jump_chains(f, [(dz[i:i + 1], spans, x[i]) for i in range(len(x))],
+                       follow, cfg)
     return y, errors
 
 
@@ -246,34 +241,22 @@ def marcus_jump_partial(f: "Coefficient", dz, x, u_end: float,
                         cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
     """Partial jump transport: flow of y -> f(y) dz over [0, u_end].
 
-    Batched input is mapped row by row through ``marcus_jump_rows``, each
-    row bitwise its single-row call, and the first failed row's error is
-    raised.
+    A state (d,) is a batch of one row: states and increments are
+    broadcast and mapped row by row through ``marcus_jump_rows``, and the
+    first failed row's error is raised.
     """
     x = np.asarray(x, dtype=float)
     dz = np.asarray(dz, dtype=float)
     d = f.dimension
     if x.shape[-1] != d or dz.shape[-1] != d:
         raise DimensionMismatch(f"state/increment dimension must be {d}")
-    u_end = float(u_end)
-    if x.ndim > 1 or dz.ndim > 1:
-        x, dz = np.broadcast_arrays(x, dz)
-        y, errors = marcus_jump_rows(f, dz.reshape(-1, d), x.reshape(-1, d),
-                                     cfg, u_end)
-        for err in errors:
-            if err is not None:
-                raise err
-        return y.reshape(x.shape)
-    if u_end == 0.0:
-        return x.copy()
-    if f.matrix is not None:
-        out = x + u_end * (dz @ f.matrix.T)
-        _check_finite(out)
-        return out
-    n = _jump_steps(cfg, float(np.linalg.norm(dz, axis=-1)), u_end)
-    if n == 0:
-        return x.copy()
-    return _rk4(lambda y: f.field(y, dz), x, u_end, n)
+    x, dz = np.broadcast_arrays(x, dz)
+    y, errors = marcus_jump_rows(f, dz.reshape(-1, d), x.reshape(-1, d),
+                                 cfg, u_end)
+    for err in errors:
+        if err is not None:
+            raise err
+    return y.reshape(x.shape)
 
 
 def jump_defect(f: "Coefficient", dz, x, cfg: FlowConfig = REFERENCE_FLOW) -> np.ndarray:

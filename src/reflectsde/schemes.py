@@ -12,8 +12,9 @@ jump-adapted    the same step on the partition that isolates every jump of
                 magnitude > 1/n while keeping mesh <= 1/n.
 wz-hat          the projection scheme's grid values, and between them the
                 unconstrained cell flow of f(.) dZ_k from the left grid
-                value, sampled at the observation times by a per-path
-                sampler (``_cell_interiors``).
+                value, sampled at the observation times: every cell of a
+                block with such times is a lane of one
+                ``marcus_jump_chains`` call (``_sample_interiors``).
 wz-bar          per-cell reflected polygonal dynamics: substeps_bar
                 projected Euler substeps per cell, giving a continuous
                 output path and a continuous compensator.
@@ -52,7 +53,6 @@ wz-hat's sampling of its interior, then its step.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
 from .errors import (DimensionMismatch, JumpTooLarge, ReflectedSDEError,
                      StartOutsideDomain)
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
-                   marcus_jump, marcus_jump_chains, marcus_jump_partial)
+                   marcus_jump, marcus_jump_chains)
 from .geometry import Domain, OUTSIDE
 from .skorokhod import accumulate, guarded_step, project_steps
 
@@ -142,7 +142,8 @@ def _admissible_cells(dzs: np.ndarray, bound: float, rho0: float):
     Returns their number and the JumpTooLarge of the first cell that fails,
     or None when every cell passes (always, when rho0 is infinite).
 
-    The guard's norm is ``math.sqrt(dz.dot(dz))``, and ``dot`` may fuse
+    The guard's norm is ``math.sqrt(dz.dot(dz))``, or ``math.hypot(*dz)``
+    for a finite cell whose sum of squares overflows, and ``dot`` may fuse
     multiply and add, so one einsum over all cells only screens them: a
     cell whose screened norm passes with a relative margin of 1e-9 passes
     the exact test too, since the two sums of squares differ by a few ulps
@@ -157,7 +158,12 @@ def _admissible_cells(dzs: np.ndarray, bound: float, rho0: float):
         clear = (norms <= 1e150) & (norms * bound < rho0 * (1.0 - 1e-9))
     for k in np.flatnonzero(~clear):
         dz = dzs[k]
-        dz_norm = math.sqrt(dz.dot(dz))
+        with np.errstate(over="ignore"):
+            square = dz.dot(dz)
+        if square == math.inf and np.isfinite(dz).all():
+            dz_norm = math.hypot(*dz)
+        else:
+            dz_norm = math.sqrt(square)
         if dz_norm * bound >= rho0:
             return int(k), JumpTooLarge(
                 f"increment norm {dz_norm:.6g} times coefficient bound "
@@ -222,13 +228,14 @@ class _Chain:
     the next one (None when every cell passes), raised once the cells before
     it are stepped, as a loop checking each cell before stepping it would.
     ``error`` is the error of the step of cell ``failed_at``.  The output
-    is sampled at ``out_t``; ``interiors`` is wz-hat's sampler of the times
-    inside the cells (``_cell_interiors``), or None.
+    is sampled at ``out_t``; ``samples`` holds wz-hat's (slot, cell k,
+    state) of the times inside the cells, and ``sample_error`` the error of
+    the lowest cell whose interior fails (``_sample_interiors``).
     """
 
-    def __init__(self, start, partition, dzs, bound, rho0, out_t, interiors):
+    def __init__(self, start, partition, dzs, bound, rho0, out_t):
         self.start, self.partition, self.dzs = start, partition, dzs
-        self.out_t, self.interiors = out_t, interiors
+        self.out_t, self.samples, self.sample_error = out_t, [], None
         self.n, self.stop = _admissible_cells(dzs, bound, rho0)
         self.error = self.failed_at = None
         # the (n + 1, d) path, (n, d) targets and (n,) |dk| of the steps;
@@ -240,22 +247,16 @@ class _Chain:
     def finish(self, domain, label):
         """The path's SchemeOutput, or the error that stopped it.
 
-        The sampler runs up to the failing cell, whose interior comes
-        before its step.  Drops the step records, so a block holds each
-        path's records or its output, not both.
+        A cell's interior fails before its step, and every cell the sampler
+        reaches comes before the jump guard's ``stop``.  Drops the step
+        records, so a block holds each path's records or its output, not
+        both.
         """
         xs, targets, dk_norms = self.path, self.targets, self.dk_norms
         self.dzs = self.path = self.targets = self.dk_norms = None
-        samples = ()
-        if self.interiors is not None:
-            cells = self.n if self.error is None else self.failed_at + 1
-            try:
-                samples = self.interiors(xs, cells)
-            except ReflectedSDEError as exc:
-                return exc
-        error = self.error if self.error is not None else self.stop
-        if error is not None:
-            return error
+        for error in (self.sample_error, self.error, self.stop):
+            if error is not None:
+                return error
         out_t, pts = self.out_t, self.partition.points
         X, K, Y, kvar = (
             _fill_step(out_t, pts, a) for a in (
@@ -265,7 +266,7 @@ class _Chain:
                 accumulate(0.0, dk_norms)))
         # an interior sample keeps K and the k-variation of its cell's
         # left end, and moves Y with X
-        for slot, k, x in samples:
+        for slot, k, x in self.samples:
             X[slot] = x
             Y[slot] += x - xs[k]
         return _output(domain, label, self.partition, out_t, (X, K, Y, kvar),
@@ -281,7 +282,8 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
     coefficient each path's increments are known up front, and it steps
     through ``project_steps``, which advances interior runs in bulk.  Any
     other coefficient steps the block, a single path included, in lockstep
-    (``_step_in_lockstep``).  ``interiors`` samples wz-hat's cell interiors.
+    (``_step_in_lockstep``).  ``interiors`` samples wz-hat's cell interiors
+    once every path is stepped (``_sample_interiors``).
     """
     rho0 = domain.rho0
     chains = []
@@ -293,10 +295,7 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
             continue
         dzs = np.diff(z.value_at(part.points), axis=0)
         out_t = _output_grid(part, observation_times)
-        sampler = None
-        if interiors and len(out_t) > len(part.points):
-            sampler = partial(_cell_interiors, f, cfg, dzs, part.points, out_t)
-        chains.append(_Chain(start, part, dzs, f.sup_f, rho0, out_t, sampler))
+        chains.append(_Chain(start, part, dzs, f.sup_f, rho0, out_t))
     stepping = [c for c in chains if isinstance(c, _Chain)]
 
     if f.matrix is not None:
@@ -321,27 +320,43 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
                 c.error = exc
     else:
         _step_in_lockstep(domain, f, stepping, cfg, rho0)
-
+    if interiors:
+        _sample_interiors(f, cfg, stepping)
     return [c.finish(domain, label) if isinstance(c, _Chain) else c
             for c in chains]
 
 
-def _cell_interiors(f, cfg, dzs, pts, out_t, xs, cells) -> list:
-    """(slot, cell k, state) of each output time strictly inside the first
-    ``cells`` cells: the flow of f(.) dz_k from the grid value xs[k],
-    carried from one output time to the next by ``marcus_jump_partial``."""
-    grid_slot = np.searchsorted(out_t, pts)
-    samples = []
-    for k in range(cells):
-        lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
-        t0, dt = pts[k], pts[k + 1] - pts[k]
-        cur, u_prev = xs[k], 0.0
-        for slot in range(lo, hi):
-            u = (out_t[slot] - t0) / dt
-            cur = marcus_jump_partial(f, dzs[k], cur, u - u_prev, cfg)
-            samples.append((slot, k, cur))
-            u_prev = u
-    return samples
+def _sample_interiors(f, cfg, chains):
+    """Sample the output times strictly inside the chains' cells in one
+    ``marcus_jump_chains`` call, one lane per (chain, cell k) with such
+    times: the flow of f(.) dz_k from the cell's left grid value, over the
+    spans between the times' successive fractions u of the cell, from 0.
+    A chain samples its cells up to the one whose step failed, and keeps
+    the error of the lowest cell whose interior fails; cells above it stop.
+    """
+    lanes, owners, upto = [], [], []
+    for ci, c in enumerate(chains):
+        pts, out_t = c.partition.points, c.out_t
+        upto.append(c.n if c.error is None else c.failed_at + 1)
+        grid_slot = np.searchsorted(out_t, pts[:upto[ci] + 1])
+        for k in np.flatnonzero(np.diff(grid_slot) > 1).tolist():
+            lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
+            u = (out_t[lo:hi] - pts[k]) / (pts[k + 1] - pts[k])
+            lanes.append((np.broadcast_to(c.dzs[k], (hi - lo, len(c.start))),
+                          np.diff(u, prepend=0.0), c.path[k]))
+            owners.append((ci, k, lo))
+
+    def follow(i, j, y, error):
+        ci, k, lo = owners[i]
+        if k >= upto[ci]:
+            return None
+        if error is not None:
+            upto[ci], chains[ci].sample_error = k, error
+            return None
+        chains[ci].samples.append((lo + j, k, y))
+        return y
+
+    marcus_jump_chains(f, lanes, follow, cfg)
 
 
 def _step_in_lockstep(domain, f, chains, cfg, rho0):
@@ -365,8 +380,8 @@ def _step_in_lockstep(domain, f, chains, cfg, rho0):
         c.path[k + 1], c.targets[k], c.dk_norms[k] = x, target, dk_norm
         return x
 
-    marcus_jump_chains(f, [(c.dzs[:c.n], c.start) for c in chains], follow,
-                       cfg)
+    marcus_jump_chains(f, [(c.dzs[:c.n], np.ones(c.n), c.start)
+                           for c in chains], follow, cfg)
 
 
 def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,

@@ -4,10 +4,14 @@
 and ``build_reference`` is its batch of one; ``run_schemes`` and
 ``run_scheme`` are the same pair for the schemes.  Every path's output must
 be bitwise the one its driver gets alone, and the one of the step-by-step
-loop through the single-row jump map kept here as the oracle; a path that
-fails must fail with the error it raises alone and in that loop, without
-changing any other path of its block.
+loop through ``test_flow.oracle_jump``, the jump map kept as an oracle
+apart from the package's engine; a path that fails must fail with the
+error it raises alone and in that loop, without changing any other path of
+its block.  wz-hat's interiors are also checked against a sampler that
+carries each cell's flow one output time at a time, ``cell_interiors``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,14 +22,14 @@ from reflectsde.errors import (JumpTooLarge, NonFinite, ProjectionOutOfRange,
                                ReflectedSDEError, StartOutsideDomain)
 from reflectsde.flow import (REFERENCE_FLOW, Coefficient, FlowConfig,
                              catalog_coefficient, constant_matrix,
-                             linear_diagonal, marcus_jump,
-                             marcus_jump_partial)
+                             linear_diagonal)
 from reflectsde.geometry import (Ball, Box, ConvexPolyhedron, ExteriorOfBall,
                                  HalfSpace)
-from reflectsde.schemes import (SchemeSpec, _admissible_cells,
-                                build_reference, build_references, run_scheme,
-                                run_schemes)
+from reflectsde.schemes import (SchemeSpec, _admissible_cells, _Chain,
+                                _sample_interiors, build_reference,
+                                build_references, run_scheme, run_schemes)
 from reflectsde.skorokhod import guarded_step
+from test_flow import full_field, oracle_jump
 
 DOMAINS = [
     (HalfSpace([0.3, 1.0], -0.2), (0.1, 0.1)),
@@ -81,7 +85,7 @@ def loop_reference(dom, f, x0, z, refine, cfg):
     try:
         for dz in np.diff(z.value_at(pts), axis=0):
             check_delta(dz, f, dom)
-            target = marcus_jump(f, dz, x, cfg)
+            target = oracle_jump(f, dz, x, 1.0, cfg)
             nxt, _, dk_norm = guarded_step(dom, target, dom.rho0)
             ys.append(ys[-1] + (target - x))
             kvar.append(kvar[-1] + dk_norm)
@@ -214,11 +218,11 @@ def loop_wz_hat(dom, f, x0, z, spec):
             cur, u_prev = state, 0.0
             for slot in range(grid_slot[k] + 1, grid_slot[k + 1]):
                 u = (out_t[slot] - pts[k]) / (pts[k + 1] - pts[k])
-                cur = marcus_jump_partial(f, dz, cur, u - u_prev, cfg)
+                cur = oracle_jump(f, dz, cur, u - u_prev, cfg)
                 X[slot], K[slot], kvar[slot] = cur, k_run, kvar_run
                 Y[slot] = y_run + (cur - state)
                 u_prev = u
-            left = marcus_jump(f, dz, state, cfg)
+            left = oracle_jump(f, dz, state, 1.0, cfg)
             nxt, dk, dk_norm = guarded_step(dom, left, dom.rho0)
             y_run, k_run = y_run + (left - state), k_run + dk
             kvar_run += dk_norm
@@ -367,3 +371,149 @@ def test_paths_of_a_nan_field_fail_alone():
                                             NonFinite]
     block = assert_block_matches_alone(dom, f, x0, drivers)
     assert [type(r) for r in block] == [NonFinite, JumpTooLarge, NonFinite]
+
+
+def cell_interiors(f, cfg, dzs, pts, out_t, xs, cells):
+    """(slot, cell k, state) of each output time strictly inside the first
+    ``cells`` cells: the flow of f(.) dz_k from the grid value xs[k],
+    carried from one output time to the next, one slot at a time."""
+    grid_slot = np.searchsorted(out_t, pts)
+    samples = []
+    for k in range(cells):
+        lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
+        t0, dt = pts[k], pts[k + 1] - pts[k]
+        cur, u_prev = xs[k], 0.0
+        for slot in range(lo, hi):
+            u = (out_t[slot] - t0) / dt
+            cur = oracle_jump(f, dzs[k], cur, u - u_prev, cfg)
+            samples.append((slot, k, cur))
+            u_prev = u
+    return samples
+
+
+def assert_interiors_are_the_per_slot_sampler(f, z, out, spec):
+    """The times inside the cells of a wz-hat output are the per-slot
+    sampler's flow from its own grid values: X is the sample, Y moves with
+    X from the cell's left end, and K and the k-variation stay there."""
+    pts, out_t = spec.partition.points, out.x.times
+    grid_slot = np.searchsorted(out_t, pts)
+    xs = out.x.values[grid_slot]
+    dzs = np.diff(z.value_at(pts), axis=0)
+    samples = cell_interiors(f, spec.flow_cfg, dzs, pts, out_t, xs,
+                             len(pts) - 1)
+    assert len(samples) == len(out_t) - len(pts) > 0
+    for slot, k, x in samples:
+        left = grid_slot[k]
+        assert same_bits(out.x.values[slot], x)
+        assert same_bits(out.y.values[slot],
+                         out.y.values[left] + (x - xs[k]))
+        assert same_bits(out.k.values[slot], out.k.values[left])
+        assert out.k_variation[slot] == out.k_variation[left]
+
+
+# output times next to every cell end, on both sides, and one inside
+_ENDS = np.linspace(0.0, 1.0, 17)
+NEAR_ENDS = np.concatenate([np.nextafter(_ENDS[1:], -np.inf),
+                            np.nextafter(_ENDS[:-1], np.inf),
+                            _ENDS[:-1] + 1e-9, _ENDS[1:] - 1e-9,
+                            _ENDS[:-1] + 0.37 / 16])
+SAMPLER_COEFFICIENTS = {
+    "constant": constant_matrix([[0.8, 0.2], [-0.3, 0.9]]),
+    "gauss-rotation": COEFFICIENTS["gauss-rotation"],
+    "linear-diagonal": linear_diagonal(0.7, 2, region_radius=2.0),
+    "full-field": full_field(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_COEFFICIENTS))
+@pytest.mark.parametrize("dom, x0", [DOMAINS[0], DOMAINS[2], DOMAINS[4]],
+                         ids=[DOMAINS[i][0].kind for i in (0, 2, 4)])
+def test_wz_hat_sampler_is_the_per_slot_sampler(dom, x0, name):
+    """Blocks of 16, 5 + 5 + 5 + 1 and 1, and the reverse order, sample
+    every path's interiors bitwise as the per-slot sampler does, at output
+    times a few ulps and 1e-9 from the cell ends."""
+    f = SAMPLER_COEFFICIENTS[name]
+    drivers = [driver(seed, steps=32, scale=0.2) for seed in range(16)]
+    spec = scheme_spec("wz-hat", observation_times=NEAR_ENDS)
+    whole = assert_schemes_match_alone(dom, f, x0, drivers, spec)
+    reverse = run_schemes(dom, f, x0, drivers[::-1], spec)[::-1]
+    fives = [out for first in range(0, 16, 5)
+             for out in run_schemes(dom, f, x0, drivers[first:first + 5],
+                                    spec)]
+    done = 0
+    for z, out, other, five in zip(drivers, whole, reverse, fives,
+                                   strict=True):
+        if isinstance(out, ReflectedSDEError):
+            assert (type(other), str(other)) == (type(out), str(out))
+            assert (type(five), str(five)) == (type(out), str(out))
+            continue
+        assert_same_output(out, other)
+        assert_same_output(out, five)
+        assert_interiors_are_the_per_slot_sampler(f, z, out, spec)
+        done += 1
+    assert done >= 12
+
+
+def with_nan(z, index):
+    """``z`` with a NaN sample at ``index``: the cells on both sides of it
+    have NaN increments."""
+    values = z.values.copy()
+    values[index] = np.nan
+    return GridPath(z.times, values, interp=CADLAG_STEP)
+
+
+@pytest.mark.parametrize("f", [
+    constant_matrix(np.eye(2)),
+    catalog_coefficient("gauss-rotation", amplitude=1.0, sigma=100.0)],
+    ids=["constant", "gauss-rotation"])
+def test_wz_hat_nan_interiors_next_to_a_failing_cell(f):
+    """A NaN increment in the interior of the cell before a failing step or
+    jump guard fails the path with NonFinite; in the cell after it, the
+    failing cell's error stands.  Each path fails alone with the loop's
+    error, in blocks in either order."""
+    dom, x0 = ExteriorOfBall([0.0, 0.0], 0.6), (0.6, 0.0)
+    hole = into_the_hole(8)
+    if f.matrix is None:
+        hole = GridPath(hole.times, hole.values[:, ::-1] * [1.0, -1.0],
+                        interp=CADLAG_STEP)
+    noise = np.random.default_rng(4).normal(0.0, 0.02, (17, 2))
+    noise[0] = 0.0
+    big = with_step(GridPath(hole.times, np.cumsum(noise, axis=0),
+                             interp=CADLAG_STEP), 9, np.array([0.0, 1.5]))
+    # sample 7 makes cells 6 and 7 NaN, sample 10 cells 9 and 10
+    drivers = [with_nan(hole, 7), with_nan(hole, 10), with_nan(big, 7),
+               with_nan(big, 10), driver(3, steps=16, scale=0.4)]
+    spec = scheme_spec("wz-hat", observation_times=NEAR_ENDS)
+    for block in (drivers, drivers[::-1]):
+        results = assert_schemes_match_alone(dom, f, x0, block, spec)
+        if block is not drivers:
+            results = results[::-1]
+        assert [type(r).__name__ for r in results] == [
+            "NonFinite", "ProjectionOutOfRange", "NonFinite", "JumpTooLarge",
+            "SchemeOutput"]
+
+
+@pytest.mark.parametrize("low", ["nan", "blow-up"])
+def test_sampler_keeps_the_lowest_failing_cell(low):
+    """Whichever of its lanes fails first in the engine's iterations, a
+    chain keeps the per-slot sampler's error: that of its lowest failing
+    cell.  A NaN increment fails before any step, a blow-up only after
+    several."""
+    f = linear_diagonal(1.0, 2, region_radius=1e9)
+    part = Partition.uniform(1.0, 4)
+    out_t = np.union1d(part.points, NEAR_ENDS)
+    dzs = np.full((4, 2), 0.1)
+    nan_cell, blow_cell = (1, 3) if low == "nan" else (3, 1)
+    dzs[nan_cell] = np.nan
+    dzs[blow_cell] = [60.0, 0.0]
+    chain = _Chain(np.ones(2), part, dzs, f.sup_f, math.inf, out_t)
+    chain.path[:] = 1.0
+    _sample_interiors(f, FLOW, [chain])
+    with pytest.raises(NonFinite) as want:
+        cell_interiors(f, FLOW, dzs, part.points, out_t, chain.path, 4)
+    assert (type(chain.sample_error), str(chain.sample_error)) == (
+        NonFinite, str(want.value))
+    assert ("nan" in str(want.value)) == (low == "nan")
+    # the cells below the failing one are sampled
+    assert {k for _, k, _ in chain.samples} >= set(range(min(nan_cell,
+                                                             blow_cell)))

@@ -358,6 +358,41 @@ experiment:
     assert "error" in err
 
 
+@pytest.mark.parametrize("scheme", ["kind: projection",
+                                    "kind: wz-hat\n  observations: 64"],
+                         ids=["projection", "wz-hat"])
+def test_jump_guard_of_a_huge_finite_increment(tmp_path, capsys, scheme):
+    """Cells whose sums of squares overflow take the scaled norm: cell 0
+    (|dz| * bound 0.26) passes, and cell 1 (0.64 against the radius 0.5)
+    is the first to fail, with no overflow warning on the way, also where
+    wz-hat samples cell 0's interior."""
+    cfg = _write(tmp_path, "huge.yaml", """
+domain:
+  kind: exterior-of-ball
+  center: [0.0, 0.0]
+  radius: 0.5
+coefficient:
+  kind: constant-matrix
+  matrix: [[1.0e-160, 0.0], [0.0, 1.0e-160]]
+driver:
+  steps: 16
+  dimension: 2
+  diffusion_scale: 1.0e+160
+scheme:
+  %s
+  mesh: 0.125
+experiment:
+  x0: [1.0, 0.0]
+  seed: 3
+""" % scheme)
+    code = main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "o")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("JumpTooLarge: increment norm 6.4011e+159 times "
+                          "coefficient bound 1e-160")
+
+
 def test_usage_error_exit_code(capsys):
     with_bad = main(["frobnicate"])
     assert with_bad == 2

@@ -242,11 +242,21 @@ def test_check_jump_condition():
     assert _admissible_cells(np.zeros((4, 1)), 100.0, 0.5) == (4, None)
 
 
+def exact_norm(dz):
+    """math.sqrt(dz.dot(dz)), or math.hypot(*dz) for a finite cell whose
+    sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        square = dz.dot(dz)
+    if square == math.inf and np.isfinite(dz).all():
+        return math.hypot(*dz)
+    return math.sqrt(square)
+
+
 def exact_admissible_cells(dzs, bound, rho0):
-    """The jump guard tested cell by cell with math.sqrt(dz.dot(dz))."""
+    """The jump guard tested cell by cell with ``exact_norm``."""
     if math.isfinite(rho0):
         for k, dz in enumerate(dzs):
-            dz_norm = math.sqrt(dz.dot(dz))
+            dz_norm = exact_norm(dz)
             if dz_norm * bound >= rho0:
                 return k, (f"increment norm {dz_norm:.6g} times coefficient "
                            f"bound {bound:.6g} reaches the projection radius "
@@ -274,7 +284,7 @@ def test_screened_jump_guard_is_the_exact_loop(d):
         if trial % 7 == 2:
             dzs[rng.integers(0, n), 0] = rng.choice([np.nan, np.inf])
         with np.errstate(over="ignore"):  # the exact dot of a huge cell
-            exact = np.array([math.sqrt(dz.dot(dz)) for dz in dzs])
+            exact = np.array([exact_norm(dz) for dz in dzs])
             k = int(np.argmax(np.where(np.isfinite(exact), exact, -1.0)))
             # the bound that puts cell k's exact norm at rho0, nudged by ulps
             bound = rho0 / exact[k] if 0.0 < exact[k] < math.inf else 2.0
@@ -287,12 +297,15 @@ def test_screened_jump_guard_is_the_exact_loop(d):
 
 def test_jump_guard_does_not_screen_a_sum_that_overflows_in_dot_only():
     """Where dot fuses multiply and add (x86-64), the einsum sum of squares
-    of this cell is the largest double while dot's overflows, so with a
-    tiny bound the screened norm alone would pass a cell the exact test
-    stops."""
+    of this cell is the largest double while dot's overflows: the screen
+    leaves the cell to the exact test, which takes its hypot norm, about
+    1.34e154, not inf, and decides by it either way."""
     dzs = np.array([[0.1, 0.0], [3.7618274148337565e+153,
                                  1.2869264469550572e+154]])
-    with np.errstate(over="ignore"):
-        expect = exact_admissible_cells(dzs, 1e-160, 0.75)
-        n_ok, stop = _admissible_cells(dzs, 1e-160, 0.75)
-    assert (n_ok, stop if stop is None else str(stop)) == expect
+    for bound, want in ((1e-160, (2, None)),
+                        (1e-154, (1, "increment norm 1.34078e+154 times "
+                                     "coefficient bound 1e-154 reaches the "
+                                     "projection radius 0.75"))):
+        expect = exact_admissible_cells(dzs, bound, 0.75)
+        n_ok, stop = _admissible_cells(dzs, bound, 0.75)
+        assert (n_ok, stop if stop is None else str(stop)) == expect == want

@@ -6,6 +6,11 @@ Frozen oracles used here:
   and across a path increment z to x0 * exp(z);
 * a constant rotation generator produces the planar rotation matrix;
 * the defect of f(x) = x at x0 = 1, dz = 0.1 is e^0.1 - 1 - 0.1.
+
+``oracle_jump`` is the jump transport of one state as a loop of its own,
+independent of the lockstep engine ``marcus_jump_chains`` that every call
+of the package runs on; the engine, its rows and its single calls are
+checked bitwise against it.
 """
 
 import math
@@ -21,6 +26,56 @@ from reflectsde.flow import (BLOWUP_GUARD, CATALOG, DEFAULT_FLOW,
                              jump_defect, linear_diagonal,
                              marcus_jump, marcus_jump_chains,
                              marcus_jump_partial, marcus_jump_rows)
+
+
+GUARD_MESSAGE = "flow trajectory left the finite-value guard region"
+
+
+def guarded(y):
+    if not np.abs(y).max() <= BLOWUP_GUARD:
+        raise NonFinite(GUARD_MESSAGE)
+    return y
+
+
+def oracle_jump(f, dz, x, span=1.0, cfg=DEFAULT_FLOW):
+    """The flow of y -> f(y) dz over [0, span] from one state x.
+
+    A zero span maps x to a copy of x; a constant coefficient to
+    x + span (dz @ M.T); a zero increment to a copy of x.  Otherwise it
+    takes n = cfg.steps_for(|dz|) classical RK4 steps, or ceil(n span) and
+    at least one for a span other than 1, through the 1-D ``f.field``.
+    Every result that is not a copy is checked against the guard region.
+    """
+    x = np.asarray(x, dtype=float)
+    dz = np.asarray(dz, dtype=float)
+    span = float(span)
+    if span == 0.0:
+        return x.copy()
+    if f.matrix is not None:
+        return guarded(x + span * (dz @ f.matrix.T))
+    norm = float(np.linalg.norm(dz, axis=-1))
+    if norm == 0.0:
+        return x.copy()
+    n = cfg.steps_for(norm)
+    if span != 1.0:
+        n = max(1, math.ceil(n * span))
+    h = span / n
+    y = x.copy()
+    for _ in range(n):
+        k1 = f.field(y, dz)
+        k2 = f.field(y + 0.5 * h * k1, dz)
+        k3 = f.field(y + 0.5 * h * k2, dz)
+        k4 = f.field(y + h * k3, dz)
+        y = guarded(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return y
+
+
+def oracle_outcome(f, dz, x, span, cfg):
+    """``oracle_jump``'s result, or the type and text of its error."""
+    try:
+        return oracle_jump(f, dz, x, span, cfg)
+    except NonFinite as exc:
+        return type(exc), str(exc)
 
 
 def exp_flow(n):
@@ -135,6 +190,8 @@ def test_marcus_jump_batched_matches_loop():
                 for i in range(rows):
                     np.testing.assert_array_equal(
                         batched[i], marcus_jump(f, dzs[i], xs[i], cfg))
+                    assert bits(batched[i]) == bits(
+                        oracle_jump(f, dzs[i], xs[i], 1.0, cfg))
                 np.testing.assert_array_equal(batched[rows // 2],
                                               xs[rows // 2])
 
@@ -232,16 +289,18 @@ def test_marcus_jump_partial_batched_matches_loop():
                     np.testing.assert_array_equal(
                         batched[i],
                         marcus_jump_partial(f, dzs[i], xs[i], u_end, cfg))
+                    assert bits(batched[i]) == bits(
+                        oracle_jump(f, dzs[i], xs[i], u_end, cfg))
                 np.testing.assert_array_equal(batched[32], xs[32])
 
 
-def chain_oracle(f, dzs, x, cfg, span, next_start):
-    """One lane of ``marcus_jump_chains`` as a loop of single calls:
+def chain_oracle(f, dzs, spans, x, cfg, next_start):
+    """One lane of ``marcus_jump_chains`` as a loop of ``oracle_jump``:
     (k, y or None, error type and text or None) per jump taken."""
     out = []
-    for k, dz in enumerate(dzs):
+    for k, (dz, span) in enumerate(zip(dzs, spans)):
         try:
-            y = marcus_jump_partial(f, dz, x, span, cfg)
+            y = oracle_jump(f, dz, x, span, cfg)
             out.append((k, y, None))
         except NonFinite as exc:
             y = None
@@ -256,8 +315,8 @@ def chain_oracle(f, dzs, x, cfg, span, next_start):
 def test_marcus_jump_chains_match_a_loop_of_single_calls(span):
     """Lanes of different lengths, with zero, NaN and blow-up increments
     mid-lane and a lane that its caller stops early, all give each jump
-    bitwise its single call, in order, and continue from the start the
-    caller returns."""
+    bitwise its ``oracle_jump`` call, in order, and continue from the start
+    the caller returns."""
     f = linear_diagonal(1.0, 2, region_radius=1e9)
     cfg = FlowConfig(32, adaptive=True)
     rng = np.random.default_rng(9)
@@ -265,7 +324,7 @@ def test_marcus_jump_chains_match_a_loop_of_single_calls(span):
     for length in (0, 1, 5, 17, 40, 3):
         dzs = rng.normal(0.0, 0.3, (length, 2))
         dzs[::4] *= 5.0
-        lanes.append((dzs, rng.normal(0.0, 1.0, 2)))
+        lanes.append((dzs, np.full(length, span), rng.normal(0.0, 1.0, 2)))
     lanes[2][0][1] = 0.0
     lanes[3][0][4] = [np.nan, 0.0]
     lanes[3][0][9] = [80.0, 0.0]
@@ -277,16 +336,15 @@ def test_marcus_jump_chains_match_a_loop_of_single_calls(span):
         # after an error, a fresh start; else on from the jump's end
         return np.array([0.5, -0.5]) if y is None else y * 0.9
 
-    got = [[] for _ in lanes]
+    got = run_lanes(f, lanes, cfg, next_start)
+    assert_lanes_match_the_oracle(f, lanes, got, cfg, next_start)
+    assert [len(g) for g in got] == [0, 1, 5, 17, 21, 3]
+    assert sum(err is not None for g in got for _, _, err in g) == 3
 
-    def follow(i, k, y, error):
-        got[i].append((k, y, None if error is None
-                       else (type(error), str(error))))
-        return next_start(i, k, y)
 
-    marcus_jump_chains(f, lanes, follow, cfg, span)
-    for i, (dzs, x) in enumerate(lanes):
-        want = chain_oracle(f, dzs, x, cfg, span,
+def assert_lanes_match_the_oracle(f, lanes, got, cfg, next_start):
+    for i, (dzs, spans, x) in enumerate(lanes):
+        want = chain_oracle(f, dzs, spans, x, cfg,
                             lambda k, y, i=i: next_start(i, k, y))
         assert len(got[i]) == len(want)
         for (k, y, err), (k2, y2, err2) in zip(got[i], want):
@@ -294,8 +352,72 @@ def test_marcus_jump_chains_match_a_loop_of_single_calls(span):
             assert (y is None) == (y2 is None)
             if y is not None:
                 assert bits(y) == bits(y2)
-    assert [len(g) for g in got] == [0, 1, 5, 17, 21, 3]
-    assert sum(err is not None for g in got for _, _, err in g) == 3
+
+
+def run_lanes(f, lanes, cfg, next_start):
+    """Each lane's (k, y or None, error type and text or None) per jump."""
+    got = [[] for _ in lanes]
+
+    def follow(i, k, y, error):
+        got[i].append((k, y, None if error is None
+                       else (type(error), str(error))))
+        return next_start(i, k, y)
+
+    marcus_jump_chains(f, lanes, follow, cfg)
+    return got
+
+
+@pytest.mark.parametrize("f", [linear_diagonal(0.8, 2, region_radius=1e9),
+                               full_field(),
+                               constant_matrix([[1.0, 0.3], [-0.2, 0.8]])],
+                         ids=["linear-diagonal", "full-field", "constant"])
+def test_marcus_jump_chains_per_jump_spans(f):
+    """Lanes whose jumps have mixed spans (0, 0.3, 1 and a negative one),
+    with zero and NaN increments next to zero spans, give each jump bitwise
+    its oracle: a zero span hands back the start even for a NaN
+    increment."""
+    cfg = FlowConfig(32, adaptive=True)
+    rng = np.random.default_rng(21)
+    choices = np.array([0.0, 0.3, 1.0, -0.45])
+    lanes = []
+    for length in (1, 4, 9, 30):
+        dzs = rng.normal(0.0, 0.4, (length, 2))
+        spans = choices[rng.integers(0, 4, length)]
+        spans[0] = choices[length % 4]
+        lanes.append((dzs, spans, rng.normal(0.0, 1.0, 2)))
+    lanes[2][0][3], lanes[2][1][3] = np.nan, 0.0    # NaN over a zero span
+    lanes[3][0][5], lanes[3][1][5] = 0.0, 0.3       # zero increment
+    lanes[3][0][11], lanes[3][1][11] = np.nan, 0.3  # NaN over a span
+
+    def next_start(i, k, y):
+        return np.array([0.2, -0.1]) if y is None else y
+
+    got = run_lanes(f, lanes, cfg, next_start)
+    assert_lanes_match_the_oracle(f, lanes, got, cfg, next_start)
+    assert [len(g) for g in got] == [1, 4, 9, 30]
+    np.testing.assert_array_equal(got[2][3][1], got[2][2][1])
+    assert got[3][11][2] is not None
+    assert {span for _, spans, _ in lanes for span in spans} == set(choices)
+
+
+def test_constant_coefficient_lanes_fail_with_the_guard_message():
+    """A constant coefficient's jump is its closed form: a NaN increment or
+    one that blows past the guard region fails with the guard message, not
+    the step-count one, and the lane goes on from the start its caller
+    gives."""
+    f = constant_matrix([[1.0, 0.3], [-0.2, 0.8]])
+    lanes = [(np.array([[0.1, 0.2], [np.nan, 0.0], [0.3, -0.1],
+                        [2.0 * BLOWUP_GUARD, 0.0], [-0.2, 0.4]]),
+              np.array([1.0, 0.5, 1.0, 1.0, 0.7]), np.array([0.5, 0.5]))]
+
+    def next_start(i, k, y):
+        return np.array([1.0, -1.0]) if y is None else y
+
+    got = run_lanes(f, lanes, DEFAULT_FLOW, next_start)
+    assert_lanes_match_the_oracle(f, lanes, got, DEFAULT_FLOW, next_start)
+    assert [err for _, _, err in got[0]] == [
+        None, (NonFinite, GUARD_MESSAGE), None, (NonFinite, GUARD_MESSAGE),
+        None]
 
 
 FIELD_KINDS = [
