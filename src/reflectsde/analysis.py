@@ -352,8 +352,9 @@ def convergence_study(plan: StudyPlan, jobs: int = 1) -> RateTable:
     """Monte Carlo convergence table for a scheme against its reference.
 
     Paths run in blocks (``_study_block``); with jobs > 1 the blocks are
-    distributed over a process pool.  Results are aggregated in path-index
-    order either way, so the table is identical for any worker count.
+    distributed over a process pool of at most one worker per block.
+    Results are aggregated in path-index order either way, so the table is
+    identical for any worker count.
     """
     problems = plan.validate()
     if problems:
@@ -366,7 +367,8 @@ def convergence_study(plan: StudyPlan, jobs: int = 1) -> RateTable:
     blocks = _blocks(plan.n_paths, jobs, lockstep)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(blocks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_study_block, plan_dict, block)
                        for block in blocks]
             for fut in as_completed(futures):

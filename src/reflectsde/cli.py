@@ -34,6 +34,16 @@ from .schemes import run_scheme
 from .skorokhod import solve_skorokhod
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
@@ -42,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: ./<command>-out)")
     common.add_argument("--seed", type=int, default=None,
                         help="override experiment.seed")
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for Monte Carlo fan-out")
     common.add_argument("--print-config", action="store_true",
                         help="print the effective configuration and exit")
@@ -184,7 +194,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out or f"{args.command}-out")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        files = _COMMANDS[args.command](cfg, out_dir, max(1, args.jobs))
+        files = _COMMANDS[args.command](cfg, out_dir, args.jobs)
     except ConfigError as exc:
         print(json.dumps({"error": "configuration", "problems": exc.problems},
                          sort_keys=True), file=sys.stderr)

@@ -7,12 +7,20 @@ same seed reproduces the artifact byte for byte.  No timestamps or other
 non-deterministic fields are ever written.
 
 The writers share one block writer, ``_write_rows``: it writes the header
-line, then the rows in blocks of at most ``_BLOCK_ROWS``, stacking each
-block's columns and formatting the whole block with one ``%`` over a
-repeated row template.  '%.17g' already writes nan, inf and -inf, and no
-token it writes needs CSV quoting, so the bytes are those of a per-value
-format and ``csv.writer`` loop.  The block bound keeps the stacked copy
-and the block's text small next to the arrays being written.
+line, then the rows in blocks of at most ``_BLOCK_ROWS``.  A writer hands
+it its columns as groups that move together (t; x or z; k1..kd with
+kvar).  In each block, a group whose rows repeat the row above, bit for
+bit, in at least half of the block is formatted once per run of equal
+rows, and each row's run text is spliced into the block's row template
+as %s: between projections, k and its variation do not move (Lemma 1),
+nor does a pure-jump driver between its jumps.  A run that crosses a
+block edge is formatted again in the next block.  Other groups go inline,
+and the whole block is then formatted with one ``%`` over the repeated
+row template.  Comparing bits, not values, keeps -0.0 after 0.0 a new
+run.  '%.17g' already writes nan, inf and -inf, and no token it writes
+needs CSV quoting, so the bytes are those of a per-value format and
+``csv.writer`` loop.  The block bound keeps the stacked copies and the
+block's text small next to the arrays being written.
 
 Given a filesystem path, a writer streams its blocks to the file, so the
 whole text is never held in memory; the command line writes ``path.csv``
@@ -47,17 +55,52 @@ def _opened(fh, mode):
         yield fh
 
 
-def _write_rows(handle, header, columns, row_format):
-    """Write the header line, then one row_format line per row of columns.
+def _run_starts(bits):
+    """Rows of a block that start a run, or None if the group moves often.
 
-    ``columns`` are arrays sharing their first axis (1-d columns or 2-d
-    column groups); ``row_format`` is the %-template of one line.
+    ``bits`` is one column group's block viewed as int64, so that -0.0
+    after 0.0, or one NaN after another with other bits, starts a run.
+    The block's first row always starts one.  When fewer than half of the
+    rows repeat the row above, the group is formatted inline: None.
+    """
+    new = np.zeros(len(bits) - 1, dtype=bool)
+    for column in bits.T:   # faster than any(axis=1) on a few columns
+        new |= column[1:] != column[:-1]
+    if 2 * (len(new) - np.count_nonzero(new)) < len(bits):
+        return None
+    return np.concatenate(([True], new))
+
+
+def _write_rows(handle, header, groups):
+    """Write the header line, then one line per row of the column groups.
+
+    ``groups`` is a sequence of (cell_format, arrays): a group's arrays
+    (1-d columns or 2-d column blocks) share the first axis with every
+    other group's, and each of its cells is written with cell_format.
     """
     handle.write(",".join(header) + "\n")
-    n = len(columns[0])
+    n = len(groups[0][1][0])
     for start in range(0, n, _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-        handle.write(row_format * len(block) % tuple(block.ravel().tolist()))
+        fields = []
+        formats = []
+        for cell_format, arrays in groups:
+            block = np.column_stack([a[start:start + _BLOCK_ROWS]
+                                     for a in arrays])
+            group_format = ",".join([cell_format] * block.shape[1])
+            starts = _run_starts(block.view(np.int64))
+            if starts is None:
+                fields.append(block)
+                formats.append(group_format)
+                continue
+            heads = block[starts]
+            text = ((group_format + "\n") * len(heads)
+                    % tuple(heads.ravel().tolist()))
+            runs = np.array(text.split("\n")[:-1], dtype=object)
+            fields.append(runs[np.cumsum(starts) - 1, None])
+            formats.append("%s")
+        rows = np.hstack(fields)
+        handle.write((",".join(formats) + "\n") * len(rows)
+                     % tuple(rows.ravel().tolist()))
 
 
 def _parse_float(token, where):
@@ -77,10 +120,13 @@ def write_path_csv(fh, path):
     """
     d = path.dimension
     header = ["t"] + ["z%d" % (i + 1) for i in range(d)] + ["is_jump"]
-    is_jump = np.isin(path.times, path.jump_times)
+    # GridPath holds each jump time as one of its grid times
+    is_jump = np.zeros(len(path.times))
+    is_jump[np.searchsorted(path.times, path.jump_times)] = 1.0
     with _opened(fh, "w") as handle:
-        _write_rows(handle, header, [path.times, path.values, is_jump],
-                    ",".join([FLOAT_FMT] * (d + 1) + ["%d\n"]))
+        _write_rows(handle, header, [(FLOAT_FMT, [path.times]),
+                                     (FLOAT_FMT, [path.values]),
+                                     ("%d", [is_jump])])
 
 
 def read_path_csv(fh, interp=CADLAG_STEP):
@@ -150,8 +196,9 @@ def write_solution_csv(fh, x, k, k_variation):
     if kvar.shape != x.times.shape:
         raise CsvFormatError("k_variation must hold one value per grid time")
     with _opened(fh, "w") as handle:
-        _write_rows(handle, header, [x.times, x.values, k.values, kvar],
-                    ",".join([FLOAT_FMT] * (2 * d + 2)) + "\n")
+        _write_rows(handle, header, [(FLOAT_FMT, [x.times]),
+                                     (FLOAT_FMT, [x.values]),
+                                     (FLOAT_FMT, [k.values, kvar])])
 
 
 def read_solution_csv(fh, interp=CADLAG_STEP):
@@ -217,8 +264,8 @@ def write_rate_csv(fh, rows):
     table = np.array([[row.get(key) for key in RATE_HEADER] for row in rows],
                      dtype=float)
     with _opened(fh, "w") as handle:
-        _write_rows(handle, RATE_HEADER, [table.reshape(-1, len(RATE_HEADER))],
-                    ",".join([FLOAT_FMT] * len(RATE_HEADER)) + "\n")
+        _write_rows(handle, RATE_HEADER,
+                    [(FLOAT_FMT, [table.reshape(-1, len(RATE_HEADER))])])
 
 
 def read_rate_csv(fh):

@@ -339,12 +339,25 @@ def _sample_interiors(f, cfg, chains):
         pts, out_t = c.partition.points, c.out_t
         upto.append(c.n if c.error is None else c.failed_at + 1)
         grid_slot = np.searchsorted(out_t, pts[:upto[ci] + 1])
-        for k in np.flatnonzero(np.diff(grid_slot) > 1).tolist():
-            lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
-            u = (out_t[lo:hi] - pts[k]) / (pts[k + 1] - pts[k])
-            lanes.append((np.broadcast_to(c.dzs[k], (hi - lo, len(c.start))),
-                          np.diff(u, prepend=0.0), c.path[k]))
-            owners.append((ci, k, lo))
+        inside = np.diff(grid_slot) - 1   # output times inside each cell
+        cells = np.flatnonzero(inside > 0)
+        if not len(cells):
+            continue
+        # all the chain's interior slots at once, lane after lane: slot,
+        # cell, fraction u of the cell, and span from the lane's previous
+        # u (0 at its first slot), elementwise the per-lane operations
+        lo, counts = grid_slot[cells] + 1, inside[cells]
+        first = np.cumsum(counts) - counts
+        cell = np.repeat(cells, counts)
+        slot = np.arange(counts.sum()) + np.repeat(lo - first, counts)
+        u = (out_t[slot] - pts[cell]) / (pts[cell + 1] - pts[cell])
+        u_prev = np.concatenate(([0.0], u[:-1]))
+        u_prev[first] = 0.0
+        spans, dzs = u - u_prev, c.dzs[cell]
+        for k, a, n, s in zip(cells.tolist(), first.tolist(),
+                              counts.tolist(), lo.tolist()):
+            lanes.append((dzs[a:a + n], spans[a:a + n], c.path[k]))
+            owners.append((ci, k, s))
 
     def follow(i, j, y, error):
         ci, k, lo = owners[i]

@@ -1,5 +1,6 @@
 """Error metrics, rate studies, the flow-gap report, and serialization."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -155,6 +156,37 @@ def test_convergence_study_small_run():
     # identical plan, parallel execution: identical numbers
     table2 = convergence_study(plan, jobs=2)
     assert table.as_dict() == table2.as_dict()
+
+
+def test_process_pool_is_capped_at_the_number_of_blocks(monkeypatch):
+    """A pool never gets more workers than the study has blocks: --jobs
+    5000 on four paths (four blocks) asks for four, and the table is the
+    serial one.  The stand-in pool runs each block at submit, in this
+    process, so the test starts no process."""
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    plan = _tiny_plan()
+    serial = convergence_study(plan, jobs=1).as_dict()
+    for jobs in (5000, 4, 3):
+        assert convergence_study(plan, jobs=jobs).as_dict() == serial
+    assert widths == [4, 4, 3]
 
 
 def test_convergence_study_records_nonfinite_cells(monkeypatch):

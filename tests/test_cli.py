@@ -1,6 +1,7 @@
 """Command line entry point: exit codes, artifacts, determinism."""
 
 import filecmp
+import hashlib
 import json
 import tracemalloc
 
@@ -255,6 +256,109 @@ def test_skorokhod_streams_its_csv_artifacts(tmp_path, capsys):
     assert peak < 5e6
 
 
+GOLDEN_POLYGON_YAML = """
+domain:
+  kind: convex-polyhedron
+  normals: [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+  offsets: [-1.0, -1.0, -1.0]
+coefficient:
+  kind: constant-matrix
+  matrix: [[1.0, 0.0], [0.0, 1.0]]
+driver:
+  steps: 2500
+  dimension: 2
+  jump_rate: 20.0
+  jump_law: {kind: uniform-ball, radius: 0.8}
+  diffusion_scale: 1.0
+experiment:
+  x0: [0.0, 0.0]
+  seed: 31
+"""
+
+GOLDEN_PURE_JUMP_YAML = """
+domain:
+  kind: box
+  lower: [-1.0, -1.0, -1.0]
+  upper: [1.0, 1.0, 1.0]
+coefficient:
+  kind: constant-matrix
+  matrix: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+driver:
+  steps: 1500
+  dimension: 3
+  jump_rate: 15.0
+  jump_law: {kind: uniform-ball, radius: 0.9}
+  diffusion_scale: 0.0
+scheme:
+  kind: projection
+  cells: 1500
+experiment:
+  x0: [0.0, 0.0, 0.0]
+  seed: 5
+"""
+
+GOLDEN_BALL_YAML = """
+domain:
+  kind: ball
+  center: [0.0, 0.0]
+  radius: 0.7
+coefficient:
+  kind: constant-matrix
+  matrix: [[1.0, 0.0], [0.0, 1.0]]
+driver:
+  steps: 1200
+  dimension: 2
+  jump_rate: 4.0
+scheme:
+  kind: projection
+  cells: 1200
+experiment:
+  x0: [0.5, 0.0]
+  seed: 99
+"""
+
+# SHA-256 of each artifact, recorded with the per-row %.17g block writer
+GOLDEN = {
+    ("skorokhod", "polygon"): {
+        "path.csv": "0b6fb62a8e0529c7a844c9e31acc62b724a038d676caf1372390a071fd48c13c",
+        "solution.csv": "7b76397d45851053b44ab1d55984fcd221bec9a64b72bc75f2b48d8c47ee84bc",
+        "summary.json": "99f698005bade45a9e682e561caa1f49365a23eec64d6b2f7703fec1d4511ee2",
+    },
+    ("skorokhod", "pure-jump"): {
+        "path.csv": "f9d4066218eb993be5502ee6b784ede1bce0388571c4fcc7728867abbd6a3942",
+        "solution.csv": "c74484786a4cd0ee817232b4e9a7a5bbe6c2a8ead99bdc207213dbb3bcd7e2ad",
+        "summary.json": "5eea45349509144e7eddd22df9fdbf81e28087da1ba64f2b79503091347f4844",
+    },
+    ("simulate", "pure-jump"): {
+        "path.csv": "ffac371bee709cd4b84b1a6931315a6265e9d048ff1383b83410292e9ecece12",
+        "solution.csv": "090f81d81d4d6b6d2d3bc22805ada4370ae48e7f7397252056c6beeb061a273c",
+        "summary.json": "87ddfb64c7a33f0823f92092c2e50f9efe77701e6ff2f5d187718d6debac3f50",
+    },
+    ("simulate", "ball"): {
+        "path.csv": "b2b81f22b2c91d4d5f23368b291981beb2f4f1f78df5a95564c6b6ab3cf88c2f",
+        "solution.csv": "dfe823594df211dc33dd09530f9c60bda09f2d55c8993fee9ee3b048a5418ec6",
+        "summary.json": "e513bd1ba20aaa7e1bc689638304487a58fa793c6c1fe3a51732786b79356a4e",
+    },
+}
+GOLDEN_YAML = {"polygon": GOLDEN_POLYGON_YAML,
+               "pure-jump": GOLDEN_PURE_JUMP_YAML, "ball": GOLDEN_BALL_YAML}
+
+
+@pytest.mark.parametrize("command,name", sorted(GOLDEN))
+def test_artifacts_keep_their_recorded_sha256(tmp_path, capsys, command,
+                                              name):
+    """Every artifact of a small fixed run keeps the SHA-256 it had when
+    the CSV writers formatted each value of each row: the run-length
+    formatting of k (and of x and z between a pure-jump driver's jumps)
+    changes no byte."""
+    cfg = _write(tmp_path, f"{name}.yaml", GOLDEN_YAML[name])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == GOLDEN[command, name]
+
+
 def test_remark4_command(tmp_path, capsys):
     out = tmp_path / "r4"
     code = main(["remark4", "--out", str(out)])
@@ -391,6 +495,16 @@ experiment:
     err = json.loads(capsys.readouterr().err)["error"]
     assert err.startswith("JumpTooLarge: increment norm 6.4011e+159 times "
                           "coefficient bound 1e-160")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    """--jobs must be a positive integer: anything else is a usage error,
+    exit 2 before any output is written."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,6 +5,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reflectsde import csvio
 from reflectsde.csvio import (read_path_csv, read_solution_csv,
@@ -176,3 +177,169 @@ def test_block_writers_round_trip(tmp_path, d):
     assert x2.values.tobytes() == path.values.tobytes()
     assert k2.values.tobytes() == k.values.tobytes()
     assert kvar2.tobytes() == kvar.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# run-length formatting of slowly moving column groups
+
+
+def _runs(n, d, bounds, seed, values=None):
+    """(n, d) rows, constant on [bounds[i], bounds[i + 1]) and new at each
+    bound; ``values`` are used in order for the runs' rows when given."""
+    rng = np.random.default_rng(seed)
+    edges = [0] + sorted(set(bounds) - {0, n}) + [n]
+    out = np.empty((n, d))
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        out[a:b] = (rng.standard_normal(d) if values is None
+                    else values[i % len(values)])
+    return out
+
+
+@pytest.fixture
+def grouped(monkeypatch):
+    """Record, per call of ``_run_starts``, whether its group went by runs."""
+    seen = []
+    real = csvio._run_starts
+
+    def spy(bits):
+        starts = real(bits)
+        seen.append(starts is not None)
+        return starts
+
+    monkeypatch.setattr(csvio, "_run_starts", spy)
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_k_runs_across_block_edges_match_per_value_writer(d, grouped):
+    """k and kvar move together in runs that start at row 0, cross the
+    block edges (rows 1024 and 2048), and end at the last row."""
+    b = csvio._BLOCK_ROWS
+    n = 2 * b + 37
+    bounds = [3, b - 5, b + 2, b + 3, 2 * b - 1, n - 1]
+    times = _times(n)
+    x = GridPath(times, _values(n, d, seed=d))
+    kk = _runs(n, d + 1, bounds, seed=d)
+    k, kvar = GridPath(times, kk[:, :d]), kk[:, d]
+    text = _text(write_solution_csv, x, k, kvar)
+    assert text == _ref_solution_csv(x, k, kvar)
+    # per block: t and x inline, k by runs
+    assert grouped == [False, False, True] * 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_signed_zeros_nan_and_inf_runs_match_per_value_writer(d):
+    """-0.0 next to 0.0 starts a run, as does a NaN after a NaN of other
+    bits; runs of nan, inf and -inf are formatted once and spliced."""
+    quiet, other = np.float64(np.nan), np.int64(0x7ff8000000000001).view(
+        np.float64)
+    values = [0.0, -0.0, 0.0, quiet, other, quiet, np.inf, -np.inf, np.inf,
+              -0.0, 5e-324]
+    n = csvio._BLOCK_ROWS + 200
+    bounds = list(range(90, n, 90))
+    times = _times(n)
+    x = GridPath(times, _runs(n, d, bounds, seed=1, values=values))
+    kk = _runs(n, d + 1, bounds[1:], seed=2, values=values[::-1])
+    k = GridPath(times, kk[:, :d])
+    assert (_text(write_solution_csv, x, k, kk[:, d])
+            == _ref_solution_csv(x, k, kk[:, d]))
+    bits = x.values.view(np.int64)
+    starts = csvio._run_starts(bits[:csvio._BLOCK_ROWS])
+    assert np.array_equal(np.flatnonzero(starts),
+                          np.arange(0, csvio._BLOCK_ROWS, 90))
+
+
+def test_run_starts_threshold_is_half_the_block():
+    """A group goes by runs when at least half of the block's rows repeat
+    the row above, and inline otherwise: 512 repeats of 1024 rows, or 3 of
+    5, are enough; 511, or 2 of 5, or all rows distinct, or a block of one
+    row, are not."""
+    def block(rows, repeats):
+        values = np.arange(float(rows))
+        values[1:repeats + 1] = values[0]
+        return values.reshape(-1, 1).view(np.int64)
+
+    for rows, repeats, by_runs in [(1024, 512, True), (1024, 511, False),
+                                   (5, 3, True), (5, 2, False),
+                                   (1024, 0, False), (1, 0, False),
+                                   (1024, 1023, True)]:
+        starts = csvio._run_starts(block(rows, repeats))
+        assert (starts is not None) == by_runs
+        if by_runs:
+            assert starts[0] and np.count_nonzero(starts) == rows - repeats
+
+
+@pytest.mark.parametrize("repeats", [511, 512])
+def test_half_threshold_blocks_match_per_value_writer(repeats, grouped):
+    n = csvio._BLOCK_ROWS
+    times = _times(n)
+    values = _values(n, 2, seed=repeats)
+    values[1:repeats + 1] = values[0]
+    x = GridPath(times, values)
+    k = GridPath(times, _values(n, 2, seed=3))
+    kvar = _values(n, 1, seed=4)[:, 0]
+    assert (_text(write_solution_csv, x, k, kvar)
+            == _ref_solution_csv(x, k, kvar))
+    assert grouped == [False, repeats == 512, False]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pure_jump_path_matches_per_value_writer(d, grouped):
+    """A pure-jump driver's z is constant between its jumps: z and the
+    is_jump flags go by runs, t inline."""
+    n = 2 * csvio._BLOCK_ROWS + 11
+    jump_rows = [0, 5, 700, csvio._BLOCK_ROWS, 1500, n - 1]
+    times = _times(n)
+    values = _runs(n, d, jump_rows, seed=d)
+    values[:5] = 0.0
+    jt = times[jump_rows[1:]]
+    jv = values[jump_rows[1:]] - values[np.array(jump_rows[1:]) - 1]
+    path = GridPath(times, values, jump_times=jt, jump_values=jv)
+    assert _text(write_path_csv, path) == _ref_path_csv(path)
+    assert grouped == [False, True, True] * 3
+
+
+def test_rate_rows_stay_inline(grouped):
+    rows = [{key: 0.5 for key in csvio.RATE_HEADER}, {"mesh": 0.25}]
+    assert _text(write_rate_csv, rows) == _ref_rate_csv(rows)
+    assert grouped == [False]
+
+
+FLOATS = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def run_structured(draw):
+    """Rows made of runs: (n, d) x, (n, d + 1) k with kvar, and a block
+    size small enough to put block edges inside the runs."""
+    d = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
+    n = sum(lengths)
+    groups = []
+    for width in (d, d + 1):
+        row = st.lists(FLOATS, min_size=width, max_size=width)
+        moving = draw(st.booleans())
+        rows = []
+        for length in lengths:
+            rows += ([draw(row) for _ in range(length)] if moving
+                     else [draw(row)] * length)
+        groups.append(np.array(rows, dtype=float).reshape(n, width))
+    return d, groups[0], groups[1], draw(st.sampled_from([1, 2, 3, 7, 1024]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_structured())
+def test_run_structured_rows_match_per_value_writer(case):
+    d, xs, kk, block_rows = case
+    times = _times(len(xs))
+    x, k = GridPath(times, xs), GridPath(times, kk[:, :d])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_BLOCK_ROWS", block_rows)
+        text = _text(write_solution_csv, x, k, kk[:, d])
+        jumps = len(times) > 1
+        path = GridPath(times, xs, jump_times=times[-1:] if jumps else [],
+                        jump_values=np.ones((int(jumps), d)))
+        path_text = _text(write_path_csv, path)
+    assert text == _ref_solution_csv(x, k, kk[:, d])
+    assert path_text == _ref_path_csv(path)
