@@ -27,19 +27,20 @@ Validation contract: constructors reject non-finite parameters, and the
 public methods (``project``, ``distance_outside``, ``contains``, ...) check
 the shape and finiteness of their input on every call.  The stepping loops
 in ``skorokhod`` and ``schemes`` validate once per path and then call the
-kind's hooks directly, unchecked:
+kind's two hooks directly, unchecked:
 
-* ``_project`` through ``skorokhod.guarded_step``, once per projected step.
-  It takes a float array of the right shape and must pass non-finite input
-  through as non-finite output rather than loop or raise on it.
-* ``_inside_batch`` through ``skorokhod.interior_run``, on a run of
-  candidate states.  It is conservative: a row it accepts is finite, has no
-  coordinate above ``BLOWUP_GUARD``, and clears the boundary by a band of
-  1e-10 (1 + |x| + scale), far above the rounding of the batch arithmetic.
-  ``_project`` therefore returns such a row unchanged and the scalar step
-  would raise nothing on it, so the loops skip ``guarded_step`` for it
-  without changing a bit of their output.  A row it rejects only goes
-  through the scalar step.
+* ``_project(x)`` through ``skorokhod.guarded_step``, once per projected
+  step.  It takes a float array of the right shape and must pass
+  non-finite input through as non-finite output rather than loop or raise
+  on it.
+* ``_margins(points)`` through ``skorokhod.interior_run``, on a run of
+  candidate states, and through the rows classifier behind ``contains``
+  and ``boundary_count``.  In the closure a row's margin is its distance
+  to the boundary; outside it is negative, of size at most the distance
+  to the closure.  Each margin goes through the same arithmetic, and the
+  same BLAS kernel, as ``_project``'s own inside test, so on a finite row
+  margin >= 0 holds exactly when ``_project`` returns the row bitwise
+  unchanged.  Interior runs accept exactly those rows, with no band.
 """
 
 import math
@@ -47,7 +48,6 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NotOnBoundary, ProjectionOutOfRange
-from .flow import BLOWUP_GUARD
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -57,9 +57,22 @@ _DYKSTRA_MAX_CYCLES = 10_000
 _DYKSTRA_TOL = 1e-12
 
 
+def _bands(points: np.ndarray) -> np.ndarray:
+    """The default boundary band 1e-10 (1 + |x|) of each row of ``points``.
+
+    |x| is ``np.linalg.norm`` of the row; a finite row whose squares
+    overflow falls back to ``math.hypot``, which does not overflow.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(points, axis=1)
+    for i in np.flatnonzero(np.isinf(norms)):
+        norms[i] = math.hypot(*points[i])  # inf again if a coordinate is
+    return 1e-10 * (1.0 + norms)
+
+
 def default_boundary_tol(x) -> float:
     """Scale-aware tolerance band used to classify boundary membership."""
-    return 1e-10 * (1.0 + float(np.linalg.norm(x)))
+    return float(_bands(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def _as_point(x, dimension: int) -> np.ndarray:
@@ -78,18 +91,14 @@ def _require_finite(what: str, *values):
         raise ValueError(f"{what} must be finite")
 
 
-def _clear_of_boundary(points: np.ndarray, margins: np.ndarray,
-                       scale: float = 0.0) -> np.ndarray:
-    """Rows whose margin to the boundary exceeds 1e-10 (1 + |x| + scale).
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, d) ``a`` with (n, d) or (d,) ``b``.
 
-    ``margins`` is a batch lower estimate of the distance inside the
-    boundary; ``scale`` covers the rounding of domain parameters in it.  The
-    norm bound (half the guard, so no rounding of the norm matters) also
-    rejects non-finite rows and rows beyond BLOWUP_GUARD.
+    A stacked matmul, so each row goes through the BLAS dot of the 1-d
+    ``a[i] @ b[i]`` and matches it bitwise (a plain (n, d) @ (d,) is one
+    gemv, whose rounding differs).
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-    return ((margins > 1e-10 * (1.0 + norms + scale))
-            & (norms < 0.5 * BLOWUP_GUARD))
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -112,39 +121,46 @@ class Domain:
 
     # -- subclass hooks -------------------------------------------------
 
-    def _signed_distance(self, x: np.ndarray) -> float:
-        """Positive inside, negative outside, magnitude ~ distance to the boundary."""
+    def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _project(self, x: np.ndarray) -> np.ndarray:
+    def _margins(self, points: np.ndarray) -> np.ndarray:
+        """(n,) margins of the (n, d) rows; see the module docstring."""
         raise NotImplementedError
 
     def _normal(self, x: np.ndarray, tol: float) -> np.ndarray:
         raise NotImplementedError
 
-    def _signed_distance_batch(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self._signed_distance(p) for p in points])
+    def _classify(self, points: np.ndarray, tol: float | None):
+        """Signed distances of the (n, d) rows and their on-boundary mask.
 
-    def _inside_batch(self, points: np.ndarray) -> np.ndarray:
-        """Boolean per row of (n, d) points: True only where ``_project``
-        returns the row unchanged and a projection step raises nothing.
-
-        Conservative: rows near the boundary may be rejected (see the module
-        docstring for the band).  A kind without a closed form accepts no
-        row, so every step is projected.
+        A row is on the boundary when its signed distance is finite and
+        within the band (``tol``, or the default band of the row).  The
+        margin is that distance inside; a row just outside, with
+        -band <= margin < 0, gets its exact distance -|project(x) - x|, and
+        a row further out is outside whatever its exact distance.
         """
-        return np.zeros(len(points), dtype=bool)
+        bands = (_bands(points) if tol is None
+                 else np.full(len(points), float(tol)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = self._margins(points)
+            for i in np.flatnonzero(np.isfinite(sd) & (sd < 0.0)
+                                    & (sd >= -bands)):
+                try:
+                    sd[i] = -float(np.linalg.norm(self._project(points[i])
+                                                  - points[i]))
+                except ProjectionOutOfRange:
+                    pass  # the centre of an excluded ball: -radius is exact
+        return sd, np.isfinite(sd) & (np.abs(sd) <= bands)
 
     # -- public API -----------------------------------------------------
 
     def contains(self, x, tol: float | None = None) -> str:
         """Classify ``x`` as ``interior``, ``boundary``, or ``outside``."""
-        p = _as_point(x, self.dimension)
-        band = default_boundary_tol(p) if tol is None else float(tol)
-        sd = self._signed_distance(p)
-        if abs(sd) <= band:
+        sd, on_band = self._classify(_as_point(x, self.dimension)[None], tol)
+        if on_band[0]:
             return BOUNDARY
-        return INTERIOR if sd > 0.0 else OUTSIDE
+        return INTERIOR if sd[0] > 0.0 else OUTSIDE
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the closure.
@@ -159,8 +175,6 @@ class Domain:
     def distance_outside(self, x) -> float:
         """Distance from ``x`` to the closure; zero inside."""
         p = _as_point(x, self.dimension)
-        if self._signed_distance(p) >= 0.0:
-            return 0.0
         return float(np.linalg.norm(self._project(p) - p))
 
     def normal_cone_vector(self, x, tol: float | None = None) -> np.ndarray:
@@ -185,19 +199,14 @@ class Domain:
         """Number of rows of ``points`` lying in the boundary tolerance band.
 
         A row whose signed distance is not finite (say, one with an infinite
-        coordinate, whose default band is infinite too) is never counted.
+        coordinate) is never counted.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise DimensionMismatch(
                 f"expected points of shape (n, {self.dimension}), got {pts.shape}"
             )
-        sd = self._signed_distance_batch(pts)
-        if tol is None:
-            bands = 1e-10 * (1.0 + np.linalg.norm(pts, axis=1))
-        else:
-            bands = np.full(len(pts), float(tol))
-        return int(np.count_nonzero(np.isfinite(sd) & (np.abs(sd) <= bands)))
+        return int(np.count_nonzero(self._classify(pts, tol)[1]))
 
     # -- construction ---------------------------------------------------
 
@@ -236,20 +245,11 @@ class HalfSpace(Domain):
         self.normal.flags.writeable = False
         self.offset = float(offset)
 
-    def _signed_distance(self, x):
-        return float(self.normal @ x) - self.offset
-
-    def _signed_distance_batch(self, points):
-        # an infinity meeting a zero normal component gives nan (inf * 0),
-        # as the polyhedron's margins do
-        with np.errstate(invalid="ignore"):
-            return points @ self.normal - self.offset
-
-    def _inside_batch(self, points):
-        return _clear_of_boundary(points, self._signed_distance_batch(points))
+    def _margins(self, points):
+        return _dot_rows(points, self.normal) - self.offset
 
     def _project(self, x):
-        sd = self._signed_distance(x)
+        sd = float(self.normal @ x) - self.offset
         if sd >= 0.0:
             return x.copy()
         return x - sd * self.normal
@@ -282,15 +282,9 @@ class Ball(Domain):
         self.center.flags.writeable = False
         self.radius = float(radius)
 
-    def _signed_distance(self, x):
-        return self.radius - float(np.linalg.norm(x - self.center))
-
-    def _signed_distance_batch(self, points):
-        return self.radius - np.linalg.norm(points - self.center, axis=1)
-
-    def _inside_batch(self, points):
-        return _clear_of_boundary(points, self._signed_distance_batch(points),
-                                  self.radius)
+    def _margins(self, points):
+        rel = points - self.center
+        return self.radius - np.sqrt(_dot_rows(rel, rel))
 
     def _project(self, x):
         rel = x - self.center
@@ -335,26 +329,18 @@ class Box(Domain):
         self.lower.flags.writeable = False
         self.upper.flags.writeable = False
 
-    def _signed_distance(self, x):
-        inside_margin = float(np.min(np.minimum(x - self.lower, self.upper - x)))
-        if inside_margin >= 0.0:
-            # exact distance to the boundary for an axis-aligned box
-            return inside_margin
-        clipped = np.clip(x, self.lower, self.upper)
-        return -float(np.linalg.norm(x - clipped))
-
-    def _signed_distance_batch(self, points):
-        margins = np.minimum(points - self.lower, self.upper - points).min(axis=1)
-        outside = margins < 0.0
-        if np.any(outside):
-            clipped = np.clip(points[outside], self.lower, self.upper)
-            margins = margins.astype(float)
-            margins[outside] = -np.linalg.norm(points[outside] - clipped, axis=1)
-        return margins
-
-    def _inside_batch(self, points):
-        # exact per coordinate: x - lower > 0 iff x > lower, so clip keeps x
-        return _clear_of_boundary(points, self._signed_distance_batch(points))
+    def _margins(self, points):
+        # exact per coordinate: x - lower >= 0 iff x >= lower, so clip keeps
+        # the value of x, and inside the least gap is the boundary distance
+        gaps = np.minimum(points - self.lower, self.upper - points)
+        on_face = gaps == 0.0
+        if on_face.any():
+            # where x equals a bound clip returns the bound's own bits, so a
+            # zero on a zero bound of the other sign moves: just outside
+            bound = np.where(points == self.lower, self.lower, self.upper)
+            flipped = on_face & (np.signbit(points) != np.signbit(bound))
+            gaps[flipped] = -math.ulp(0.0)
+        return gaps.min(axis=1)
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
@@ -409,41 +395,14 @@ class ConvexPolyhedron(Domain):
         self.normals.flags.writeable = False
         self.offsets.flags.writeable = False
 
-    def _margins(self, x):
-        return self.normals @ x - self.offsets
-
-    def _signed_distance(self, x):
-        m = float(np.min(self._margins(x)))
-        if m >= 0.0:
-            return m
-        proj = self._project(x)
-        return -float(np.linalg.norm(proj - x))
-
-    def _margins_batch(self, points):
-        # a row with an infinite coordinate gets infinite margins, or nan
-        # where the infinity meets a zero normal component (inf * 0); the
-        # norm bound of _clear_of_boundary rejects the row either way
-        with np.errstate(invalid="ignore"):
-            return (points @ self.normals.T - self.offsets).min(axis=1)
-
-    def _signed_distance_batch(self, points):
-        margins = self._margins_batch(points)
-        # a row with an infinite coordinate has an infinite or nan margin,
-        # which stands as it is: the projection has no finite answer for it
-        outside = (margins < 0.0) & np.isfinite(margins)
-        if np.any(outside):
-            margins = margins.astype(float)
-            for idx in np.nonzero(outside)[0]:
-                margins[idx] = -float(
-                    np.linalg.norm(self._project(points[idx]) - points[idx])
-                )
-        return margins
-
-    def _inside_batch(self, points):
-        return _clear_of_boundary(points, self._margins_batch(points))
+    def _margins(self, points):
+        # stacked: each row through the gemv of _project's inside test; the
+        # least face margin, which is the boundary distance inside
+        faces = (self.normals @ points[:, :, None])[:, :, 0] - self.offsets
+        return faces.min(axis=1)
 
     def _project(self, x):
-        if self._margins(x).min() >= 0.0:
+        if (self.normals @ x - self.offsets).min() >= 0.0:
             return x.copy()
         # Dykstra's cyclic scheme; corrections make the limit the true
         # nearest point of the intersection, not just a feasible point.
@@ -464,7 +423,7 @@ class ConvexPolyhedron(Domain):
         return p
 
     def _normal(self, x, tol):
-        margins = self._margins(x)
+        margins = self.normals @ x - self.offsets
         active = np.abs(margins) <= tol
         if not np.any(active):
             raise NotOnBoundary("no active face found within tolerance")
@@ -502,15 +461,9 @@ class ExteriorOfBall(Domain):
         self.center.flags.writeable = False
         self.radius = float(radius)
 
-    def _signed_distance(self, x):
-        return float(np.linalg.norm(x - self.center)) - self.radius
-
-    def _signed_distance_batch(self, points):
-        return np.linalg.norm(points - self.center, axis=1) - self.radius
-
-    def _inside_batch(self, points):
-        return _clear_of_boundary(points, self._signed_distance_batch(points),
-                                  self.radius)
+    def _margins(self, points):
+        rel = points - self.center
+        return np.sqrt(_dot_rows(rel, rel)) - self.radius
 
     def _project(self, x):
         rel = x - self.center

@@ -20,16 +20,13 @@ as a non-finite |dk| and raises NonFinite.  The public ``Domain.project``
 and ``Domain.distance_outside`` keep validating every call for outside
 callers.
 
-Interior runs skip ``guarded_step``.  The compensator grows only while the
-path is on the boundary, so the step is the identity on every step that
-stays inside.  When the increments do not depend on the state (a driver
-path here, a constant coefficient in ``schemes``), ``project_steps`` builds
-the candidate states of a run of steps with one sequential
-``np.add.accumulate``, bitwise equal to the repeated ``x + dy`` of the
-scalar loop, and ``interior_run`` keeps the leading rows that the domain's
-``_inside_batch`` accepts.  That hook is conservative: on an accepted row
-the projection returns its input unchanged, so dk = 0 exactly and the
-scalar step would raise nothing.  Every other row goes through
+Interior runs skip ``guarded_step``.  When the increments do not depend on
+the state (a driver path here, a constant coefficient in ``schemes``),
+``interior_run`` builds a run's candidate states with one sequential
+``np.add.accumulate``, bitwise the repeated ``x + dy`` of the scalar loop,
+and keeps the leading rows that are finite with a domain margin >= 0: the
+rows the projection returns bitwise unchanged, where dk = 0 and the scalar
+step raises nothing (see the ``geometry`` docstring).  Other rows go through
 ``guarded_step``, and the loop stays scalar while each step still projects.
 
 On each grid interval the compensator increment satisfies |dk| <= |dy|
@@ -97,14 +94,14 @@ def guarded_step(domain: Domain, target: np.ndarray, rho0: float):
 def interior_run(domain: Domain, x: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """The leading states x + dy_0, x + dy_0 + dy_1, ... that need no projection.
 
-    The candidates come from one sequential ``np.add.accumulate`` over
-    [x; increments], so they are bitwise equal to the repeated ``x + dy`` of
-    the scalar loop.  The run ends before the first row that
-    ``domain._inside_batch`` does not accept; its rows are the states the
-    scalar steps would produce, with dk = 0.
+    The candidates are bitwise the repeated ``x + dy`` of the scalar loop;
+    the run ends before the first that is not finite or has a negative
+    ``domain._margins``.  Its rows are the scalar steps' states, with dk = 0.
     """
     candidates = np.add.accumulate(np.vstack((x, increments)), axis=0)[1:]
-    inside = domain._inside_batch(candidates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = ((domain._margins(candidates) >= 0.0)
+                  & np.isfinite(candidates).all(axis=1))
     return candidates if inside.all() else candidates[:int(inside.argmin())]
 
 

@@ -13,7 +13,11 @@ from reflectsde.geometry import (BOUNDARY, INTERIOR, OUTSIDE, Ball, Box,
                                  ConvexPolyhedron, Domain, ExteriorOfBall,
                                  HalfSpace, default_boundary_tol)
 from reflectsde.flow import BLOWUP_GUARD
-from reflectsde.skorokhod import guarded_step
+from reflectsde.skorokhod import guarded_step, interior_run
+
+# the polygon of the poly-reflect benchmark workload
+POLYGON = ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [-1.0, 0.3]],
+                           [-1.0, -1.0, -1.0, -1.2])
 
 
 def test_half_space_classification():
@@ -54,7 +58,12 @@ def test_box_with_infinite_bounds():
     strip = Box([0.0, -math.inf], [1.0, math.inf])
     np.testing.assert_allclose(strip.project([4.0, 9.0]), [1.0, 9.0])
     # inside margin is the exact boundary distance
-    assert strip._signed_distance(np.array([0.25, 100.0])) == pytest.approx(0.25)
+    assert strip._margins(np.array([[0.25, 100.0]]))[0] == pytest.approx(0.25)
+    # an infinity on the unbounded axis meets an infinite bound: no margin
+    with np.errstate(invalid="ignore"):
+        margins = strip._margins(np.array([[0.5, math.inf], [0.5, -math.inf],
+                                           [math.nan, 0.0]]))
+    assert not np.any(margins >= 0.0)
 
 
 def test_box_corner_normal_averages_active_faces():
@@ -182,7 +191,11 @@ def test_boundary_count_vectorized():
     (ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
                       [-1.0, -1.0, -1.0]), (-1.0, 0.5)),
     (ExteriorOfBall([0.0, 0.0], 0.5), (0.0, -0.5)),
-], ids=["half-space", "ball", "box", "convex-polyhedron", "exterior-of-ball"])
+    # the centre of an excluded ball within the band: its projection raises,
+    # the classifier does not
+    (ExteriorOfBall([0.0, 0.0], 1e-11), (0.0, 0.0)),
+], ids=["half-space", "ball", "box", "convex-polyhedron", "exterior-of-ball",
+        "exterior-of-tiny-ball"])
 def test_boundary_count_skips_rows_that_are_not_finite(dom, on_boundary):
     """An infinite coordinate makes the default band infinite too; such a
     row is never on the boundary."""
@@ -190,8 +203,11 @@ def test_boundary_count_skips_rows_that_are_not_finite(dom, on_boundary):
                      [math.inf, math.inf], [math.nan, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert dom.contains(on_boundary) == BOUNDARY
         assert dom.boundary_count(rows) == 1
         assert dom.boundary_count(rows[1:]) == 0
+        assert dom.boundary_count(rows, tol=1e-9) == 1
+        assert dom.boundary_count(rows[:1] + 1e-6, tol=1e-12) == 0
 
 
 def test_spec_round_trip_all_kinds():
@@ -234,6 +250,18 @@ def test_boundary_tol_scales_with_magnitude():
     assert default_boundary_tol([1e6, 0.0]) == pytest.approx(1e-10 * (1.0 + 1e6))
 
 
+def test_boundary_band_of_a_huge_row_does_not_overflow():
+    """The squares of (1e200, -1e200) overflow; its band stays finite, so
+    the row is outside the polygon rather than on its boundary."""
+    rows = np.array([[1e200, -1e200], [-1e200, 1e200], [1e300, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert default_boundary_tol([1e200, -1e200]) == pytest.approx(
+            1e-10 * math.hypot(1e200, 1e200))
+        assert POLYGON.contains((1e200, -1e200)) == OUTSIDE
+        assert POLYGON.boundary_count(rows) == 0
+
+
 # ---------------------------------------------------------------------------
 # non-finite parameters
 
@@ -261,7 +289,7 @@ def test_constructor_rejects_infinite_parameters(build):
 
 
 # ---------------------------------------------------------------------------
-# the batch interior test of the bulk stepping path
+# the batch margins of the bulk stepping path
 
 
 # (domain, a point to centre the draws on, the domain's length scale)
@@ -270,63 +298,148 @@ INSIDE_DOMAINS = [
     (Ball([0.1, -0.2], 1.0), (0.1, -0.2), 1.0),
     (Ball([3e5, -1e5], 2e5), (3e5, -1e5), 2e5),
     (Box([-1.0, -0.5], [1.0, math.inf]), (0.0, 0.0), 1.0),
-    (ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [-1.0, 0.3]],
-                      [-1.0, -1.0, -1.0, -1.2]), (0.0, 0.0), 1.0),
+    (POLYGON, (0.0, 0.0), 1.0),
     (ExteriorOfBall([0.0, 0.0], 0.5), (0.0, 0.0), 0.5),
     (ExteriorOfBall([2e4, 1e4], 3e3), (2e4, 1e4), 3e3),
+    (HalfSpace([0.2, -0.5, 1.0], 0.0), (0.0, 0.0, 0.0), 1.0),
+    (Ball([0.0, 0.2, -0.3], 0.7), (0.0, 0.2, -0.3), 0.35),
+    # zero bounds of either sign: clip hands back a bound's own zero
+    (Box([0.0, -1.0, -0.0], [1.0, -0.0, math.inf]), (0.5, -0.5, 0.5), 0.25),
+    # a tetrahedron with three faces through the origin
+    (ConvexPolyhedron(np.vstack((np.eye(3), -np.ones((1, 3)))),
+                      [0.0, 0.0, 0.0, -1.0]), (0.25, 0.25, 0.25), 0.15),
+    (ExteriorOfBall([0.5, 0.0, -0.5], 1.0), (0.5, 0.0, -0.5), 0.5),
 ]
 INSIDE_IDS = [f"{d.kind}-{i}" for i, (d, _, _) in enumerate(INSIDE_DOMAINS)]
 # how far a probe sits from its anchor point, in units of the domain's
 # scale; the anchor is on the boundary whenever the drawn point was outside
-OFFSETS = [0.0, 1e-14, 1e-12, 3e-11, 1e-10, 1e-9, 1e-6, 1e-3, 0.1]
+OFFSETS = [0.0, 1e-17, 1e-16, 1e-15, 1e-14, 1e-12, 1e-10, 1e-6, 1e-3, 0.1]
 
 
-@settings(max_examples=200, deadline=None)
+def is_fixed_point(dom, row):
+    # the scalar dot of a huge row overflows, loudly
+    with np.errstate(over="ignore"):
+        return dom._project(row).tobytes() == row.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
 @given(index=st.integers(0, len(INSIDE_DOMAINS) - 1),
-       point=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-       angle=st.floats(0.0, 2.0 * math.pi),
+       point=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
        offsets=st.lists(st.tuples(st.sampled_from(OFFSETS),
                                   st.sampled_from([-1.0, 1.0])),
-                        min_size=1, max_size=8))
+                        min_size=1, max_size=8),
+       zeros=st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=3,
+                      max_size=3))
 def test_inside_batch_rows_are_fixed_points_of_the_projection(
-        index, point, angle, offsets):
-    """Every accepted row is returned unchanged by the projection and its
-    guarded step raises nothing, also within 1e-12 of the boundary."""
+        index, point, direction, offsets, zeros):
+    """The batch inside test of interior runs is margin >= 0 on a finite
+    row.  A row with margin >= 0 is returned bitwise unchanged by the
+    projection, and its guarded step gives |dk| == 0, also an ulp from the
+    boundary and on signed zeros.  A row with a negative margin takes the
+    projection's moving branch: it moves, or rounds back to itself within
+    rounding of the boundary; and that margin is at most its distance to
+    the closure."""
     dom, centre, scale = INSIDE_DOMAINS[index]
-    drawn = np.asarray(centre) + scale * np.array(point)
-    assume(dom._signed_distance(drawn) > -0.9 * dom.rho0)
+    d = dom.dimension
+    drawn = np.asarray(centre) + scale * np.array(point[:d])
+    assume(dom._margins(drawn[None])[0] > -0.9 * dom.rho0)
     anchor = dom.project(drawn)
-    direction = np.array([math.cos(angle), math.sin(angle)])
-    probes = np.array([anchor + sign * t * scale * direction
-                       for t, sign in offsets])
-    accepted = dom._inside_batch(probes)
-    assert accepted.dtype == bool and accepted.shape == (len(probes),)
-    for row, ok in zip(probes, accepted):
-        if ok:
-            assert dom._project(row).tobytes() == row.tobytes()
+    u = np.array(direction[:d])
+    assume(np.linalg.norm(u) > 0.1)
+    u /= np.linalg.norm(u)
+    probes = np.array([anchor + sign * t * scale * u for t, sign in offsets])
+    signed = probes.copy()
+    for axis, zero in enumerate(zeros[:d]):
+        if zero is not None:
+            signed[:, axis] = zero
+    probes = np.vstack((probes, signed))
+    margins = dom._margins(probes)
+    assert margins.shape == (len(probes),)
+    for row, margin in zip(probes, margins):
+        if margin >= 0.0:
+            assert is_fixed_point(dom, row)
             x_next, _, dk_norm = guarded_step(dom, row, dom.rho0)
             assert x_next.tobytes() == row.tobytes() and dk_norm == 0.0
-        elif dom._signed_distance(row) > 1e-6 * scale:
-            pytest.fail(f"row {row.tolist()} clear of the boundary rejected")
-        if abs(dom._signed_distance(row)) <= 1e-12 * scale:
-            assert not ok
+            continue
+        try:
+            assert (not is_fixed_point(dom, row)
+                    or -margin <= 1e-12 * scale)
+            assert -margin <= dom.distance_outside(row) + 1e-12 * scale
+        except ProjectionOutOfRange:
+            # the centre of an excluded ball, a radius from the closure
+            assert -margin == dom.rho0
+
+
+# per kind, the scalar quantity whose sign decides whether ``_project``
+# moves x (the box's clip moves the coordinates with a negative gap)
+INSIDE_TESTS = {
+    "half-space": lambda dom, x: float(dom.normal @ x) - dom.offset,
+    "ball": lambda dom, x: dom.radius - math.sqrt(
+        (x - dom.center).dot(x - dom.center)),
+    "box": lambda dom, x: np.minimum(x - dom.lower, dom.upper - x).min(),
+    "convex-polyhedron": lambda dom, x: (dom.normals @ x - dom.offsets).min(),
+    "exterior-of-ball": lambda dom, x: math.sqrt(
+        (x - dom.center).dot(x - dom.center)) - dom.radius,
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_margins_are_bitwise_the_inside_test_of_the_projection(d):
+    """Each row goes through the BLAS kernel of the scalar inside test: a
+    plain (n, d) @ (d,) gemv would round differently on many rows."""
+    rng = np.random.default_rng(d)
+    domains = [
+        HalfSpace(rng.normal(size=d), 0.3),
+        Ball(rng.normal(size=d), 1.1),
+        Box(-rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d)),
+        ConvexPolyhedron(rng.normal(size=(2 * d, d)), -np.ones(2 * d)),
+        ExteriorOfBall(rng.normal(size=d), 0.9),
+    ]
+    points = rng.normal(size=(2000, d)) * rng.uniform(0.1, 1e3, (2000, 1))
+    for dom in domains:
+        want = [INSIDE_TESTS[dom.kind](dom, x) for x in points]
+        assert dom._margins(points).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("dom, centre, scale", INSIDE_DOMAINS, ids=INSIDE_IDS)
 def test_inside_batch_rejects_outside_and_non_finite_rows(dom, centre, scale):
+    """Outside rows get a negative margin.  A row with a NaN or infinite
+    coordinate ends an interior run, quietly; a huge finite row, also one
+    whose squares overflow, is accepted exactly when the projection leaves
+    it unchanged."""
+    d = dom.dimension
     rng = np.random.default_rng(8)
-    points = np.asarray(centre) + rng.uniform(-3.0, 3.0, size=(400, 2)) * scale
-    accepted = dom._inside_batch(points)
-    outside = np.array([dom.contains(p) == OUTSIDE for p in points])
-    assert outside.sum() >= 20 and not np.any(accepted[outside])
-    assert accepted.sum() >= 20
-    bad = np.array([[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf],
-                    [BLOWUP_GUARD, BLOWUP_GUARD]])
-    assert not np.any(dom._inside_batch(bad))
+    points = np.asarray(centre) + rng.uniform(-3.0, 3.0, size=(400, d)) * scale
+    margins = dom._margins(points)
+    outside = np.array([dom.distance_outside(p) > 0.0 for p in points])
+    assert outside.sum() >= 20 and not np.any(margins[outside] >= 0.0)
+    assert np.count_nonzero(margins >= 0.0) >= 20
+    x = points[margins > 0.1 * scale][0]
+    zero = np.zeros(d)
+    for bad in (math.nan, math.inf, -math.inf):
+        for axis in range(d):
+            row = x.copy()
+            row[axis] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run = interior_run(dom, x, np.array([zero, row - x, zero]))
+            assert len(run) == 1
+    accepted = 0
+    for big in (BLOWUP_GUARD, 1e200):
+        for signs in ((1.0,) * d, (1.0, -1.0) + (1.0,) * (d - 2)):
+            row = big * np.array(signs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run = interior_run(dom, x, np.array([zero, row - x]))
+            assert (len(run) == 2) == is_fixed_point(dom, x + (row - x))
+            accepted += len(run) == 2
+    if dom.kind in ("half-space", "exterior-of-ball"):
+        assert accepted
 
 
 @pytest.mark.parametrize("dom", [
-    INSIDE_DOMAINS[4][0],
+    POLYGON,
     # no zero normal component, so some rows get a -inf margin, not nan
     ConvexPolyhedron([[1.0, 1.0], [-1.0, 2.0]], [-1.0, -1.0]),
 ])
@@ -335,8 +448,7 @@ def test_polyhedron_batch_margins_reject_infinite_rows_quietly(dom):
                      [0.0, -math.inf], [math.inf, math.inf]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        inside = dom._inside_batch(rows)
-        sd = dom._signed_distance_batch(rows)
         assert dom.boundary_count(rows) == 0
-    assert inside.tolist() == [True, False, False, False, False]
-    assert sd[0] > 0.0 and not np.any(sd[1:] >= 0.0)
+    with np.errstate(invalid="ignore"):
+        margins = dom._margins(rows)
+    assert margins[0] > 0.0 and not np.any(margins[1:] >= 0.0)

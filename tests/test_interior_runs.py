@@ -52,10 +52,28 @@ def same_bits(a, b):
 
 
 def scalar_only(dom):
-    """The domain with every interior run rejected: each step is projected."""
+    """The domain with every interior run rejected: each step is projected
+    (by the ``scalar_runs`` fixture, through ``skorokhod.interior_run``)."""
     clone = copy.copy(dom)
-    clone._inside_batch = lambda points: np.zeros(len(points), dtype=bool)
+    clone.scalar_only = True
     return clone
+
+
+@pytest.fixture(autouse=True)
+def scalar_runs(monkeypatch):
+    """Give every ``scalar_only`` domain zero-row interior runs; returns the
+    lengths of the runs it rejected."""
+    run = skorokhod.interior_run
+    rejected = []
+
+    def patched(domain, x, increments):
+        if getattr(domain, "scalar_only", False):
+            rejected.append(len(increments))
+            return increments[:0]
+        return run(domain, x, increments)
+
+    monkeypatch.setattr(skorokhod, "interior_run", patched)
+    return rejected
 
 
 def matrix_free(f):
@@ -68,6 +86,16 @@ def driver(seed, steps=256):
     return sample_jump_driver(1.0, steps, 2, seed, jump_rate=3.0,
                               jump_law={"kind": "uniform-ball", "radius": 0.2},
                               diffusion_scale=1.2)
+
+
+def creeping(z):
+    """z with every other block of 16 increments shrunk a trillionfold: a
+    path clipped onto the boundary then creeps along it, within rounding
+    distance of it on either side."""
+    dz = np.diff(z.values, axis=0)
+    dz[np.arange(len(dz)) // 16 % 2 == 1] *= 1e-12
+    values = np.cumsum(np.vstack((z.values[:1], dz)), axis=0)
+    return GridPath(z.times, values, interp=CADLAG_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +164,15 @@ def assert_same_output(a, b):
 # ---------------------------------------------------------------------------
 # bitwise equality
 
+def test_scalar_only_domains_step_every_row(scalar_runs):
+    dom, x0 = DOMAINS[1]
+    z = driver(0)
+    y = GridPath(z.times, z.values + np.asarray(x0), interp=CADLAG_STEP)
+    solve_skorokhod(scalar_only(dom), y)
+    # a run is tried, and rejected, after each step that stays inside
+    assert len(scalar_runs) > 0.5 * len(y.times)
+
+
 @pytest.mark.parametrize("dom, x0", DOMAINS, ids=IDS)
 def test_skorokhod_bulk_matches_the_loop(dom, x0, monkeypatch):
     accepted = []
@@ -149,19 +186,33 @@ def test_skorokhod_bulk_matches_the_loop(dom, x0, monkeypatch):
     monkeypatch.setattr(skorokhod, "interior_run", counted)
     moved = 0
     for seed in range(3):
-        z = driver(seed)
-        y = GridPath(z.times, z.values + np.asarray(x0),
-                     interp=CADLAG_STEP)
-        xs, ks, kvar = loop_skorokhod(dom, y)
-        for d in (dom, scalar_only(dom)):
-            sol = solve_skorokhod(d, y)
-            assert same_bits(sol.x.values, xs)
-            assert same_bits(sol.k.values, ks)
-            assert same_bits(sol.k_variation, kvar)
-        moved += np.count_nonzero(np.diff(kvar))
+        for z in (driver(seed), creeping(driver(seed))):
+            y = GridPath(z.times, z.values + np.asarray(x0),
+                         interp=CADLAG_STEP)
+            xs, ks, kvar = loop_skorokhod(dom, y)
+            for d in (dom, scalar_only(dom)):
+                sol = solve_skorokhod(d, y)
+                assert same_bits(sol.x.values, xs)
+                assert same_bits(sol.k.values, ks)
+                assert same_bits(sol.k_variation, kvar)
+            moved += np.count_nonzero(np.diff(kvar))
     assert moved > 0
     # the bulk path carried most of the steps
-    assert sum(accepted) > 0.5 * 3 * len(y.times)
+    assert sum(accepted) > 0.5 * 6 * len(y.times)
+
+
+def test_signed_zero_on_a_zero_bound_matches_the_loop():
+    """clip hands back a zero bound's own sign: the start (0.1, 0.0) is
+    projected onto (0.1, -0.0), and each run of the path frozen on that
+    face sums -0.0 + 0.0 = +0.0, which the projection turns back."""
+    dom = Box([-1.0, -0.0], [1.0, 1.0])
+    z = driver(0)
+    values = np.column_stack((0.1 + 0.3 * z.values[:, 0], np.zeros(len(z.times))))
+    y = GridPath(z.times, values, interp=CADLAG_STEP)
+    xs, ks, kvar = loop_skorokhod(dom, y)
+    assert np.all(np.signbit(xs[:, 1]))
+    sol = solve_skorokhod(dom, y)
+    assert same_bits(sol.x.values, xs) and same_bits(sol.k.values, ks)
 
 
 @pytest.mark.parametrize("dom, x0", DOMAINS, ids=IDS)
@@ -198,6 +249,13 @@ def test_projection_core_bulk_matches_the_loop(dom, x0, matrix):
         pts = np.union1d(adapted, z.times)
         xs, ks, ys, kvar, count = loop_projection(dom, f, x0, z, pts)
         assert same_bits(ref.x.values, xs) and same_bits(ref.y.values, ys)
+        z = creeping(z)
+        part = Partition(z.times)
+        xs, ks, ys, kvar, count = loop_projection(dom, f, x0, z, part.points)
+        out = run_scheme(dom, f, x0, z,
+                         SchemeSpec(kind="projection", partition=part))
+        for got, want in zip(outputs(out)[1:5], (xs, ks, ys, kvar)):
+            assert same_bits(got, want)
     assert moved > 0
 
 
@@ -208,14 +266,17 @@ def test_wz_bar_bulk_matches_the_loop(dom, x0, matrix):
     moved = 0
     for seed in range(3):
         z = driver(seed)
+        for zz, part, bar in ((z, Partition.uniform(1.0, 32), 16),
+                              (creeping(z), Partition(z.times), 2)):
+            xs, ks, ys, kvar, count = loop_wz_bar(dom, f, x0, zz,
+                                                  part.points, bar)
+            spec = SchemeSpec(kind="wz-bar", partition=part, substeps_bar=bar)
+            out = run_scheme(dom, f, x0, zz, spec)
+            for got, want in zip(outputs(out)[1:5], (xs, ks, ys, kvar)):
+                assert same_bits(got, want)
+            assert out.meta.projections == count
+            moved += count
         part = Partition.uniform(1.0, 32)
-        xs, ks, ys, kvar, count = loop_wz_bar(dom, f, x0, z, part.points, 16)
-        spec = SchemeSpec(kind="wz-bar", partition=part, substeps_bar=16)
-        out = run_scheme(dom, f, x0, z, spec)
-        for got, want in zip(outputs(out)[1:5], (xs, ks, ys, kvar)):
-            assert same_bits(got, want)
-        assert out.meta.projections == count
-        moved += count
         for obs in (None, OBSERVATIONS):
             spec = SchemeSpec(kind="wz-bar", partition=part, substeps_bar=16,
                               observation_times=obs)

@@ -1,5 +1,6 @@
 """The package's public names and what importing it loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,21 @@ def test_import_does_not_load_the_process_pool():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_modules_import_only_the_stdlib_numpy_and_yaml():
+    """The runtime dependencies are numpy and PyYAML; other installed
+    packages (scipy, hypothesis) are for the tests and the bench only."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "reflectsde"}
+    foreign = []
+    for path in sorted((SRC / "reflectsde").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
