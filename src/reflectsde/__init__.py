@@ -2,8 +2,8 @@
 
 The package builds three layers:
 
-* geometry: closed domains with projection maps, inward normals and their
-  reach (half-spaces, balls, boxes, convex polyhedra, ball exteriors);
+* geometry: closed domains with projection maps and their reach
+  (half-spaces, balls, boxes, convex polyhedra, ball exteriors);
 * dynamics: sampled driver paths, unit-time coefficient flows and jump
   transport, the discrete reflection step, and five constrained
   time-stepping schemes;
@@ -19,9 +19,8 @@ from .driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
                      jump_adapted_partition, path_seed, sample_brownian,
                      sample_jump_driver)
 from .errors import (ConfigError, CsvFormatError, DimensionMismatch,
-                     JumpTooLarge, NonFinite, NotOnBoundary,
-                     ProjectionOutOfRange, ReflectedSDEError,
-                     StartOutsideDomain)
+                     JumpTooLarge, NonFinite, ProjectionOutOfRange,
+                     ReflectedSDEError, StartOutsideDomain)
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
                    catalog_coefficient, coefficient_from_spec,
                    constant_matrix, jump_defect, linear_diagonal,
@@ -42,7 +41,7 @@ __all__ = [
     "ConvexPolyhedron", "CsvFormatError", "DEFAULT_FLOW", "DimensionMismatch",
     "Domain", "ExperimentConfig", "ExteriorOfBall", "FlowConfig", "GridPath",
     "HalfSpace", "INTERIOR", "JumpTooLarge", "LINEAR", "Lemma1Report",
-    "NonFinite", "NotOnBoundary", "OUTSIDE", "Partition",
+    "NonFinite", "OUTSIDE", "Partition",
     "ProjectionOutOfRange", "REFERENCE_FLOW", "RateRow", "RateTable",
     "ReflectedSDEError", "Remark4Report", "SCHEME_KINDS", "SchemeOutput",
     "SchemeSpec", "SkorokhodSolution", "StartOutsideDomain", "StudyPlan",

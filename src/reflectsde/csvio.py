@@ -1,4 +1,4 @@
-"""CSV readers and writers for paths, solutions, and rate tables.
+"""CSV writers for paths, solutions, and rate tables, and the path reader.
 
 All floats are written with the %.17g format: 17 significant digits, which
 is not the shortest form (0.1 is written 0.10000000000000001) but
@@ -201,55 +201,6 @@ def write_solution_csv(fh, x, k, k_variation):
                                      (FLOAT_FMT, [k.values, kvar])])
 
 
-def read_solution_csv(fh, interp=CADLAG_STEP):
-    """Read a file written by write_solution_csv.
-
-    Returns (x, k, k_variation) with x and k as GridPaths on the common
-    grid and k_variation as a float array.
-    """
-    times = []
-    xv = []
-    kv = []
-    kvar = []
-    with _opened(fh, "r") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError("empty solution file")
-        n = len(header)
-        if header[0] != "t" or header[-1] != "kvar" or (n - 2) % 2 != 0:
-            raise CsvFormatError(
-                "solution header must be t,x1..xd,k1..kd,kvar")
-        d = (n - 2) // 2
-        expect = (["t"]
-                  + ["x%d" % (i + 1) for i in range(d)]
-                  + ["k%d" % (i + 1) for i in range(d)]
-                  + ["kvar"])
-        if header != expect:
-            raise CsvFormatError(
-                "solution header must be t,x1..xd,k1..kd,kvar")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n:
-                raise CsvFormatError("row %d has %d fields, expected %d"
-                                     % (ln, len(row), n))
-            where = "row %d" % ln
-            times.append(_parse_float(row[0], where))
-            xv.append([_parse_float(tok, where) for tok in row[1:1 + d]])
-            kv.append([_parse_float(tok, where)
-                       for tok in row[1 + d:1 + 2 * d]])
-            kvar.append(_parse_float(row[-1], where))
-    if not times:
-        raise CsvFormatError("solution file has no data rows")
-    times = np.asarray(times, dtype=float)
-    x = GridPath(times=times, values=np.asarray(xv, dtype=float),
-                 interp=interp)
-    k = GridPath(times=times, values=np.asarray(kv, dtype=float),
-                 interp=interp)
-    return x, k, np.asarray(kvar, dtype=float)
-
-
 RATE_HEADER = ["mesh", "err_unif_med", "err_unif_p90", "err_grid_med",
                "k_err_med", "slope_partial"]
 
@@ -266,25 +217,6 @@ def write_rate_csv(fh, rows):
     with _opened(fh, "w") as handle:
         _write_rows(handle, RATE_HEADER,
                     [(FLOAT_FMT, [table.reshape(-1, len(RATE_HEADER))])])
-
-
-def read_rate_csv(fh):
-    rows = []
-    with _opened(fh, "r") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != RATE_HEADER:
-            raise CsvFormatError("rate header must be %s"
-                                 % ",".join(RATE_HEADER))
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(RATE_HEADER):
-                raise CsvFormatError("row %d has %d fields, expected %d"
-                                     % (ln, len(row), len(RATE_HEADER)))
-            rows.append({key: _parse_float(tok, "row %d" % ln)
-                         for key, tok in zip(RATE_HEADER, row)})
-    return rows
 
 
 def path_csv_text(path):

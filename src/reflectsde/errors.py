@@ -17,10 +17,6 @@ class ProjectionOutOfRange(ReflectedSDEError):
     """
 
 
-class NotOnBoundary(ReflectedSDEError):
-    """A boundary-only operation was requested at a non-boundary point."""
-
-
 class StartOutsideDomain(ReflectedSDEError):
     """An initial condition lies outside the closed domain."""
 

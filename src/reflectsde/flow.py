@@ -19,10 +19,11 @@ Every jump transport runs on ``marcus_jump_chains``, the one RK4 loop: it
 steps lanes of jumps, each with its own increment, span and step count,
 where a lane's next jump starts from what the caller makes of the last
 (the lockstep projects it, wz-hat's sampler goes on to the next
-observation time).  ``marcus_jump_rows`` maps (m, d) rows as lanes of one
-jump, and a state (d,) is a batch of one row, so a row gives the same bits
-alone or in any batch, and fails alone when it leaves the finite-value
-guard or its increment is not finite.
+observation time).  ``marcus_jump_partial``, and ``marcus_jump`` through
+it, maps broadcast rows of states and increments as lanes of one jump each,
+and a state (d,) is a batch of one row, so a row gives the same bits alone
+or in any batch.  The first row, in row order, that leaves the finite-value
+guard or has a non-finite increment raises its NonFinite.
 
 The integrators never build the (m, d, d) matrices f(y): each Runge-Kutta
 stage asks the coefficient for the vector f(y) dz through the ``field``
@@ -200,29 +201,31 @@ def marcus_jump(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.n
     return marcus_jump_partial(f, dz, x, 1.0, cfg)
 
 
-def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW,
-                     span: float = 1.0):
-    """Jump maps of the rows of (m, d) increments dz and states x.
+def marcus_jump_partial(f: "Coefficient", dz, x, u_end: float,
+                        cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
+    """Partial jump transport: flow of y -> f(y) dz over [0, u_end].
 
-    Row i is the jump of ``marcus_jump_chains`` from x[i] over dz[i] and
-    ``span``: its own step count from ``cfg.steps_for(|dz_i|)``, and none
-    for a zero row or span, which maps x[i] to itself; a constant
-    coefficient forms all rows' closed forms at once (``_constant_jump``),
-    each bitwise its row alone.  Returns (y, errors): ``errors[i]`` is None, or the NonFinite
-    that row i fails with, whose row of y is then not meaningful; no other
-    row is affected by it.
+    States and increments are broadcast, and each row is the jump of
+    ``marcus_jump_chains`` from its state over its increment: its own step
+    count from ``cfg.steps_for(|dz|)``, and none for a zero increment or
+    span, which maps the state to itself.  A constant coefficient forms all
+    rows' closed forms at once (``_constant_jump``), each bitwise its row
+    alone.  The first failed row's NonFinite is raised.
     """
     x = np.asarray(x, dtype=float)
     dz = np.asarray(dz, dtype=float)
-    if x.ndim != 2 or x.shape != dz.shape or x.shape[1] != f.dimension:
-        raise DimensionMismatch(
-            f"states and increments must both have shape (m, {f.dimension})"
-        )
-    span = float(span)
+    d = f.dimension
+    if x.shape[-1] != d or dz.shape[-1] != d:
+        raise DimensionMismatch(f"state/increment dimension must be {d}")
+    x, dz = np.broadcast_arrays(x, dz)
+    shape = x.shape
+    x, dz = x.reshape(-1, d), dz.reshape(-1, d)
+    span = float(u_end)
     if f.matrix is not None and span != 0.0:
         y, inside = _constant_jump(f, dz, x, span)
-        return y, [None if good else NonFinite(_GUARD_MESSAGE)
-                   for good in inside.tolist()]
+        if not inside.all():
+            raise NonFinite(_GUARD_MESSAGE)
+        return y.reshape(shape)
     y, errors = np.empty_like(x), [None] * len(x)
 
     def follow(i, k, yi, error):
@@ -234,29 +237,10 @@ def marcus_jump_rows(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW,
     spans = np.array([span])
     marcus_jump_chains(f, [(dz[i:i + 1], spans, x[i]) for i in range(len(x))],
                        follow, cfg)
-    return y, errors
-
-
-def marcus_jump_partial(f: "Coefficient", dz, x, u_end: float,
-                        cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
-    """Partial jump transport: flow of y -> f(y) dz over [0, u_end].
-
-    A state (d,) is a batch of one row: states and increments are
-    broadcast and mapped row by row through ``marcus_jump_rows``, and the
-    first failed row's error is raised.
-    """
-    x = np.asarray(x, dtype=float)
-    dz = np.asarray(dz, dtype=float)
-    d = f.dimension
-    if x.shape[-1] != d or dz.shape[-1] != d:
-        raise DimensionMismatch(f"state/increment dimension must be {d}")
-    x, dz = np.broadcast_arrays(x, dz)
-    y, errors = marcus_jump_rows(f, dz.reshape(-1, d), x.reshape(-1, d),
-                                 cfg, u_end)
     for err in errors:
         if err is not None:
             raise err
-    return y.reshape(x.shape)
+    return y.reshape(shape)
 
 
 def jump_defect(f: "Coefficient", dz, x, cfg: FlowConfig = REFERENCE_FLOW) -> np.ndarray:

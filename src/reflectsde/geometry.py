@@ -1,4 +1,4 @@
-"""Constraint domains with projection and inward-normal structure.
+"""Constraint domains with projection and reach.
 
 Reflected paths in this package live in the closure of an open connected
 region D.  Five region kinds are built in:
@@ -11,11 +11,10 @@ region D.  Five region kinds are built in:
 * ``exterior-of-ball``    complement of a closed ball (the one nonconvex kind)
 
 Each kind supports membership classification with a boundary tolerance band,
-nearest-point projection onto the closure, inward unit normals on the
-boundary, and its reach ``rho0``, the one constant the step-size and
-jump-size guards elsewhere use: the largest r such that every boundary
-point x has an exterior tangent sphere of radius r, that is a unit normal n
-with
+nearest-point projection onto the closure, and its reach ``rho0``, the one
+constant the step-size and jump-size guards elsewhere use: the largest r
+such that every boundary point x has an exterior tangent sphere of radius
+r, that is a unit normal n with
 
     <y - x, n> + |y - x|^2 / (2 r) >= 0   for every y in the closure.
 
@@ -47,7 +46,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOnBoundary, ProjectionOutOfRange
+from .errors import DimensionMismatch, ProjectionOutOfRange
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -128,9 +127,6 @@ class Domain:
         """(n,) margins of the (n, d) rows; see the module docstring."""
         raise NotImplementedError
 
-    def _normal(self, x: np.ndarray, tol: float) -> np.ndarray:
-        raise NotImplementedError
-
     def _classify(self, points: np.ndarray, tol: float | None):
         """Signed distances of the (n, d) rows and their on-boundary mask.
 
@@ -176,19 +172,6 @@ class Domain:
         """Distance from ``x`` to the closure; zero inside."""
         p = _as_point(x, self.dimension)
         return float(np.linalg.norm(self._project(p) - p))
-
-    def normal_cone_vector(self, x, tol: float | None = None) -> np.ndarray:
-        """A unit inward normal at the boundary point ``x``.
-
-        On smooth patches this is the unique inward normal; where faces meet
-        it is the normalized average of the active face normals.  Raises
-        NotOnBoundary when ``x`` is not within the boundary tolerance band.
-        """
-        p = _as_point(x, self.dimension)
-        band = default_boundary_tol(p) if tol is None else float(tol)
-        if self.contains(p, band) != BOUNDARY:
-            raise NotOnBoundary(f"point {p.tolist()} is not on the boundary")
-        return self._normal(p, band)
 
     @property
     def rho0(self) -> float:
@@ -254,9 +237,6 @@ class HalfSpace(Domain):
             return x.copy()
         return x - sd * self.normal
 
-    def _normal(self, x, tol):
-        return self.normal.copy()
-
     def spec(self):
         return {
             "kind": self.kind,
@@ -292,10 +272,6 @@ class Ball(Domain):
         if dist <= self.radius:
             return x.copy()
         return self.center + rel * (self.radius / dist)
-
-    def _normal(self, x, tol):
-        rel = x - self.center
-        return -_unit(rel)
 
     def spec(self):
         return {
@@ -344,20 +320,6 @@ class Box(Domain):
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
-
-    def _normal(self, x, tol):
-        inward = np.zeros(self.dimension)
-        active = 0
-        for i in range(self.dimension):
-            if math.isfinite(self.lower[i]) and abs(x[i] - self.lower[i]) <= tol:
-                inward[i] += 1.0
-                active += 1
-            if math.isfinite(self.upper[i]) and abs(x[i] - self.upper[i]) <= tol:
-                inward[i] -= 1.0
-                active += 1
-        if active == 0 or np.linalg.norm(inward) <= 0.0:
-            raise NotOnBoundary("no active face found within tolerance")
-        return _unit(inward)
 
     def spec(self):
         return {
@@ -422,16 +384,6 @@ class ConvexPolyhedron(Domain):
                 break
         return p
 
-    def _normal(self, x, tol):
-        margins = self.normals @ x - self.offsets
-        active = np.abs(margins) <= tol
-        if not np.any(active):
-            raise NotOnBoundary("no active face found within tolerance")
-        avg = self.normals[active].mean(axis=0)
-        if np.linalg.norm(avg) <= 1e-12:
-            avg = self.normals[active][0]
-        return _unit(avg)
-
     def spec(self):
         return {
             "kind": self.kind,
@@ -476,9 +428,6 @@ class ExteriorOfBall(Domain):
                 "excluded ball (distance to the closure equals rho0)"
             )
         return self.center + rel * (self.radius / dist)
-
-    def _normal(self, x, tol):
-        return _unit(x - self.center)
 
     @property
     def rho0(self) -> float:

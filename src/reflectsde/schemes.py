@@ -299,12 +299,11 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
     stepping = [c for c in chains if isinstance(c, _Chain)]
 
     if f.matrix is not None:
-        # row by row, as marcus_jump forms x + dz @ f.matrix.T: a batched
-        # product may round differently
+        # a stack of (1, d) @ (d, d) products, each rounding like the 1-D
+        # dz @ f.matrix.T of marcus_jump (a plain (n, d) @ (d, d) may not)
         mt = f.matrix.T
         for c in stepping:
-            increments = np.array([dz @ mt for dz in c.dzs[:c.n]]).reshape(
-                c.n, len(c.start))
+            increments = (c.dzs[:c.n, None, :] @ mt)[:, 0, :]
 
             def target(k, x, c=c):
                 # interior runs cannot fail, so a failing step is the last
@@ -453,7 +452,8 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
         dus = np.concatenate(dus)
 
         if fixed is not None:
-            cell_dy = np.array([fixed @ dzs[k] for k in cells])
+            # stacked, each row rounding like the 1-D fixed @ dzs[k]
+            cell_dy = (fixed @ dzs[first:cells.stop, :, None])[:, :, 0]
             dys = cell_dy[np.asarray(cell_of) - first] * dus[:, None]
 
             def target(j, x):

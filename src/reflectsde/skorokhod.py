@@ -24,10 +24,12 @@ Interior runs skip ``guarded_step``.  When the increments do not depend on
 the state (a driver path here, a constant coefficient in ``schemes``),
 ``interior_run`` builds a run's candidate states with one sequential
 ``np.add.accumulate``, bitwise the repeated ``x + dy`` of the scalar loop,
-and keeps the leading rows that are finite with a domain margin >= 0: the
-rows the projection returns bitwise unchanged, where dk = 0 and the scalar
-step raises nothing (see the ``geometry`` docstring).  Other rows go through
-``guarded_step``, and the loop stays scalar while each step still projects.
+and keeps the leading rows inside the finite-value guard with a domain
+margin >= 0: the rows the projection returns bitwise unchanged, where
+dk = 0 and the scalar step raises nothing (see the ``geometry`` docstring;
+a constant coefficient's jump map raises NonFinite beyond the guard).
+Other rows go through ``guarded_step``, and the loop stays scalar while
+each step still projects.
 
 On each grid interval the compensator increment satisfies |dk| <= |dy|
 exactly, which yields the variation comparisons checked by
@@ -43,6 +45,7 @@ import numpy as np
 
 from .driver import GridPath, CADLAG_STEP
 from .errors import NonFinite, ProjectionOutOfRange, StartOutsideDomain
+from .flow import BLOWUP_GUARD
 from .geometry import Domain, OUTSIDE
 
 _REACH_MARGIN = 0.99
@@ -95,13 +98,15 @@ def interior_run(domain: Domain, x: np.ndarray, increments: np.ndarray) -> np.nd
     """The leading states x + dy_0, x + dy_0 + dy_1, ... that need no projection.
 
     The candidates are bitwise the repeated ``x + dy`` of the scalar loop;
-    the run ends before the first that is not finite or has a negative
-    ``domain._margins``.  Its rows are the scalar steps' states, with dk = 0.
+    the run ends before the first with a coordinate beyond ``BLOWUP_GUARD``
+    in absolute value (or NaN), where a constant coefficient's jump map
+    raises NonFinite, or with a negative ``domain._margins``.  Its rows are
+    the scalar steps' states, with dk = 0.
     """
     candidates = np.add.accumulate(np.vstack((x, increments)), axis=0)[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         inside = ((domain._margins(candidates) >= 0.0)
-                  & np.isfinite(candidates).all(axis=1))
+                  & (np.abs(candidates) <= BLOWUP_GUARD).all(axis=1))
     return candidates if inside.all() else candidates[:int(inside.argmin())]
 
 

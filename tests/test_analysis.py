@@ -6,14 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from reflectsde import analysis
+from reflectsde import analysis, csvio
 from reflectsde.analysis import (RateRow, StudyPlan, convergence_study,
                                  fit_rate, remark4_report, sup_error,
                                  variation_report)
 from reflectsde.config import (ExperimentConfig, config_from_mapping,
                                default_config, load_config)
 from reflectsde.csvio import (path_csv_text, rate_csv_text, read_path_csv,
-                              read_rate_csv, read_solution_csv,
                               solution_csv_text, write_path_csv,
                               write_rate_csv, write_solution_csv)
 from reflectsde.driver import (GridPath, Partition, path_seed, sample_brownian,
@@ -365,10 +364,11 @@ def test_solution_csv_round_trip(tmp_path):
     sol = solve_skorokhod(dom, y, y0=y.values[0])
     p = tmp_path / "solution.csv"
     write_solution_csv(p, sol.x, sol.k, sol.k_variation)
-    x, k, kvar = read_solution_csv(p)
-    np.testing.assert_array_equal(x.values, sol.x.values)
-    np.testing.assert_array_equal(k.values, sol.k.values)
-    np.testing.assert_array_equal(kvar, sol.k_variation)
+    table = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+    assert table[:, 0].tobytes() == sol.x.times.tobytes()
+    assert table[:, 1:2].tobytes() == sol.x.values.tobytes()
+    assert table[:, 2:3].tobytes() == sol.k.values.tobytes()
+    assert table[:, 3].tobytes() == sol.k_variation.tobytes()
     text = solution_csv_text(sol.x, sol.k, sol.k_variation)
     assert text.startswith("t,x1,k1,kvar")
 
@@ -385,11 +385,13 @@ def test_rate_csv_round_trip(tmp_path):
     mappings = [r.as_dict() for r in rows]
     p = tmp_path / "rate.csv"
     write_rate_csv(p, mappings)
-    back = read_rate_csv(p)
-    assert len(back) == 2
-    assert back[0]["mesh"] == 0.25
-    assert np.isnan(back[0]["slope_partial"])
-    assert back[1]["slope_partial"] == 0.51
+    back = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+    want = np.array([[r[key] for key in csvio.RATE_HEADER] for r in mappings],
+                    dtype=float)
+    assert back.tobytes() == want.tobytes()
+    assert back[0, 0] == 0.25
+    assert np.isnan(back[0, -1])
+    assert back[1, -1] == 0.51
     assert rate_csv_text(mappings).splitlines()[0] == \
         "mesh,err_unif_med,err_unif_p90,err_grid_med,k_err_med,slope_partial"
 

@@ -25,7 +25,7 @@ from reflectsde.flow import (BLOWUP_GUARD, CATALOG, DEFAULT_FLOW,
                              coefficient_from_spec, constant_matrix,
                              jump_defect, linear_diagonal,
                              marcus_jump, marcus_jump_chains,
-                             marcus_jump_partial, marcus_jump_rows)
+                             marcus_jump_partial)
 
 
 GUARD_MESSAGE = "flow trajectory left the finite-value guard region"
@@ -184,7 +184,7 @@ def test_marcus_jump_batched_matches_loop():
                     dzs, axis=1, keepdims=True)
                 dzs[rows // 2] = 0.0
                 batched = marcus_jump(f, dzs, xs, cfg)
-                rowwise, errors = marcus_jump_rows(f, dzs, xs, cfg)
+                rowwise, errors = one_jump_lanes(f, dzs, xs, cfg)
                 assert errors == [None] * rows
                 np.testing.assert_array_equal(rowwise, batched)
                 for i in range(rows):
@@ -196,25 +196,37 @@ def test_marcus_jump_batched_matches_loop():
                                               xs[rows // 2])
 
 
+def one_jump_lanes(f, dzs, xs, cfg, span=1.0):
+    """The rows of ``dzs`` and ``xs`` as lanes of one jump each of
+    ``marcus_jump_chains``: the (m, d) results, NaN where a lane failed,
+    and per lane None or its error's type and text."""
+    lanes = [(dzs[i:i + 1], np.array([span]), xs[i]) for i in range(len(xs))]
+    got = [jumps[0] for jumps in run_lanes(f, lanes, cfg,
+                                           lambda i, k, y: None)]
+    ys = np.array([np.full(f.dimension, np.nan) if y is None else y
+                   for _, y, _ in got])
+    return ys, [err for _, _, err in got]
+
+
 def test_marcus_jump_rows_fail_alone():
     """A row that leaves the guard region gets the error its single-row
-    call raises; the other rows keep their single-row results."""
+    call raises; the other rows keep their single-row results, and a batch
+    raises its first failed row's error."""
     f = linear_diagonal(1.0, 1, region_radius=1e9)
     cfg = FlowConfig(256, adaptive=False)
     xs = np.array([[1.0], [1.0], [-2.0], [1.0]])
     dzs = np.array([[0.5], [80.0], [0.25], [90.0]])
-    ys, errors = marcus_jump_rows(f, dzs, xs, cfg)
+    ys, errors = one_jump_lanes(f, dzs, xs, cfg)
     assert errors[0] is None and errors[2] is None
     for i in (0, 2):
         np.testing.assert_array_equal(ys[i], marcus_jump(f, dzs[i], xs[i], cfg))
     for i in (1, 3):
         with pytest.raises(NonFinite) as alone:
             marcus_jump(f, dzs[i], xs[i], cfg)
-        assert type(errors[i]) is NonFinite
-        assert str(errors[i]) == str(alone.value)
+        assert errors[i] == (NonFinite, str(alone.value))
     with pytest.raises(NonFinite) as batched:
         marcus_jump(f, dzs, xs, cfg)
-    assert str(batched.value) == str(errors[1])
+    assert str(batched.value) == errors[1][1]
 
 
 def test_marcus_jump_rows_constant_coefficient_fail_alone():
@@ -223,13 +235,16 @@ def test_marcus_jump_rows_constant_coefficient_fail_alone():
     f = constant_matrix([[1.0, 0.0], [0.0, 1.0]])
     xs = np.array([[0.0, 0.0], [BLOWUP_GUARD, 0.0], [1.0, 1.0]])
     dzs = np.array([[0.5, 0.5], [BLOWUP_GUARD, 0.0], [0.0, 0.0]])
-    ys, errors = marcus_jump_rows(f, dzs, xs, DEFAULT_FLOW)
+    ys, errors = one_jump_lanes(f, dzs, xs, DEFAULT_FLOW)
     assert errors[0] is None and errors[2] is None
     with pytest.raises(NonFinite) as alone:
         marcus_jump(f, dzs[1], xs[1], DEFAULT_FLOW)
-    assert str(errors[1]) == str(alone.value)
+    assert errors[1] == (NonFinite, str(alone.value))
     for i in (0, 2):
         np.testing.assert_array_equal(ys[i], marcus_jump(f, dzs[i], xs[i]))
+    with pytest.raises(NonFinite) as batched:
+        marcus_jump(f, dzs, xs, DEFAULT_FLOW)
+    assert str(batched.value) == errors[1][1]
 
 
 @pytest.mark.parametrize("dz", [(math.nan, 0.0), (math.inf, 0.0)],
@@ -257,15 +272,14 @@ def test_marcus_jump_rows_non_finite_increment_fails_alone():
                    [0.2, 0.2]])
     dzs = np.array([[0.3, 0.1], [math.nan, 0.0], [0.0, 0.0],
                     [math.inf, 0.0], [-0.05, 0.2]])
-    ys, errors = marcus_jump_rows(f, dzs, xs, DEFAULT_FLOW)
+    ys, errors = one_jump_lanes(f, dzs, xs, DEFAULT_FLOW)
     for i in (0, 2, 4):
         assert errors[i] is None
         np.testing.assert_array_equal(ys[i], marcus_jump(f, dzs[i], xs[i]))
     for i in (1, 3):
         with pytest.raises(NonFinite) as alone:
             marcus_jump(f, dzs[i], xs[i])
-        assert type(errors[i]) is NonFinite
-        assert str(errors[i]) == str(alone.value)
+        assert errors[i] == (NonFinite, str(alone.value))
 
 
 def test_marcus_jump_partial_batched_matches_loop():
@@ -282,7 +296,7 @@ def test_marcus_jump_partial_batched_matches_loop():
                     dzs, axis=1, keepdims=True)
                 dzs[32] = 0.0
                 batched = marcus_jump_partial(f, dzs, xs, u_end, cfg)
-                rowwise, errors = marcus_jump_rows(f, dzs, xs, cfg, u_end)
+                rowwise, errors = one_jump_lanes(f, dzs, xs, cfg, u_end)
                 assert errors == [None] * 64
                 np.testing.assert_array_equal(rowwise, batched)
                 for i in range(64):

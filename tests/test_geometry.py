@@ -1,4 +1,4 @@
-"""Domain classification, projection, normals, and reach."""
+"""Domain classification, projection, and reach."""
 
 import math
 import warnings
@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reflectsde.errors import (DimensionMismatch, NotOnBoundary,
-                               ProjectionOutOfRange)
+from reflectsde.errors import DimensionMismatch, ProjectionOutOfRange
 from reflectsde.geometry import (BOUNDARY, INTERIOR, OUTSIDE, Ball, Box,
                                  ConvexPolyhedron, Domain, ExteriorOfBall,
                                  HalfSpace, default_boundary_tol)
@@ -64,16 +63,6 @@ def test_box_with_infinite_bounds():
         margins = strip._margins(np.array([[0.5, math.inf], [0.5, -math.inf],
                                            [math.nan, 0.0]]))
     assert not np.any(margins >= 0.0)
-
-
-def test_box_corner_normal_averages_active_faces():
-    dom = Box([0.0, 0.0], [1.0, 1.0])
-    n = dom.normal_cone_vector([0.0, 0.0])
-    np.testing.assert_allclose(n, np.array([1.0, 1.0]) / math.sqrt(2.0))
-    n = dom.normal_cone_vector([1.0, 0.5])
-    np.testing.assert_allclose(n, [-1.0, 0.0])
-    with pytest.raises(NotOnBoundary):
-        dom.normal_cone_vector([0.5, 0.5])
 
 
 def test_convex_polyhedron_dykstra_matches_quadrant_clip():
@@ -142,10 +131,18 @@ def normal_inequality(x, n, r, samples, tol=1e-9):
     return bool(np.all(values >= -tol))
 
 
+def projection_normal(dom, q):
+    """The projected point x of the outside point q and the unit normal
+    n = (x - q) / |x - q| there: the direction a projection step's dk
+    takes."""
+    x = dom.project(q)
+    return x, (x - q) / np.linalg.norm(x - q)
+
+
 def test_normal_inequality_convex_accepts_infinite_radius():
     dom = Ball([0.0, 0.0], 1.0)
-    x = np.array([1.0, 0.0])
-    n = dom.normal_cone_vector(x)
+    x, n = projection_normal(dom, np.array([2.0, 0.0]))
+    np.testing.assert_array_equal(x, [1.0, 0.0])
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.0, 1.0, (200, 2))
     samples = [p for p in pts if dom.contains(p) != OUTSIDE]
@@ -157,8 +154,8 @@ def test_normal_inequality_exterior_needs_finite_radius():
     is -2 while the quadratic correction is 4/(2r), so any r > 1 fails,
     and the reach rho0 = 1 holds."""
     dom = ExteriorOfBall([0.0, 0.0], 1.0)
-    x = np.array([1.0, 0.0])
-    n = dom.normal_cone_vector(x)
+    x, n = projection_normal(dom, np.array([0.5, 0.0]))
+    np.testing.assert_array_equal(x, [1.0, 0.0])
     np.testing.assert_allclose(n, [1.0, 0.0])
     far_side = [np.array([-1.0, 0.0])]
     assert normal_inequality(x, n, dom.rho0, far_side)
@@ -167,15 +164,22 @@ def test_normal_inequality_exterior_needs_finite_radius():
 
 
 def test_projection_direction_is_normal_at_projected_point():
+    """(project(q) - q) normalized is the ball's inward normal at the
+    projected point, and satisfies the normal inequality there."""
     rng = np.random.default_rng(19)
     dom = Ball([0.0, 0.0, 0.0], 1.5)
+    pts = rng.uniform(-1.5, 1.5, (300, 3))
+    samples = [p for p in pts if dom.contains(p) != OUTSIDE]
+    checked = 0
     for _ in range(20):
-        x = rng.normal(0.0, 3.0, 3)
-        if dom.contains(x) != OUTSIDE:
+        q = rng.normal(0.0, 3.0, 3)
+        if dom.contains(q) != OUTSIDE:
             continue
-        p = dom.project(x)
-        n = (p - x) / np.linalg.norm(p - x)
-        np.testing.assert_allclose(n, dom.normal_cone_vector(p), atol=1e-9)
+        p, n = projection_normal(dom, q)
+        np.testing.assert_allclose(n, -p / dom.radius, atol=1e-9)
+        assert normal_inequality(p, n, dom.rho0, samples)
+        checked += 1
+    assert checked >= 5
 
 
 def test_boundary_count_vectorized():
@@ -407,7 +411,7 @@ def test_inside_batch_rejects_outside_and_non_finite_rows(dom, centre, scale):
     """Outside rows get a negative margin.  A row with a NaN or infinite
     coordinate ends an interior run, quietly; a huge finite row, also one
     whose squares overflow, is accepted exactly when the projection leaves
-    it unchanged."""
+    it unchanged and it lies within ``BLOWUP_GUARD``."""
     d = dom.dimension
     rng = np.random.default_rng(8)
     points = np.asarray(centre) + rng.uniform(-3.0, 3.0, size=(400, d)) * scale
@@ -432,7 +436,9 @@ def test_inside_batch_rejects_outside_and_non_finite_rows(dom, centre, scale):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 run = interior_run(dom, x, np.array([zero, row - x]))
-            assert (len(run) == 2) == is_fixed_point(dom, x + (row - x))
+            row = x + (row - x)
+            assert (len(run) == 2) == (is_fixed_point(dom, row)
+                                       and np.abs(row).max() <= BLOWUP_GUARD)
             accepted += len(run) == 2
     if dom.kind in ("half-space", "exterior-of-ball"):
         assert accepted

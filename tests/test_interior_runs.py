@@ -17,8 +17,8 @@ import reflectsde.skorokhod as skorokhod
 from reflectsde.driver import (CADLAG_STEP, GridPath, Partition,
                                jump_adapted_partition, sample_jump_driver)
 from reflectsde.errors import JumpTooLarge, NonFinite, ProjectionOutOfRange
-from reflectsde.flow import (DEFAULT_FLOW, Coefficient, constant_matrix,
-                             marcus_jump)
+from reflectsde.flow import (BLOWUP_GUARD, DEFAULT_FLOW, Coefficient,
+                             constant_matrix, marcus_jump)
 from reflectsde.geometry import (Ball, Box, ConvexPolyhedron, ExteriorOfBall,
                                  HalfSpace)
 from reflectsde.schemes import (SchemeSpec, _admissible_cells,
@@ -288,6 +288,26 @@ def test_wz_bar_bulk_matches_the_loop(dom, x0, matrix):
     assert moved > 0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_stacked_increment_products_match_the_row_loops(d):
+    """A constant coefficient's increments are stacked products, each row
+    bitwise the 1-D product of a loop over the rows: the projection core's
+    dz @ M.T (as marcus_jump forms it) and wz-bar's M @ dz, with zero and
+    -0.0 entries among the rows."""
+    rng = np.random.default_rng(d)
+    for _ in range(100):
+        m = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4, (d, d))
+        dzs = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-3, 4, (300, d))
+        dzs[rng.random((300, d)) < 0.1] = 0.0
+        dzs[rng.random((300, d)) < 0.1] = -0.0
+        dzs[::50] = -0.0
+        mt = m.T
+        assert same_bits((dzs[:, None, :] @ mt)[:, 0, :],
+                         np.array([dz @ mt for dz in dzs]))
+        assert same_bits((m @ dzs[:, :, None])[:, :, 0],
+                         np.array([m @ dz for dz in dzs]))
+
+
 def test_wz_bar_blocks_of_cells_join_bitwise(monkeypatch):
     """Stepping the cells in several blocks changes no bit."""
     import reflectsde.schemes as schemes
@@ -333,6 +353,8 @@ RUNNERS = {
     "reference": lambda d, f, x0, z: build_reference(d, f, x0, z, 4),
     "wz-bar": lambda d, f, x0, z: run_scheme(d, f, x0, z, SchemeSpec(
         kind="wz-bar", partition=Partition(z.times), substeps_bar=4)),
+    "wz-hat": lambda d, f, x0, z: run_scheme(d, f, x0, z, SchemeSpec(
+        kind="wz-hat", partition=Partition(z.times))),
 }
 
 
@@ -381,3 +403,39 @@ def test_projection_out_of_range_raises_at_the_same_step(name):
                  interp=CADLAG_STEP)
     assert_fails_at(RUNNERS[name], dom, constant_matrix(np.eye(2)), x0, z,
                     40, ProjectionOutOfRange)
+
+
+def rising(rate):
+    """A 64-cell driver whose first coordinate rises ``rate`` per cell."""
+    return GridPath(np.linspace(0.0, 1.0, 65),
+                    np.column_stack((rate * np.arange(65.0), np.zeros(65))),
+                    interp=CADLAG_STEP)
+
+
+GUARD_CROSSING = (HalfSpace([1.0, 0.0], 0.0), (1.0, 0.0),
+                  constant_matrix([[1e6, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("name", ["projection", "jump-adapted", "reference",
+                                  "wz-hat"])
+def test_guard_crossing_raises_nonfinite_at_the_same_step(name):
+    """x1 = 1 + 1e11 j after j cells, all inside the half-space: the
+    constant coefficient's jump map raises NonFinite once x1 passes
+    BLOWUP_GUARD, at sample 10, and so must an interior run."""
+    dom, x0, f = GUARD_CROSSING
+    assert_fails_at(RUNNERS[name], dom, f, x0, rising(1e5), 10, NonFinite)
+
+
+@pytest.mark.parametrize("name, rate", [("skorokhod", 1e11), ("wz-bar", 1e5)])
+def test_guard_crossing_unguarded_steps_match_the_loop(name, rate):
+    """Steps with no finite-value guard go on past BLOWUP_GUARD, through
+    ``guarded_step`` once interior runs stop there, to bitwise the states
+    of the loop that projects every step."""
+    dom, x0, f = GUARD_CROSSING
+    z = rising(rate)
+    bulk = RUNNERS[name](dom, f, x0, z)
+    scalar = RUNNERS[name](scalar_only(dom), f, x0, z)
+    assert bulk.x.values[-1, 0] > 6 * BLOWUP_GUARD
+    for a, b in ((bulk.x, scalar.x), (bulk.k, scalar.k)):
+        assert same_bits(a.values, b.values)
+    assert same_bits(bulk.k_variation, scalar.k_variation)
