@@ -284,6 +284,10 @@ class Coefficient:
     ``field`` is an optional closed form of :meth:`field`, the product
     f(y) dz, that must round exactly like the stacked matrix product it
     replaces (see :meth:`field`).
+
+    ``matrix`` marks a constant coefficient: every scheme then steps with
+    it in closed form.  It must be bitwise ``evaluate`` at the zero state
+    (ValueError otherwise), so that no scheme steps another field.
     """
 
     def __init__(self, kind: str, dimension: int, evaluate, derivative=None,
@@ -304,6 +308,12 @@ class Coefficient:
         if matrix is not None:
             self.matrix = np.asarray(matrix, dtype=float).copy()
             self.matrix.flags.writeable = False
+            at_zero = np.asarray(self.evaluate(np.zeros(self.dimension)),
+                                 dtype=float)
+            if (at_zero.shape != self.matrix.shape
+                    or at_zero.tobytes() != self.matrix.tobytes()):
+                raise ValueError("matrix must be bitwise evaluate at the "
+                                 "zero state")
         self.label = label or kind
         self._spec = spec
 

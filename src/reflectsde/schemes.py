@@ -420,8 +420,6 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
     bar = spec.substeps_bar
     fractions = np.linspace(0.0, 1.0, bar + 1)
     plain_du = np.diff(fractions)
-    # a constant coefficient gives each cell one increment direction
-    fixed = f.evaluate(start) if f.matrix is not None else None
 
     state, k_run, y_run, kvar_run = start, np.zeros(len(start)), start, 0.0
     dk_count = 0
@@ -451,9 +449,11 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
             cell_of.extend([k] * len(du))
         dus = np.concatenate(dus)
 
-        if fixed is not None:
-            # stacked, each row rounding like the 1-D fixed @ dzs[k]
-            cell_dy = (fixed @ dzs[first:cells.stop, :, None])[:, :, 0]
+        if f.matrix is not None:
+            # a constant coefficient gives each cell one increment
+            # direction: stacked, each row rounding like the 1-D
+            # f.matrix @ dzs[k]
+            cell_dy = (f.matrix @ dzs[first:cells.stop, :, None])[:, :, 0]
             dys = cell_dy[np.asarray(cell_of) - first] * dus[:, None]
 
             def target(j, x):
@@ -467,7 +467,7 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
 
         path, targets, dk_norms = project_steps(
             domain, state, rho0, target, len(dus),
-            dys if fixed is not None else None)
+            dys if f.matrix is not None else None)
         states = path[1:]
         # K moves on projected substeps only: a dk too small to square has
         # |dk| = 0 and counts as no move

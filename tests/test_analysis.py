@@ -18,7 +18,8 @@ from reflectsde.csvio import (path_csv_text, rate_csv_text, read_path_csv,
 from reflectsde.driver import (GridPath, Partition, path_seed, sample_brownian,
                                sample_jump_driver)
 from reflectsde.errors import ConfigError, CsvFormatError, ReflectedSDEError
-from reflectsde.flow import Coefficient, FlowConfig, coefficient_from_spec
+from reflectsde.flow import (Coefficient, FlowConfig, coefficient_from_spec,
+                             constant_matrix)
 from reflectsde.geometry import Domain, HalfSpace
 from reflectsde.schemes import SchemeSpec, build_reference, run_scheme
 from reflectsde.skorokhod import solve_skorokhod
@@ -191,18 +192,29 @@ def test_process_pool_is_capped_at_the_number_of_blocks(monkeypatch):
 def test_convergence_study_records_nonfinite_cells(monkeypatch):
     """A scheme step that goes non-finite fails its cell, not the study.
 
-    The coefficient keeps the exact constant-matrix jump map, so the
-    reference succeeds, while every evaluation the wz-bar substeps make
-    returns NaN."""
+    The references are built with the identity, whose constant-matrix jump
+    map is exact, so they succeed, while every field evaluation the wz-bar
+    substeps make returns NaN."""
     def nan_coefficient(spec):
-        return Coefficient("nan-field", 1, lambda x: np.full((1, 1), np.nan),
-                           sup_f=1.0, matrix=[[1.0]])
+        return Coefficient("nan-field", 1,
+                           lambda x: np.full(x.shape[:-1] + (1, 1), np.nan),
+                           sup_f=1.0)
+
+    build_references = analysis.build_references
+
+    def identity_references(domain, f, *args, **kwargs):
+        return build_references(domain, constant_matrix([[1.0]]), *args,
+                                **kwargs)
 
     monkeypatch.setattr(analysis, "coefficient_from_spec", nan_coefficient)
-    table = convergence_study(_tiny_plan(scheme="wz-bar", substeps_bar=4),
-                              jobs=1)
+    monkeypatch.setattr(analysis, "build_references", identity_references)
+    plan = _tiny_plan(scheme="wz-bar", substeps_bar=4)
+    table = convergence_study(plan, jobs=1)
     for row in table.rows:
         assert row.n_ok == 0 and row.n_failed == 4
+    for record in analysis._study_block(plan.as_dict(), range(4)):
+        assert [cell["error"].split(":")[0] for cell in record["per_mesh"]
+                ] == ["NonFinite"] * len(plan.meshes)
 
 
 def test_blocks_group_paths_only_for_the_lockstep():

@@ -317,7 +317,14 @@ experiment:
   seed: 99
 """
 
+# 13000 steps of horizon 1: more than three CSV blocks, and the first
+# times (t1 = 7.7e-05) below the 1e-4 where the bulk %.17g kernel hands
+# cells to Python
+GOLDEN_LONG_POLYGON_YAML = LONG_SKOROKHOD_YAML.replace(
+    "steps: 25000", "steps: 13000").replace("seed: 11", "seed: 41")
+
 # SHA-256 of each artifact, recorded with the per-row %.17g block writer
+# (long-polygon with the run-length writer, before the bulk kernel)
 GOLDEN = {
     ("skorokhod", "polygon"): {
         "path.csv": "0b6fb62a8e0529c7a844c9e31acc62b724a038d676caf1372390a071fd48c13c",
@@ -334,6 +341,11 @@ GOLDEN = {
         "solution.csv": "090f81d81d4d6b6d2d3bc22805ada4370ae48e7f7397252056c6beeb061a273c",
         "summary.json": "87ddfb64c7a33f0823f92092c2e50f9efe77701e6ff2f5d187718d6debac3f50",
     },
+    ("skorokhod", "long-polygon"): {
+        "path.csv": "b5f7a056e030d6fbcdb5a9042a4b68dc590c1e3d1193ef00939e67f3734429e9",
+        "solution.csv": "631a388872c8ff8061c979286d7b3be68f88b7e2395a09c47a1eab582abc33c9",
+        "summary.json": "76a375a9ed4fc6f54407bec6c5db497202db6bb4f5f36414ebcfcbb56baab059",
+    },
     ("simulate", "ball"): {
         "path.csv": "b2b81f22b2c91d4d5f23368b291981beb2f4f1f78df5a95564c6b6ab3cf88c2f",
         "solution.csv": "dfe823594df211dc33dd09530f9c60bda09f2d55c8993fee9ee3b048a5418ec6",
@@ -341,7 +353,8 @@ GOLDEN = {
     },
 }
 GOLDEN_YAML = {"polygon": GOLDEN_POLYGON_YAML,
-               "pure-jump": GOLDEN_PURE_JUMP_YAML, "ball": GOLDEN_BALL_YAML}
+               "pure-jump": GOLDEN_PURE_JUMP_YAML, "ball": GOLDEN_BALL_YAML,
+               "long-polygon": GOLDEN_LONG_POLYGON_YAML}
 
 
 @pytest.mark.parametrize("command,name", sorted(GOLDEN))
@@ -357,6 +370,15 @@ def test_artifacts_keep_their_recorded_sha256(tmp_path, capsys, command,
     capsys.readouterr()
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())} == GOLDEN[command, name]
+
+
+def test_long_golden_run_crosses_block_edges_and_the_fallback(tmp_path):
+    """The long-polygon golden run writes more than three CSV blocks and
+    starts with times below 1e-4, which Python formats."""
+    cfg = load_config(_write(tmp_path, "long.yaml", GOLDEN_LONG_POLYGON_YAML))
+    steps = cfg.driver["steps"]
+    assert steps >= 3 * csvio._BLOCK_ROWS + 500 and steps >= 10001
+    assert cfg.driver["horizon"] / steps < 1e-4
 
 
 def test_remark4_command(tmp_path, capsys):

@@ -344,3 +344,84 @@ def test_run_structured_rows_match_per_value_writer(case):
         path_text = _text(write_path_csv, path)
     assert text == _ref_solution_csv(x, k, kk[:, d])
     assert path_text == _ref_path_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the bulk '%.17g' kernel against Python's '%.17g', cell by cell
+
+
+def _column_text(values):
+    """The text a writer gives ``values`` as one column, header aside."""
+    buf = io.StringIO()
+    csvio._write_rows(buf, ["v"], [(csvio.FLOAT_FMT, [values])])
+    return buf.getvalue()[len("v\n"):]
+
+
+def _assert_cells_match(values):
+    values = np.asarray(values, dtype=float).tolist()
+    got = _column_text(np.array(values))
+    if got != ("%.17g\n" * len(values)) % tuple(values):
+        cells = got.split("\n")[:-1]
+        bad = [(v, g, "%.17g" % v) for v, g in zip(values, cells)
+               if g != "%.17g" % v]
+        assert len(cells) == len(values) and bad == [], bad[:5]
+
+
+def _ulps(values, n):
+    """values and their neighbours up to n ulps away on both sides."""
+    out = [values]
+    up = down = values
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_kernel_cells_of_random_bit_patterns():
+    rng = np.random.default_rng(14)
+    bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64, endpoint=False)
+    _assert_cells_match(bits.view(np.float64))
+
+
+def test_kernel_cells_of_log_uniform_magnitudes():
+    """The kernel's whole range, 1e-4 <= |x| < 1e16, in both signs."""
+    rng = np.random.default_rng(15)
+    values = 10.0 ** rng.uniform(-4.0, 16.0, 150000)
+    values[::2] *= -1.0
+    _assert_cells_match(values)
+
+
+def test_kernel_cells_around_powers_of_ten():
+    """Where log10 may misjudge the exponent, and the ends of the range."""
+    powers = 10.0 ** np.arange(-6, 18)
+    values = _ulps(np.concatenate((powers, [1e-4, 1e16])), 2)
+    _assert_cells_match(np.concatenate((values, -values)))
+
+
+def test_kernel_cells_of_constructed_ties():
+    """M / 2**j with 2**52 <= M < 2**53: values whose 18th significant
+    digit is often an exact 5, so rounding must go half to even."""
+    rng = np.random.default_rng(16)
+    mantissas = rng.integers(2 ** 52, 2 ** 53, 3000).astype(np.float64)
+    values = np.concatenate([np.ldexp(mantissas, -j) for j in range(1, 13)])
+    # '%.30e' is exact here; a tie has the 18th digit 5 and zeros after it
+    digits = [("%.30e" % v).replace(".", "")[:31] for v in values.tolist()]
+    assert sum(d[17:] == "5" + "0" * 13 for d in digits) > 1000
+    _assert_cells_match(np.concatenate((values, -values)))
+
+
+def test_kernel_cells_of_integers():
+    values = np.concatenate((np.arange(2.0 ** 20),
+                             2.0 ** 53 - np.arange(1.0, 1001.0)))
+    _assert_cells_match(values)
+
+
+def test_kernel_cells_of_zeros_subnormals_nan_and_inf():
+    payload = np.array([0x7FF8000000000001, 0xFFF0000000000123],
+                       dtype=np.uint64).view(np.float64)
+    values = np.concatenate((
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], payload,
+        [5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
+         2.2250738585072014e-308, 1.7976931348623157e308]))
+    _assert_cells_match(np.tile(values, 3))
+    assert _column_text(payload) == "nan\nnan\n"

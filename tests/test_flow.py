@@ -630,6 +630,23 @@ def test_constant_matrix_rejects_non_finite_entries():
             constant_matrix([[1.0, 0.0], [bad, 1.0]])
 
 
+def test_coefficient_refuses_a_matrix_other_than_its_field():
+    """``matrix`` must be bitwise ``evaluate`` at the zero state, or the
+    schemes that step with the matrix would step another field than those
+    that evaluate it: NaN against 1.0, one ulp, a sign of zero and a shape
+    are all refused; every constant_matrix passes, -0.0 entries too."""
+    def const(m):
+        return lambda x: np.array(m, dtype=float)
+
+    one_ulp = math.nextafter(1.0, 2.0)
+    for evaluated, matrix in [([[np.nan]], [[1.0]]), ([[1.0]], [[one_ulp]]),
+                              ([[0.0]], [[-0.0]]), ([[1.0]], [1.0])]:
+        with pytest.raises(ValueError, match="bitwise"):
+            Coefficient("mismatch", 1, const(evaluated), matrix=matrix)
+    f = constant_matrix([[1.0, -0.0], [0.0, one_ulp]])
+    assert f.matrix.tobytes() == f.evaluate(np.zeros(2)).tobytes()
+
+
 def test_linear_diagonal_rejects_bad_parameters():
     """A negative region radius would give a negative sup|f|, which turns
     the jump guard off."""
