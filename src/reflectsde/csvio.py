@@ -222,7 +222,7 @@ def _fixed_rows(a, negative):
     return rows
 
 
-def _format_cells(values, texts=()):
+def _format_cells(values, texts):
     """Each value's '%.17g' text, then each of ``texts``, as cell rows.
 
     Returns (rows, row): value i (then text j) is written from
@@ -236,35 +236,28 @@ def _format_cells(values, texts=()):
     with np.errstate(invalid="ignore"):
         fast = (a >= 1e-4) & (a < 1e16)
     negative = np.signbit(values).view(np.int8)
+    if fast.all() and not texts:
+        return _fixed_rows(a, negative), np.arange(len(values))
+    cells, slow = np.flatnonzero(fast), np.flatnonzero(~fast)
+    rows = _fixed_rows(a[cells], negative[cells])
+    # zeros, NaNs and infinities take the special rows after the bulk rows;
+    # every other value, then every text, gets a row of its own after those
+    v = values[slow]
+    special = np.full(len(slow), -1, dtype=np.intp)
+    special[v == 0] = negative[slow][v == 0]
+    special[np.isnan(v)] = 2
+    special[v == np.inf] = 3
+    special[v == -np.inf] = 4
+    alone = special < 0
+    own = ["%.17g" % t for t in v[alone].tolist()]
+    special[alone] = len(_SPECIAL_TEXTS) + np.arange(len(own))
     row = np.empty(len(values) + len(texts), dtype=np.intp)
-    if fast.all():
-        rows = _fixed_rows(a, negative)
-        row[:len(values)] = np.arange(len(values))
-        if not texts:
-            return rows, row
-        own = []
-    else:
-        cells = np.flatnonzero(fast)
-        rows = _fixed_rows(a[cells], negative[cells])
-        row[cells] = np.arange(len(cells))
-        # zeros, NaNs and infinities take the special rows after the fast
-        # rows; every other value gets a row of its own after those
-        slow = np.flatnonzero(~fast)
-        v = values[slow]
-        special = np.full(len(slow), -1, dtype=np.intp)
-        special[v == 0] = negative[slow][v == 0]
-        special[np.isnan(v)] = 2
-        special[v == np.inf] = 3
-        special[v == -np.inf] = 4
-        alone = special < 0
-        special[alone] = len(_SPECIAL_TEXTS) + np.arange(
-            np.count_nonzero(alone))
-        row[slow] = len(rows) + special
-        own = ["%.17g" % t for t in v[alone].tolist()]
-    row[len(values):] = (len(rows) + len(_SPECIAL_TEXTS) + len(own)
+    row[cells] = np.arange(len(cells))
+    row[slow] = len(cells) + special
+    row[len(values):] = (len(cells) + len(_SPECIAL_TEXTS) + len(own)
                          + np.arange(len(texts)))
-    return (np.concatenate((rows, _SPECIAL_ROWS,
-                            _text_rows(own + list(texts)))), row)
+    return (np.concatenate((rows, _SPECIAL_ROWS, _text_rows(own + texts))),
+            row)
 
 
 @contextlib.contextmanager
@@ -303,36 +296,30 @@ def _write_rows(handle, header, groups):
     handle.write(",".join(header) + "\n")
     n = len(groups[0][1][0])
     for start in range(0, n, _BLOCK_ROWS):
-        floats, texts, layout = [], [], []
-        n_floats = 0
+        values, texts, layout = [], [], []
+        n_values = 0
         for cell_format, arrays in groups:
             block = np.column_stack([a[start:start + _BLOCK_ROWS]
                                      for a in arrays])
             starts = _run_starts(block.view(np.int64))
-            rows, width = len(block), block.shape[1]
+            # each row's first cell among the group's formatted cells
+            first = (np.arange(len(block)) if starts is None
+                     else np.cumsum(starts) - 1) * block.shape[1]
             if starts is not None:
                 block = block[starts]
-            if cell_format == FLOAT_FMT:
-                base = n_floats
-                floats.append(block.ravel())
-                n_floats += block.size
-            else:
-                base = -1 - len(texts)
+            is_text = cell_format != FLOAT_FMT
+            layout.append((is_text, len(texts) if is_text else n_values,
+                           first, block.shape[1]))
+            if is_text:
                 texts += [cell_format % v for v in block.ravel().tolist()]
-            # each row's first cell of the group
-            first = (np.arange(rows) if starts is None
-                     else np.cumsum(starts) - 1) * width
-            layout.append((base, first, width))
-        rows, row = _format_cells(np.concatenate(floats), texts)
-        cells = np.empty((len(first), sum(w for _, _, w in layout)),
-                         dtype=np.intp)
-        column = 0
-        for base, first, width in layout:
-            if base < 0:
-                base = n_floats - 1 - base
-            cells[:, column:column + width] = (
-                base + first[:, None] + np.arange(width))
-            column += width
+            else:
+                values.append(block.ravel())
+                n_values += block.size
+        rows, row = _format_cells(np.concatenate(values), texts)
+        # each cell's formatted row; the texts come after the values
+        cells = np.hstack([is_text * n_values + offset + first[:, None]
+                           + np.arange(width)
+                           for is_text, offset, first, width in layout])
         block = rows.take(row.take(cells), axis=0)
         rows = row = cells = None
         # the separators, then the text without the NUL bytes
