@@ -98,7 +98,7 @@ def _digit_words():
         before[:, k, :, lead] = 48 + np.arange(10)
         if exponent == 0:
             before[0, k, :, 7] = 46
-    n = np.arange(10000)
+    n = np.arange(10000, dtype=np.uint16)
     digits = np.empty((2, 10000, 4), dtype=np.uint8)
     for i in range(4):
         digits[:, :, i] = 48 + n // 10 ** (3 - i) % 10
