@@ -146,6 +146,8 @@ def _fixed_digits(a):
         lo += al
         ah = al = ph = pl = None
         edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+        if not len(edge):
+            break
         h, l = hi[edge], lo[edge]
         step = ((h > 1e17) | ((h == 1e17) & (l >= 0))).view(np.int8) - (
             (h < 1e16) | ((h == 1e16) & (l < 0))).view(np.int8)
