@@ -17,19 +17,20 @@ jumps.  A run that crosses a block edge is formatted again in the next
 block.  Other groups are formatted cell by cell.  Comparing bits, not
 values, keeps -0.0 after 0.0 a new run.
 
-All float cells of a block, inline cells and run heads alike, go through
-one call of a numpy kernel (``_format_cells``) that writes each as a row of
+All cells of a block, inline cells and run heads alike, go through one
+call of a numpy kernel (``_format_cells``) that writes each as a row of
 bytes.  It covers 1e-4 <= |x| < 1e16, where %.17g writes fixed notation:
 an error-free two-product (Dekker, 1971) gives |x| * 10**(16 - X) exactly
 as hi + lo, so the 17 digits are rounded half to even as %.17g rounds
 them, and 10 000-entry tables of ASCII digits lay them out.  Zeros, NaNs
 (of any payload, written nan) and infinities share fixed rows; every other
-cell (|x| < 1e-4 or >= 1e16, subnormals) and the %d cells of is_jump go
-through Python's % one at a time.  Separators go in at fixed places, and
-the block's text is its rows with their NUL padding dropped, so the bytes
-are those of a per-value %.17g and ``csv.writer`` loop: no token written
-needs CSV quoting.  The block bound keeps the kernel's arrays and the
-block's text small next to the arrays being written.
+cell (|x| < 1e-4 or >= 1e16, subnormals) goes through Python's % one at
+a time.  is_jump is a float column too: %.17g writes its 0.0 and 1.0 as
+0 and 1.  Separators go in at fixed places, and the block's text is its
+rows with their NUL padding dropped, so the bytes are those of a
+per-value %.17g and ``csv.writer`` loop: no token written needs CSV
+quoting.  The block bound keeps the kernel's arrays and the block's text
+small next to the arrays being written.
 
 Given a filesystem path, a writer streams its blocks to the file, so the
 whole text is never held in memory; the command line writes ``path.csv``
@@ -224,26 +225,25 @@ def _fixed_rows(a, negative):
     return rows
 
 
-def _format_cells(values, texts):
-    """Each value's '%.17g' text, then each of ``texts``, as cell rows.
+def _format_cells(values):
+    """Each value's '%.17g' text as a cell row.
 
-    Returns (rows, row): value i (then text j) is written from
-    ``rows[row[i]]``.  Values of 1e-4 <= |x| < 1e16 are formatted in bulk
-    (``_fixed_rows``).  Zeros, NaNs (of any payload: '%.17g' writes nan)
-    and infinities share one row per text.  Other values (|x| < 1e-4 or
-    >= 1e16, subnormals) go through Python's '%.17g' one by one.
+    Returns (rows, row): value i is written from ``rows[row[i]]``.  Values
+    of 1e-4 <= |x| < 1e16 are formatted in bulk (``_fixed_rows``).  Zeros,
+    NaNs (of any payload: '%.17g' writes nan) and infinities share one row
+    per text.  Other values (|x| < 1e-4 or >= 1e16, subnormals) go through
+    Python's '%.17g' one by one.
     """
-    values = np.asarray(values, dtype=np.float64)
     a = np.abs(values)
     with np.errstate(invalid="ignore"):
         fast = (a >= 1e-4) & (a < 1e16)
     negative = np.signbit(values).view(np.int8)
-    if fast.all() and not texts:
+    if fast.all():
         return _fixed_rows(a, negative), np.arange(len(values))
     cells, slow = np.flatnonzero(fast), np.flatnonzero(~fast)
     rows = _fixed_rows(a[cells], negative[cells])
     # zeros, NaNs and infinities take the special rows after the bulk rows;
-    # every other value, then every text, gets a row of its own after those
+    # every other value gets a row of its own after those
     v = values[slow]
     special = np.full(len(slow), -1, dtype=np.intp)
     special[v == 0] = negative[slow][v == 0]
@@ -251,15 +251,12 @@ def _format_cells(values, texts):
     special[v == np.inf] = 3
     special[v == -np.inf] = 4
     alone = special < 0
-    own = ["%.17g" % t for t in v[alone].tolist()]
+    own = [FLOAT_FMT % t for t in v[alone].tolist()]
     special[alone] = len(_SPECIAL_TEXTS) + np.arange(len(own))
-    row = np.empty(len(values) + len(texts), dtype=np.intp)
+    row = np.empty(len(values), dtype=np.intp)
     row[cells] = np.arange(len(cells))
     row[slow] = len(cells) + special
-    row[len(values):] = (len(cells) + len(_SPECIAL_TEXTS) + len(own)
-                         + np.arange(len(texts)))
-    return (np.concatenate((rows, _SPECIAL_ROWS, _text_rows(own + texts))),
-            row)
+    return np.concatenate((rows, _SPECIAL_ROWS, _text_rows(own))), row
 
 
 @contextlib.contextmanager
@@ -291,38 +288,30 @@ def _run_starts(bits):
 def _write_rows(handle, header, groups):
     """Write the header line, then one line per row of the column groups.
 
-    ``groups`` is a sequence of (cell_format, arrays): a group's arrays
+    ``groups`` is a sequence of lists of float arrays: a group's arrays
     (1-d columns or 2-d column blocks) share the first axis with every
-    other group's, and each of its cells is written with cell_format.
+    other group's, and each of its cells is written as '%.17g' writes it.
     """
     handle.write(",".join(header) + "\n")
-    n = len(groups[0][1][0])
+    n = len(groups[0][0])
     for start in range(0, n, _BLOCK_ROWS):
-        values, texts, layout = [], [], []
+        values, cells = [], []
         n_values = 0
-        for cell_format, arrays in groups:
+        for arrays in groups:
             block = np.column_stack([a[start:start + _BLOCK_ROWS]
                                      for a in arrays])
             starts = _run_starts(block.view(np.int64))
-            # each row's first cell among the group's formatted cells
+            # each row's first cell among the block's formatted values
             first = (np.arange(len(block)) if starts is None
                      else np.cumsum(starts) - 1) * block.shape[1]
             if starts is not None:
                 block = block[starts]
-            is_text = cell_format != FLOAT_FMT
-            layout.append((is_text, len(texts) if is_text else n_values,
-                           first, block.shape[1]))
-            if is_text:
-                texts += [cell_format % v for v in block.ravel().tolist()]
-            else:
-                values.append(block.ravel())
-                n_values += block.size
-        rows, row = _format_cells(np.concatenate(values), texts)
-        # each cell's formatted row; the texts come after the values
-        cells = np.hstack([is_text * n_values + offset + first[:, None]
-                           + np.arange(width)
-                           for is_text, offset, first, width in layout])
-        block = rows.take(row.take(cells), axis=0)
+            cells.append(n_values + first[:, None]
+                         + np.arange(block.shape[1]))
+            values.append(block.ravel())
+            n_values += block.size
+        rows, row = _format_cells(np.concatenate(values))
+        block = rows.take(row.take(np.hstack(cells)), axis=0)
         rows = row = cells = None
         # the separators, then the text without the NUL bytes
         block[:, :-1, _SEPARATOR] = 44
@@ -343,9 +332,10 @@ def write_path_csv(fh, path):
     """Write a driver path as rows t,z1..zd,is_jump.
 
     is_jump is 1 on rows whose time carries a jump of the path and 0
-    otherwise.  The jump vector itself is recoverable as the difference
-    from the previous row only when no diffusion moves at the same
-    instant, which is the convention used by read_path_csv.
+    otherwise: a float column, whose 1.0 and 0.0 '%.17g' writes as 1 and
+    0.  The jump vector itself is recoverable as the difference from the
+    previous row only when no diffusion moves at the same instant, which
+    is the convention used by read_path_csv.
     """
     d = path.dimension
     header = ["t"] + ["z%d" % (i + 1) for i in range(d)] + ["is_jump"]
@@ -353,9 +343,8 @@ def write_path_csv(fh, path):
     is_jump = np.zeros(len(path.times))
     is_jump[np.searchsorted(path.times, path.jump_times)] = 1.0
     with _opened(fh, "w") as handle:
-        _write_rows(handle, header, [(FLOAT_FMT, [path.times]),
-                                     (FLOAT_FMT, [path.values]),
-                                     ("%d", [is_jump])])
+        _write_rows(handle, header,
+                    [[path.times], [path.values], [is_jump]])
 
 
 def read_path_csv(fh, interp=CADLAG_STEP):
@@ -425,9 +414,8 @@ def write_solution_csv(fh, x, k, k_variation):
     if kvar.shape != x.times.shape:
         raise CsvFormatError("k_variation must hold one value per grid time")
     with _opened(fh, "w") as handle:
-        _write_rows(handle, header, [(FLOAT_FMT, [x.times]),
-                                     (FLOAT_FMT, [x.values]),
-                                     (FLOAT_FMT, [k.values, kvar])])
+        _write_rows(handle, header,
+                    [[x.times], [x.values], [k.values, kvar]])
 
 
 RATE_HEADER = ["mesh", "err_unif_med", "err_unif_p90", "err_grid_med",
@@ -445,7 +433,7 @@ def write_rate_csv(fh, rows):
                      dtype=float)
     with _opened(fh, "w") as handle:
         _write_rows(handle, RATE_HEADER,
-                    [(FLOAT_FMT, [table.reshape(-1, len(RATE_HEADER))])])
+                    [[table.reshape(-1, len(RATE_HEADER))]])
 
 
 def path_csv_text(path):

@@ -320,6 +320,9 @@ experiment:
 # 13000 steps of horizon 1: more than three CSV blocks, and the first
 # times (t1 = 7.7e-05) below the 1e-4 where the bulk %.17g kernel hands
 # cells to Python
+# 13000 steps write more than three CSV blocks (3 * _BLOCK_ROWS + 500 rows
+# and more), and the step 1/13000 puts the first times below 1e-4, which
+# the writers format through Python's '%.17g'
 GOLDEN_LONG_POLYGON_YAML = LONG_SKOROKHOD_YAML.replace(
     "steps: 25000", "steps: 13000").replace("seed: 11", "seed: 41")
 
@@ -370,15 +373,6 @@ def test_artifacts_keep_their_recorded_sha256(tmp_path, capsys, command,
     capsys.readouterr()
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())} == GOLDEN[command, name]
-
-
-def test_long_golden_run_crosses_block_edges_and_the_fallback(tmp_path):
-    """The long-polygon golden run writes more than three CSV blocks and
-    starts with times below 1e-4, which Python formats."""
-    cfg = load_config(_write(tmp_path, "long.yaml", GOLDEN_LONG_POLYGON_YAML))
-    steps = cfg.driver["steps"]
-    assert steps >= 3 * csvio._BLOCK_ROWS + 500 and steps >= 10001
-    assert cfg.driver["horizon"] / steps < 1e-4
 
 
 def test_remark4_command(tmp_path, capsys):

@@ -353,7 +353,7 @@ def test_run_structured_rows_match_per_value_writer(case):
 def _column_text(values):
     """The text a writer gives ``values`` as one column, header aside."""
     buf = io.StringIO()
-    csvio._write_rows(buf, ["v"], [(csvio.FLOAT_FMT, [values])])
+    csvio._write_rows(buf, ["v"], [[values]])
     return buf.getvalue()[len("v\n"):]
 
 
