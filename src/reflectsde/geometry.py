@@ -36,24 +36,39 @@ kind's two hooks directly, unchecked:
   candidate states, and through the rows classifier behind ``contains``
   and ``boundary_count``.  In the closure a row's margin is its distance
   to the boundary; outside it is negative, of size at most the distance
-  to the closure.  Each margin goes through the same arithmetic, and the
-  same BLAS kernel, as ``_project``'s own inside test, so on a finite row
-  margin >= 0 holds exactly when ``_project`` returns the row bitwise
-  unchanged.  Interior runs accept exactly those rows, with no band.
+  to the closure.  Each margin goes through the same arithmetic as
+  ``_project``'s own inside test (the BLAS dot of the 1-d ``x @ n`` for
+  the half-space and the balls, the polyhedron's BLAS-free face values),
+  so on a finite row margin >= 0 holds exactly when ``_project`` returns
+  the row bitwise unchanged.  Interior runs accept exactly those rows,
+  with no band.
 """
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch, ProjectionOutOfRange
+from .errors import (DimensionMismatch, ProjectionOutOfRange,
+                     ReflectedSDEError)
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
 
-_DYKSTRA_MAX_CYCLES = 10_000
-_DYKSTRA_TOL = 1e-12
+# The polyhedron's rounding allowance per unit of scale (64 ulps of 1); its
+# active-set steps allowed per face and per dimension; and its passes onto
+# the active faces, each of which leaves some ulps, times the faces'
+# condition, of the last pass's error: one pass, unless x is far larger
+# than its projection or the faces are ill conditioned, and 24 for any
+# finite x
+_ROUNDING = 64 * sys.float_info.epsilon
+_SOLVE_STEPS = 10
+_POLISH_PASSES = 24
+
+
+class _UncertifiedProjection(ReflectedSDEError):
+    """The polyhedral projection could not be computed or certified."""
 
 
 def _bands(points: np.ndarray) -> np.ndarray:
@@ -98,6 +113,74 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     gemv, whose rounding differs).
     """
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def _dot(a: list, b: list) -> float:
+    """a . b over lists of floats, the products added in order."""
+    acc = a[0] * b[0]
+    for k in range(1, len(a)):
+        acc += a[k] * b[k]
+    return acc
+
+
+def _norm1(a: list) -> float:
+    total = 0.0
+    for v in a:
+        total += abs(v)
+    return total
+
+
+def _shift(base: list, w: list, q: list) -> list:
+    """base + sum_l w_l q_l, one term after the other."""
+    for w_l, q_l in zip(w, q):
+        base = [a + w_l * b for a, b in zip(base, q_l)]
+    return base
+
+
+def _reduce(q: list, n) -> tuple:
+    """Modified Gram-Schmidt of n against the orthonormal rows ``q``: the
+    coefficients c and remainder z with n = sum_l c_l q_l + z."""
+    z, coeffs = list(n), []
+    for q_l in q:
+        c = _dot(q_l, z)
+        coeffs.append(c)
+        z = [a - c * b for a, b in zip(z, q_l)]
+    return coeffs, z
+
+
+def _factor(normals: list) -> tuple:
+    """QR factorization of the matrix whose columns are ``normals``: the
+    orthonormal rows q and R as a list of columns (column j has j + 1
+    entries)."""
+    q, r = [], []
+    for n in normals:
+        coeffs, z = _reduce(q, n)
+        norm = math.sqrt(_dot(z, z))
+        q.append([a / norm for a in z])
+        r.append(coeffs + [norm])
+    return q, r
+
+
+def _back_substitute(r: list, b: list) -> list:
+    """u with R u = b, R upper triangular given by its columns."""
+    u = [0.0] * len(b)
+    for i in reversed(range(len(b))):
+        acc = b[i]
+        for j in range(i + 1, len(b)):
+            acc -= r[j][i] * u[j]
+        u[i] = acc / r[i][i]
+    return u
+
+
+def _forward_substitute(r: list, b: list) -> list:
+    """w with R^T w = b, R upper triangular given by its columns."""
+    w = []
+    for i, col in enumerate(r):
+        acc = b[i]
+        for j in range(i):
+            acc -= col[j] * w[j]
+        w.append(acc / col[i])
+    return w
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -271,6 +354,8 @@ class Ball(Domain):
         dist = math.sqrt(rel.dot(rel))
         if dist <= self.radius:
             return x.copy()
+        if dist == math.inf:
+            dist = math.hypot(*rel)  # the squares overflowed; hypot does not
         return self.center + rel * (self.radius / dist)
 
     def spec(self):
@@ -333,9 +418,23 @@ class ConvexPolyhedron(Domain):
     """Intersection of finitely many open half-spaces.
 
     Faces are given as unit inward normals n_i and offsets c_i, the region
-    being {x : n_i . x > c_i for all i}.  The face list must describe a
-    nonempty region; this is the caller's responsibility.  Projection uses
-    cyclic Dykstra iteration over the faces.
+    being {x : n_i . x > c_i for all i}.  Faces with no common point raise
+    ValueError.
+
+    A face value n_i . x - c_i is the products x_k n_ik added in coordinate
+    order, less c_i: plain multiplications and additions, with no BLAS and
+    no FMA, so its bits depend on neither the CPU nor the BLAS library.
+
+    Projection is exact to rounding.  A point outside first goes to its most
+    violated face i, x - s_i n_i (s_i its face value), which is the
+    projection whenever it passes the KKT check.  Otherwise a dual
+    active-set solve (Goldfarb & Idnani, Math. Programming 27, 1983, with
+    the identity as Hessian) finds the faces the projection lies on, and the
+    KKT check certifies its result.  Both are written in the same plain
+    arithmetic.  A result that fails the check raises ReflectedSDEError
+    rather than return a point that may lie outside the closure; that can
+    happen only to a point of huge norm whose projection lies far closer to
+    the origin, on no vertex.
     """
 
     kind = "convex-polyhedron"
@@ -356,33 +455,160 @@ class ConvexPolyhedron(Domain):
         self.offsets = offsets / norms
         self.normals.flags.writeable = False
         self.offsets.flags.writeable = False
+        # the face values' operands: columns for rows, floats for one point
+        self._columns = [self.normals[:, k].copy()
+                         for k in range(self.dimension)]
+        self._faces = [(tuple(n), c) for n, c in
+                       zip(self.normals.tolist(), self.offsets.tolist())]
+        self._offset_slack = [_ROUNDING * abs(c) for _, c in self._faces]
+        try:
+            self._project(np.zeros(self.dimension))
+        except _UncertifiedProjection as exc:
+            raise ValueError(f"invalid polyhedron: {exc}") from None
 
     def _margins(self, points):
-        # stacked: each row through the gemv of _project's inside test; the
-        # least face margin, which is the boundary distance inside
-        faces = (self.normals @ points[:, :, None])[:, :, 0] - self.offsets
+        # row by row the face values of _project's inside test; the least,
+        # which is the boundary distance inside
+        faces = points[:, :1] * self._columns[0]
+        for k in range(1, self.dimension):
+            faces += points[:, k:k + 1] * self._columns[k]
+        faces -= self.offsets
         return faces.min(axis=1)
 
+    def _values(self, x: list) -> list:
+        """The face values of one point, bitwise those ``_margins`` forms
+        for it as a row."""
+        return [_dot(x, n) - c for n, c in self._faces]
+
+    def _slack(self, p: list) -> list:
+        """Per face, the rounding allowed in a face value at ``p``:
+        ``_ROUNDING`` times |p|_1 + |c_i|, which bounds the value's terms."""
+        base = _ROUNDING * _norm1(p)
+        return [base + extra for extra in self._offset_slack]
+
     def _project(self, x):
-        if (self.normals @ x - self.offsets).min() >= 0.0:
+        xs = x.tolist()
+        values = self._values(xs)
+        if all(v >= 0.0 for v in values):
             return x.copy()
-        # Dykstra's cyclic scheme; corrections make the limit the true
-        # nearest point of the intersection, not just a feasible point.
-        p = x.copy()
-        corrections = np.zeros_like(self.normals)
-        for _ in range(_DYKSTRA_MAX_CYCLES):
-            start = p.copy()
-            for i in range(len(self.offsets)):
-                z = p + corrections[i]
-                sd = float(self.normals[i] @ z) - self.offsets[i]
-                y = z - min(sd, 0.0) * self.normals[i]
-                corrections[i] = z - y
-                p = y
-            moved = p - start
-            # the negated test also stops on a non-finite iterate
-            if not math.sqrt(moved.dot(moved)) >= _DYKSTRA_TOL:
+        if not all(map(math.isfinite, xs)):
+            return x + math.nan
+        i = values.index(min(values))
+        s, n = values[i], self._faces[i][0]
+        p = [a - s * b for a, b in zip(xs, n)]
+        pv, slack = self._values(p), self._slack(p)
+        # KKT for the active set {i}: p feasible and on face i, x - p along
+        # -n_i with multiplier -s_i > 0
+        if pv[i] <= slack[i] and all(v >= -e for v, e in zip(pv, slack)):
+            return np.array(p)
+        return np.array(self._solve(xs, values))
+
+    def _solve(self, x: list, values: list) -> list:
+        """Projection of the finite outside point ``x`` with face values
+        ``values``: Goldfarb-Idnani from the unconstrained minimum x.
+
+        The active faces have independent normals, with the orthonormal
+        basis ``q`` and upper triangular ``r`` (columns) of their QR
+        factorization, so the multipliers lam of p = x + sum lam_j n_j are
+        those of a least squares fit.  A face violated beyond its slack
+        joins: the step moves p along z, n_q's part orthogonal to the
+        active normals, until face q holds, unless an active multiplier
+        reaches 0 first; that face then leaves.  A violated face whose
+        normal depends on the active normals with no positive coefficient
+        proves the faces have no common point.
+        """
+        if not all(map(math.isfinite, values)):
+            raise _UncertifiedProjection(
+                f"the face values of {x} overflow")
+        faces, steps = self._faces, _SOLVE_STEPS * (len(self._faces)
+                                                     + self.dimension)
+        active, lam, q, r = [], [], [], []
+        p, pv = x, values
+        # the first face to join is the most violated one, as in _project
+        adding = values.index(min(values))
+        gain, s = 0.0, values[adding]
+        for _ in range(steps):
+            if adding is None:
+                slack = self._slack(p)
+                adding = min((i for i in range(len(faces))
+                              if i not in active and pv[i] < -slack[i]),
+                             key=pv.__getitem__, default=None)
+                if adding is None:
+                    self._certify(x, p, pv, active, q, r)
+                    return p
+                gain, s = 0.0, pv[adding]
+            coeffs, z = _reduce(q, faces[adding][0])
+            u = _back_substitute(r, coeffs)
+            # z . n_q = |z|^2: n_q is z plus a combination of the rows of q
+            zz = _dot(z, z)
+            norm = math.sqrt(zz)
+            full = -s / zz if norm > _ROUNDING else math.inf
+            partial, leaving = math.inf, None
+            for j, (lam_j, u_j) in enumerate(zip(lam, u)):
+                if u_j > 0.0 and lam_j / u_j < partial:
+                    partial, leaving = lam_j / u_j, j
+            step = min(full, partial)
+            if step == math.inf:
+                raise _UncertifiedProjection(
+                    f"the faces have no common point: face {adding} "
+                    f"contradicts faces {active}")
+            lam = [lam_j - step * u_j for lam_j, u_j in zip(lam, u)]
+            gain += step
+            if full <= partial:
+                active.append(adding)
+                lam.append(gain)
+                adding = None
+                q.append([a / norm for a in z])
+                r.append(coeffs + [norm])
+                p, pv = self._point(x, values, active, q, r)
+                continue
+            if full < math.inf:
+                p = [a + step * b for a, b in zip(p, z)]
+                s += step * zz
+            del active[leaving], lam[leaving]
+            q, r = _factor([faces[j][0] for j in active])
+        raise _UncertifiedProjection(
+            f"no active set found for {x} in {steps} steps")
+
+    def _point(self, x, values, active, q, r):
+        """The nearest point p to ``x`` (face values ``values``) on the
+        active faces, n_j . p = c_j for j in ``active`` with x - p in the
+        span of their normals, and its face values."""
+        if len(active) == self.dimension:
+            # a vertex: solved for directly, so no digit of x is lost to it
+            w = _forward_substitute(r, [self._faces[j][1] for j in active])
+            p = _shift([0.0] * self.dimension, w, q)
+            pv = self._values(p)
+        else:
+            p, pv = x, values
+        for _ in range(_POLISH_PASSES):
+            slack = self._slack(p)
+            # x itself takes one pass
+            if p is not x and all(abs(pv[j]) <= slack[j] for j in active):
                 break
-        return p
+            w = _forward_substitute(r, [pv[j] for j in active])
+            p = _shift(p, [-a for a in w], q)
+            pv = self._values(p)
+        return p, pv
+
+    def _certify(self, x, p, pv, active, q, r):
+        """Raise unless p is the projection of x to rounding: p lies in the
+        closure and on its active faces, and p - x, which ``_point`` puts in
+        the span of their inward normals, is a nonnegative combination of
+        them."""
+        slack = self._slack(p)
+        if any(v < -e for v, e in zip(pv, slack)):
+            raise _UncertifiedProjection(
+                f"the projection {p} of {x} violates a face")
+        if any(pv[j] > slack[j] for j in active):
+            raise _UncertifiedProjection(
+                f"the projection {p} of {x} leaves an active face")
+        g = [b - a for a, b in zip(x, p)]
+        coeffs = [_dot(q_l, g) for q_l in q]
+        floor = -_ROUNDING * _norm1(g) / min(col[-1] for col in r)
+        if any(lam_l < floor for lam_l in _back_substitute(r, coeffs)):
+            raise _UncertifiedProjection(
+                f"the projection {p} of {x} has a negative multiplier")
 
     def spec(self):
         return {

@@ -441,6 +441,22 @@ def test_bad_coefficient_parameters_exit_2(tmp_path, capsys, coefficient):
     assert not (tmp_path / "o").exists()
 
 
+def test_empty_polyhedron_exits_2(tmp_path, capsys):
+    """{x >= 0.5} and {-x >= 0.5} share no point: a domain problem, exit 2
+    before any output is written, not a traceback."""
+    cfg = _write(tmp_path, "empty.yaml", CONV_YAML.replace(
+        "  kind: half-space\n  normal: [1.0]\n  offset: 0.0",
+        "  kind: convex-polyhedron\n  normals: [[1.0], [-1.0]]\n"
+        "  offsets: [0.5, 0.5]"))
+    out = tmp_path / "o"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration"
+    assert any(p.startswith("domain: ") and "no common point" in p
+               for p in err["problems"])
+    assert not out.exists()
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.yaml", "driver:\n  stepz: 10\n")
     assert main(["simulate", "--config", cfg, "--out",

@@ -1,5 +1,6 @@
 """Domain classification, projection, and reach."""
 
+import functools
 import math
 import warnings
 
@@ -382,7 +383,10 @@ INSIDE_TESTS = {
     "ball": lambda dom, x: dom.radius - math.sqrt(
         (x - dom.center).dot(x - dom.center)),
     "box": lambda dom, x: np.minimum(x - dom.lower, dom.upper - x).min(),
-    "convex-polyhedron": lambda dom, x: (dom.normals @ x - dom.offsets).min(),
+    "convex-polyhedron": lambda dom, x: min(
+        functools.reduce(lambda acc, k: acc + x[k] * n[k],
+                         range(1, len(x)), x[0] * n[0]) - c
+        for n, c in zip(dom.normals, dom.offsets)),
     "exterior-of-ball": lambda dom, x: math.sqrt(
         (x - dom.center).dot(x - dom.center)) - dom.radius,
 }
@@ -390,8 +394,10 @@ INSIDE_TESTS = {
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_margins_are_bitwise_the_inside_test_of_the_projection(d):
-    """Each row goes through the BLAS kernel of the scalar inside test: a
-    plain (n, d) @ (d,) gemv would round differently on many rows."""
+    """Each row goes through the arithmetic of the scalar inside test: the
+    BLAS dot for the half-space and the balls (a plain (n, d) @ (d,) gemv
+    would round differently on many rows), and for the polyhedron its face
+    values, the products added in coordinate order with no BLAS."""
     rng = np.random.default_rng(d)
     domains = [
         HalfSpace(rng.normal(size=d), 0.3),
