@@ -507,15 +507,14 @@ class ConvexPolyhedron(Domain):
         """Projection of the finite outside point ``x`` with face values
         ``values``: Goldfarb-Idnani from the unconstrained minimum x.
 
-        The active faces have independent normals, with the orthonormal
-        basis ``q`` and upper triangular ``r`` (columns) of their QR
-        factorization, so the multipliers lam of p = x + sum lam_j n_j are
-        those of a least squares fit.  A face violated beyond its slack
-        joins: the step moves p along z, n_q's part orthogonal to the
-        active normals, until face q holds, unless an active multiplier
-        reaches 0 first; that face then leaves.  A violated face whose
-        normal depends on the active normals with no positive coefficient
-        proves the faces have no common point.
+        The iterate is p = x + sum_j lam_j n_j over the active faces, whose
+        normals are independent, with multipliers lam_j >= 0; ``q`` and
+        ``r`` are the QR factors of those normals.  A face q violated
+        beyond its slack joins: p moves along z, the part of n_q orthogonal
+        to the active normals, until face q holds, unless an active
+        multiplier reaches 0 first; that face then leaves, and face q goes
+        on joining.  When n_q is a combination of the active normals with
+        no positive coefficient, the faces have no common point.
         """
         if not all(map(math.isfinite, values)):
             raise _UncertifiedProjection(

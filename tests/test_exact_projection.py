@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,11 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog, nnls
 
 from reflectsde.driver import GridPath
-from reflectsde.errors import ReflectedSDEError
+from reflectsde.errors import NonFinite, ReflectedSDEError
 from reflectsde.geometry import (OUTSIDE, Ball, Box, ConvexPolyhedron,
                                  ExteriorOfBall, HalfSpace, _factor,
                                  default_boundary_tol)
-from reflectsde.skorokhod import solve_skorokhod
+from reflectsde.skorokhod import guarded_step, solve_skorokhod
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -182,18 +183,40 @@ def test_empty_polyhedron_is_rejected_at_construction():
     ConvexPolyhedron([[1.0], [-1.0]], [0.5, -0.5])
 
 
-def test_a_point_that_is_not_the_projection_fails_the_kkt_check():
-    """The check behind every active-set result: a feasible vertex that
-    is not the projection raises."""
-    dom = POLYGON
-    x = [3.0, -3.0]
-    active = [1, 3]
+def certify(dom, x, active, p=None):
+    """The KKT check of ``p`` (by default the point of the faces
+    ``active`` nearest to x) as the projection of x."""
     q, r = _factor([dom._faces[j][0] for j in active])
-    vertex, values = dom._point(x, dom._values(x), active, q, r)
-    dom._certify(x, vertex, values, active, q, r)
-    wrong = [-1.0, -1.0]
-    with pytest.raises(ReflectedSDEError):
-        dom._certify(x, wrong, dom._values(wrong), active, q, r)
+    if p is None:
+        p = dom._point(x, dom._values(x), active, q, r)[0]
+    dom._certify(x, p, dom._values(p), active, q, r)
+
+
+def test_a_point_that_is_not_the_projection_fails_the_kkt_check():
+    """The check behind every active-set result.  (3, -3) projects to the
+    polygon's vertex (0.9, -1) of faces 1 and 3."""
+    x = [3.0, -3.0]
+    certify(POLYGON, x, [1, 3])
+    # feasible, but off face 3
+    with pytest.raises(ReflectedSDEError, match="leaves an active face"):
+        certify(POLYGON, x, [1, 3], p=[-1.0, -1.0])
+    # the vertex (-1, -1) of faces 0 and 1: x - p points into the polygon
+    with pytest.raises(ReflectedSDEError, match="negative multiplier"):
+        certify(POLYGON, x, [0, 1])
+    # the nearest point of face 0 alone lies outside face 1
+    with pytest.raises(ReflectedSDEError, match="violates a face"):
+        certify(POLYGON, x, [0])
+
+
+@pytest.mark.parametrize("row", [(math.nan, 0.0), (math.inf, 0.5),
+                                 (-math.inf, math.inf)])
+def test_polyhedron_step_on_a_non_finite_target_raises_nonfinite(row):
+    """The projection hands a non-finite target back as NaN, quietly, so
+    the step's |dk| is not finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            guarded_step(POLYGON, np.array(row), POLYGON.rho0)
 
 
 def test_ball_projects_rows_whose_squares_overflow():
