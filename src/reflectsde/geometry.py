@@ -540,8 +540,7 @@ class ConvexPolyhedron(Domain):
             u = _back_substitute(r, coeffs)
             # z . n_q = |z|^2: n_q is z plus a combination of the rows of q
             zz = _dot(z, z)
-            norm = math.sqrt(zz)
-            full = -s / zz if norm > _ROUNDING else math.inf
+            full = -s / zz if math.sqrt(zz) > _ROUNDING else math.inf
             partial, leaving = math.inf, None
             for j, (lam_j, u_j) in enumerate(zip(lam, u)):
                 if u_j > 0.0 and lam_j / u_j < partial:
@@ -557,8 +556,7 @@ class ConvexPolyhedron(Domain):
                 active.append(adding)
                 lam.append(gain)
                 adding = None
-                q.append([a / norm for a in z])
-                r.append(coeffs + [norm])
+                q, r = _factor([faces[j][0] for j in active])
                 p, pv = self._point(x, values, active, q, r)
                 continue
             if full < math.inf:

@@ -45,10 +45,6 @@ coordinates = st.floats(-4.0, 4.0)
 points = st.tuples(coordinates, coordinates).map(np.array)
 
 
-def band(x):
-    return default_boundary_tol(x)
-
-
 @settings(max_examples=150, deadline=None)
 @given(index=st.integers(0, len(DOMAINS) - 1), x=points)
 def test_projection_lands_in_the_closure_and_is_idempotent(index, x):
@@ -59,7 +55,7 @@ def test_projection_lands_in_the_closure_and_is_idempotent(index, x):
            or np.linalg.norm(x - dom.center) > 1e-3)
     p = dom.project(x)
     assert dom.contains(p) != OUTSIDE
-    assert np.linalg.norm(dom.project(p) - p) <= band(p)
+    assert np.linalg.norm(dom.project(p) - p) <= default_boundary_tol(p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -67,7 +63,8 @@ def test_projection_lands_in_the_closure_and_is_idempotent(index, x):
 def test_convex_projection_is_nonexpansive(index, x, y):
     dom = CONVEX[index]
     gap = np.linalg.norm(dom.project(x) - dom.project(y))
-    assert gap <= np.linalg.norm(x - y) + band(x) + band(y)
+    assert gap <= (np.linalg.norm(x - y) + default_boundary_tol(x)
+                   + default_boundary_tol(y))
 
 
 @settings(max_examples=25, deadline=None)
