@@ -432,9 +432,9 @@ class ConvexPolyhedron(Domain):
     the identity as Hessian) finds the faces the projection lies on, and the
     KKT check certifies its result.  Both are written in the same plain
     arithmetic.  A result that fails the check raises ReflectedSDEError
-    rather than return a point that may lie outside the closure; that can
-    happen only to a point of huge norm whose projection lies far closer to
-    the origin, on no vertex.
+    rather than return a point that may lie outside the closure.  Only a
+    point of huge norm whose projection lies far closer to the origin, off
+    any vertex, is expected to fail it: the digits of x - p are lost there.
     """
 
     kind = "convex-polyhedron"
