@@ -38,17 +38,17 @@ from .schemes import (SCHEME_KINDS, SchemeSpec, build_reference,  # noqa: F401
                       build_references, run_scheme, run_schemes)
 from .skorokhod import check_lemma1, total_variation
 
-SUP_ERROR_MODES = ("uniform", "grid-points", "fixed-times")
+SUP_ERROR_MODES = ("uniform", "grid-points")
 
 
 def sup_error(a: GridPath, b: GridPath, horizon: float | None = None,
-              mode: str = "uniform", times=None) -> float:
+              mode: str = "uniform") -> float:
     """Largest pointwise distance |a(t) - b(t)| over [0, horizon].
 
     mode "uniform" evaluates on the union of both sample grids and also
     compares left limits there, so step paths with mismatched jump times
     are charged the full discrepancy; "grid-points" evaluates only at the
-    sample times of ``a``; "fixed-times" evaluates at the given ``times``.
+    sample times of ``a``.
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch("paths have different dimensions")
@@ -67,14 +67,8 @@ def sup_error(a: GridPath, b: GridPath, horizon: float | None = None,
     if mode == "uniform":
         ts = np.union1d(a.times[a.times <= horizon + 1e-12],
                         b.times[b.times <= horizon + 1e-12])
-    elif mode == "grid-points":
-        ts = a.times[a.times <= horizon + 1e-12]
     else:
-        if times is None:
-            raise ValueError("fixed-times mode needs explicit times")
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(ts < 0.0) or np.any(ts > horizon + 1e-12):
-            raise ValueError("fixed times must lie in [0, horizon]")
+        ts = a.times[a.times <= horizon + 1e-12]
     ts = np.minimum(ts, horizon)
 
     diff = a.value_at(ts) - b.value_at(ts)
@@ -587,25 +581,24 @@ def remark4_report(substeps=(64, 128, 256, 512),
     )
 
 
-def variation_report(domain: Domain, y: GridPath, sol,
-                     intervals=None, rel_tol: float = 1e-9) -> dict:
+def variation_report(domain: Domain, y: GridPath, sol) -> dict:
     """Variation comparisons of a constrained pair (x, k) against y.
 
     ``sol`` needs ``x`` and ``k`` path attributes (a Skorokhod solution or
-    a scheme output).  Default windows are the four quarters of the horizon
-    plus the full interval.  The ``bounded_by_driver`` flag is the
-    practical boundedness check: the compensator's total variation stays
-    within the driver's.
+    a scheme output).  The windows are the four quarters of the horizon
+    plus the full interval, at ``check_lemma1``'s default tolerance.  The
+    ``bounded_by_driver`` flag is the practical boundedness check: the
+    compensator's total variation stays within the driver's.
     """
     horizon = y.horizon
-    if intervals is None:
-        edges = np.linspace(0.0, horizon, 5)
-        intervals = [(float(edges[i]), float(edges[i + 1])) for i in range(4)]
-        intervals.append((0.0, horizon))
-    report = check_lemma1(domain, y, sol, intervals, rel_tol=rel_tol)
+    edges = np.linspace(0.0, horizon, 5)
+    intervals = [(float(edges[i]), float(edges[i + 1])) for i in range(4)]
+    intervals.append((0.0, horizon))
+    report = check_lemma1(domain, y, sol, intervals)
     vy = total_variation(y, 0.0, horizon)
     vk = total_variation(sol.k, 0.0, horizon)
-    bounded = bool(vk <= vy + rel_tol * (1.0 + vy)) and math.isfinite(vk)
+    bounded = (bool(vk <= vy + report.rel_tol * (1.0 + vy))
+               and math.isfinite(vk))
     out = report.as_dict()
     out["y_variation_total"] = vy
     out["k_variation_total"] = vk

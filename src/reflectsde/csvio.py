@@ -7,30 +7,21 @@ the same seed reproduces the artifact byte for byte.  No timestamps or
 other non-deterministic fields are ever written.
 
 The writers share one block writer, ``_write_rows``: it writes the header
-line, then the rows in blocks of at most ``_BLOCK_ROWS``.  A writer hands
-it its columns as groups that move together (t; x or z; k1..kd with
-kvar).  In each block, a group whose rows repeat the row above, bit for
-bit, in at least half of the block is formatted once per run of equal
-rows, and each row takes its run's text: between projections, k and its
-variation do not move (Lemma 1), nor does a pure-jump driver between its
-jumps.  A run that crosses a block edge is formatted again in the next
-block.  Other groups are formatted cell by cell.  Comparing bits, not
-values, keeps -0.0 after 0.0 a new run.
-
-All cells of a block, inline cells and run heads alike, go through one
-call of a numpy kernel (``_format_cells``) that writes each as a row of
-bytes.  It covers 1e-4 <= |x| < 1e16, where %.17g writes fixed notation:
-an error-free two-product (Dekker, 1971) gives |x| * 10**(16 - X) exactly
-as hi + lo, so the 17 digits are rounded half to even as %.17g rounds
-them, and 10 000-entry tables of ASCII digits lay them out.  Zeros, NaNs
-(of any payload, written nan) and infinities share fixed rows; every other
-cell (|x| < 1e-4 or >= 1e16, subnormals) goes through Python's % one at
-a time.  is_jump is a float column too: %.17g writes its 0.0 and 1.0 as
-0 and 1.  Separators go in at fixed places, and the block's text is its
-rows with their NUL padding dropped, so the bytes are those of a
-per-value %.17g and ``csv.writer`` loop: no token written needs CSV
-quoting.  The block bound keeps the kernel's arrays and the block's text
-small next to the arrays being written.
+line, then the rows in blocks of at most ``_BLOCK_ROWS``.  All cells of a
+block go through one call of a numpy kernel (``_format_cells``) that
+writes each as a row of bytes.  It covers 1e-4 <= |x| < 1e16, where
+%.17g writes fixed notation: an error-free two-product (Dekker, 1971)
+gives |x| * 10**(16 - X) exactly as hi + lo, so the 17 digits are rounded
+half to even as %.17g rounds them, and 10 000-entry tables of ASCII
+digits lay them out.  Zeros, NaNs (of any payload, written nan) and
+infinities share fixed rows; every other cell (|x| < 1e-4 or >= 1e16,
+subnormals) goes through Python's % one at a time.  is_jump is a float
+column too: %.17g writes its 0.0 and 1.0 as 0 and 1.  Separators go in at
+fixed places, and the block's text is its rows with their NUL padding
+dropped, so the bytes are those of a per-value %.17g and ``csv.writer``
+loop: no token written needs CSV quoting.  The block bound keeps the
+kernel's arrays and the block's text small next to the arrays being
+written.
 
 Given a filesystem path, a writer streams its blocks to the file, so the
 whole text is never held in memory; the command line writes ``path.csv``
@@ -226,24 +217,24 @@ def _fixed_rows(a, negative):
 
 
 def _format_cells(values):
-    """Each value's '%.17g' text as a cell row.
+    """Each value's '%.17g' text as a cell row, in the order of ``values``.
 
-    Returns (rows, row): value i is written from ``rows[row[i]]``.  Values
-    of 1e-4 <= |x| < 1e16 are formatted in bulk (``_fixed_rows``).  Zeros,
-    NaNs (of any payload: '%.17g' writes nan) and infinities share one row
-    per text.  Other values (|x| < 1e-4 or >= 1e16, subnormals) go through
-    Python's '%.17g' one by one.
+    Values of 1e-4 <= |x| < 1e16 are formatted in bulk (``_fixed_rows``).
+    Zeros, NaNs (of any payload: '%.17g' writes nan) and infinities take
+    fixed rows.  Other values (|x| < 1e-4 or >= 1e16, subnormals) go
+    through Python's '%.17g' one by one.
     """
     a = np.abs(values)
     with np.errstate(invalid="ignore"):
         fast = (a >= 1e-4) & (a < 1e16)
     negative = np.signbit(values).view(np.int8)
     if fast.all():
-        return _fixed_rows(a, negative), np.arange(len(values))
+        return _fixed_rows(a, negative)
     cells, slow = np.flatnonzero(fast), np.flatnonzero(~fast)
-    rows = _fixed_rows(a[cells], negative[cells])
-    # zeros, NaNs and infinities take the special rows after the bulk rows;
-    # every other value gets a row of its own after those
+    rows = np.empty((len(values), _WIDTH), dtype=np.uint8)
+    rows[cells] = _fixed_rows(a[cells], negative[cells])
+    # zeros, NaNs and infinities take the special rows; every other value
+    # gets a row of its own after those
     v = values[slow]
     special = np.full(len(slow), -1, dtype=np.intp)
     special[v == 0] = negative[slow][v == 0]
@@ -253,10 +244,8 @@ def _format_cells(values):
     alone = special < 0
     own = [FLOAT_FMT % t for t in v[alone].tolist()]
     special[alone] = len(_SPECIAL_TEXTS) + np.arange(len(own))
-    row = np.empty(len(values), dtype=np.intp)
-    row[cells] = np.arange(len(cells))
-    row[slow] = len(cells) + special
-    return np.concatenate((rows, _SPECIAL_ROWS, _text_rows(own))), row
+    rows[slow] = np.concatenate((_SPECIAL_ROWS, _text_rows(own)))[special]
+    return rows
 
 
 @contextlib.contextmanager
@@ -269,50 +258,18 @@ def _opened(fh, mode):
         yield fh
 
 
-def _run_starts(bits):
-    """Rows of a block that start a run, or None if the group moves often.
+def _write_rows(handle, header, columns):
+    """Write the header line, then one line per row of the columns.
 
-    ``bits`` is one column group's block viewed as int64, so that -0.0
-    after 0.0, or one NaN after another with other bits, starts a run.
-    The block's first row always starts one.  When fewer than half of the
-    rows repeat the row above, the group is formatted inline: None.
-    """
-    new = np.zeros(len(bits) - 1, dtype=bool)
-    for column in bits.T:   # faster than any(axis=1) on a few columns
-        new |= column[1:] != column[:-1]
-    if 2 * (len(new) - np.count_nonzero(new)) < len(bits):
-        return None
-    return np.concatenate(([True], new))
-
-
-def _write_rows(handle, header, groups):
-    """Write the header line, then one line per row of the column groups.
-
-    ``groups`` is a sequence of lists of float arrays: a group's arrays
-    (1-d columns or 2-d column blocks) share the first axis with every
-    other group's, and each of its cells is written as '%.17g' writes it.
+    ``columns`` is a list of float arrays (1-d columns or 2-d column
+    blocks) that share their first axis; each cell is written as '%.17g'
+    writes it.
     """
     handle.write(",".join(header) + "\n")
-    n = len(groups[0][0])
-    for start in range(0, n, _BLOCK_ROWS):
-        values, cells = [], []
-        n_values = 0
-        for arrays in groups:
-            block = np.column_stack([a[start:start + _BLOCK_ROWS]
-                                     for a in arrays])
-            starts = _run_starts(block.view(np.int64))
-            # each row's first cell among the block's formatted values
-            first = (np.arange(len(block)) if starts is None
-                     else np.cumsum(starts) - 1) * block.shape[1]
-            if starts is not None:
-                block = block[starts]
-            cells.append(n_values + first[:, None]
-                         + np.arange(block.shape[1]))
-            values.append(block.ravel())
-            n_values += block.size
-        rows, row = _format_cells(np.concatenate(values))
-        block = rows.take(row.take(np.hstack(cells)), axis=0)
-        rows = row = cells = None
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([a[start:start + _BLOCK_ROWS]
+                                 for a in columns])
+        block = _format_cells(block.ravel()).reshape(len(block), -1, _WIDTH)
         # the separators, then the text without the NUL bytes
         block[:, :-1, _SEPARATOR] = 44
         block[:, -1, _SEPARATOR] = 10
@@ -344,7 +301,7 @@ def write_path_csv(fh, path):
     is_jump[np.searchsorted(path.times, path.jump_times)] = 1.0
     with _opened(fh, "w") as handle:
         _write_rows(handle, header,
-                    [[path.times], [path.values], [is_jump]])
+                    [path.times, path.values, is_jump])
 
 
 def read_path_csv(fh, interp=CADLAG_STEP):
@@ -415,7 +372,7 @@ def write_solution_csv(fh, x, k, k_variation):
         raise CsvFormatError("k_variation must hold one value per grid time")
     with _opened(fh, "w") as handle:
         _write_rows(handle, header,
-                    [[x.times], [x.values], [k.values, kvar]])
+                    [x.times, x.values, k.values, kvar])
 
 
 RATE_HEADER = ["mesh", "err_unif_med", "err_unif_p90", "err_grid_med",
@@ -433,7 +390,7 @@ def write_rate_csv(fh, rows):
                      dtype=float)
     with _opened(fh, "w") as handle:
         _write_rows(handle, RATE_HEADER,
-                    [[table.reshape(-1, len(RATE_HEADER))]])
+                    [table.reshape(-1, len(RATE_HEADER))])
 
 
 def path_csv_text(path):

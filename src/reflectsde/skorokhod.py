@@ -163,20 +163,14 @@ def accumulate(first, rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(out, axis=0, out=out)
 
 
-def solve_skorokhod(domain: Domain, y: GridPath, y0=None) -> SkorokhodSolution:
+def solve_skorokhod(domain: Domain, y: GridPath) -> SkorokhodSolution:
     """Solve the discrete constrained decomposition for the path y.
 
-    ``y0`` defaults to the first sample of y and must lie in the closed
-    domain; passing a different value is an error.
+    The first sample of y is the start and must lie in the closed domain.
     """
     values = y.values
-    if y0 is None:
-        y0 = values[0]
-    start = np.asarray(y0, dtype=float)
-    # contains() below then checks the path's dimension against the domain
-    if (start.shape != values[0].shape
-            or not np.allclose(start, values[0], rtol=0.0, atol=1e-9)):
-        raise ValueError("y0 must equal the first sample of y")
+    start = values[0]
+    # contains() also checks the path's dimension against the domain
     if domain.contains(start) == OUTSIDE:
         raise StartOutsideDomain(
             f"initial point {start.tolist()} is outside the closed domain"

@@ -61,10 +61,6 @@ def test_sup_error_modes_and_horizon():
     assert sup_error(a, b, mode="uniform") == pytest.approx(0.2)
     # restricting the window cuts off the late discrepancy
     assert sup_error(a, b, horizon=0.5, mode="uniform") == pytest.approx(0.1)
-    assert sup_error(a, b, mode="fixed-times",
-                     times=[0.5]) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        sup_error(a, b, mode="fixed-times")
     with pytest.raises(ValueError):
         sup_error(a, b, mode="weighted")
     short = _step([0.0, 0.5], [0.0, 0.5], interp="linear")
@@ -340,7 +336,7 @@ def test_remark4_report_frozen_numbers():
 def test_variation_report_flags():
     dom = HalfSpace([1.0], 0.0)
     y = sample_brownian(1.0, 256, 1, seed=5)
-    sol = solve_skorokhod(dom, y, y0=y.values[0])
+    sol = solve_skorokhod(dom, y)
     rep = variation_report(dom, y, sol)
     assert rep["all_ok"] is True
     assert rep["bounded_by_driver"] is True
@@ -373,7 +369,7 @@ def test_path_csv_round_trip(tmp_path):
 def test_solution_csv_round_trip(tmp_path):
     dom = HalfSpace([1.0], 0.0)
     y = sample_brownian(1.0, 64, 1, seed=11)
-    sol = solve_skorokhod(dom, y, y0=y.values[0])
+    sol = solve_skorokhod(dom, y)
     p = tmp_path / "solution.csv"
     write_solution_csv(p, sol.x, sol.k, sol.k_variation)
     table = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)

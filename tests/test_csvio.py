@@ -181,7 +181,7 @@ def test_block_writers_round_trip(tmp_path, d):
 
 
 # ---------------------------------------------------------------------------
-# run-length formatting of slowly moving column groups
+# rows that repeat the row above, in runs that cross block edges
 
 
 def _runs(n, d, bounds, seed, values=None):
@@ -196,25 +196,10 @@ def _runs(n, d, bounds, seed, values=None):
     return out
 
 
-@pytest.fixture
-def grouped(monkeypatch):
-    """Record, per call of ``_run_starts``, whether its group went by runs."""
-    seen = []
-    real = csvio._run_starts
-
-    def spy(bits):
-        starts = real(bits)
-        seen.append(starts is not None)
-        return starts
-
-    monkeypatch.setattr(csvio, "_run_starts", spy)
-    return seen
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_k_runs_across_block_edges_match_per_value_writer(d, grouped):
+def test_k_runs_across_block_edges_match_per_value_writer(d):
     """k and kvar move together in runs that start at row 0, cross the
-    block edges (rows 1024 and 2048), and end at the last row."""
+    first two block edges, and end at the last row."""
     b = csvio._BLOCK_ROWS
     n = 2 * b + 37
     bounds = [3, b - 5, b + 2, b + 3, 2 * b - 1, n - 1]
@@ -224,14 +209,12 @@ def test_k_runs_across_block_edges_match_per_value_writer(d, grouped):
     k, kvar = GridPath(times, kk[:, :d]), kk[:, d]
     text = _text(write_solution_csv, x, k, kvar)
     assert text == _ref_solution_csv(x, k, kvar)
-    # per block: t and x inline, k by runs
-    assert grouped == [False, False, True] * 3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_signed_zeros_nan_and_inf_runs_match_per_value_writer(d):
-    """-0.0 next to 0.0 starts a run, as does a NaN after a NaN of other
-    bits; runs of nan, inf and -inf are formatted once and spliced."""
+    """Runs of 0.0 and -0.0 side by side, of NaNs of other bits (all
+    written nan), and of inf and -inf."""
     quiet, other = np.float64(np.nan), np.int64(0x7ff8000000000001).view(
         np.float64)
     values = [0.0, -0.0, 0.0, quiet, other, quiet, np.inf, -np.inf, np.inf,
@@ -244,34 +227,13 @@ def test_signed_zeros_nan_and_inf_runs_match_per_value_writer(d):
     k = GridPath(times, kk[:, :d])
     assert (_text(write_solution_csv, x, k, kk[:, d])
             == _ref_solution_csv(x, k, kk[:, d]))
-    bits = x.values.view(np.int64)
-    starts = csvio._run_starts(bits[:csvio._BLOCK_ROWS])
-    assert np.array_equal(np.flatnonzero(starts),
-                          np.arange(0, csvio._BLOCK_ROWS, 90))
 
 
-def test_run_starts_threshold_is_half_the_block():
-    """A group goes by runs when at least half of the block's rows repeat
-    the row above, and inline otherwise: 512 repeats of 1024 rows, or 3 of
-    5, are enough; 511, or 2 of 5, or all rows distinct, or a block of one
-    row, are not."""
-    def block(rows, repeats):
-        values = np.arange(float(rows))
-        values[1:repeats + 1] = values[0]
-        return values.reshape(-1, 1).view(np.int64)
-
-    for rows, repeats, by_runs in [(1024, 512, True), (1024, 511, False),
-                                   (5, 3, True), (5, 2, False),
-                                   (1024, 0, False), (1, 0, False),
-                                   (1024, 1023, True)]:
-        starts = csvio._run_starts(block(rows, repeats))
-        assert (starts is not None) == by_runs
-        if by_runs:
-            assert starts[0] and np.count_nonzero(starts) == rows - repeats
-
-
-@pytest.mark.parametrize("repeats", [511, 512])
-def test_half_threshold_blocks_match_per_value_writer(repeats, grouped):
+@pytest.mark.parametrize("repeats", [csvio._BLOCK_ROWS // 2 - 1,
+                                     csvio._BLOCK_ROWS // 2])
+def test_half_threshold_blocks_match_per_value_writer(repeats):
+    """One block whose x repeats its first row just under, or at, half of
+    the block."""
     n = csvio._BLOCK_ROWS
     times = _times(n)
     values = _values(n, 2, seed=repeats)
@@ -281,15 +243,15 @@ def test_half_threshold_blocks_match_per_value_writer(repeats, grouped):
     kvar = _values(n, 1, seed=4)[:, 0]
     assert (_text(write_solution_csv, x, k, kvar)
             == _ref_solution_csv(x, k, kvar))
-    assert grouped == [False, repeats == 512, False]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_pure_jump_path_matches_per_value_writer(d, grouped):
-    """A pure-jump driver's z is constant between its jumps: z and the
-    is_jump flags go by runs, t inline."""
-    n = 2 * csvio._BLOCK_ROWS + 11
-    jump_rows = [0, 5, 700, csvio._BLOCK_ROWS, 1500, n - 1]
+def test_pure_jump_path_matches_per_value_writer(d):
+    """A pure-jump driver's z is constant between its jumps, which fall
+    inside blocks, on a block edge and on the last row."""
+    b = csvio._BLOCK_ROWS
+    n = 2 * b + 11
+    jump_rows = [0, 5, b // 2 + 1, b, b + b // 2 - 1, n - 1]
     times = _times(n)
     values = _runs(n, d, jump_rows, seed=d)
     values[:5] = 0.0
@@ -297,13 +259,6 @@ def test_pure_jump_path_matches_per_value_writer(d, grouped):
     jv = values[jump_rows[1:]] - values[np.array(jump_rows[1:]) - 1]
     path = GridPath(times, values, jump_times=jt, jump_values=jv)
     assert _text(write_path_csv, path) == _ref_path_csv(path)
-    assert grouped == [False, True, True] * 3
-
-
-def test_rate_rows_stay_inline(grouped):
-    rows = [{key: 0.5 for key in csvio.RATE_HEADER}, {"mesh": 0.25}]
-    assert _text(write_rate_csv, rows) == _ref_rate_csv(rows)
-    assert grouped == [False]
 
 
 FLOATS = st.one_of(st.sampled_from(SPECIAL),
@@ -353,7 +308,7 @@ def test_run_structured_rows_match_per_value_writer(case):
 def _column_text(values):
     """The text a writer gives ``values`` as one column, header aside."""
     buf = io.StringIO()
-    csvio._write_rows(buf, ["v"], [[values]])
+    csvio._write_rows(buf, ["v"], [values])
     return buf.getvalue()[len("v\n"):]
 
 

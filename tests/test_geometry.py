@@ -66,7 +66,7 @@ def test_box_with_infinite_bounds():
     assert not np.any(margins >= 0.0)
 
 
-def test_convex_polyhedron_dykstra_matches_quadrant_clip():
+def test_convex_polyhedron_projection_matches_quadrant_clip():
     quadrant = ConvexPolyhedron(np.eye(2), [0.0, 0.0])
     rng = np.random.default_rng(7)
     for _ in range(50):

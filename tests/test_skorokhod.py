@@ -82,12 +82,6 @@ def test_start_outside_domain_raises():
         solve_skorokhod(half_line(), y)
 
 
-def test_y0_must_match_first_sample():
-    y = GridPath(np.array([0.0, 1.0]), np.array([0.5, 0.0]))
-    with pytest.raises(ValueError):
-        solve_skorokhod(half_line(), y, y0=np.array([0.75]))
-
-
 def test_reflect_step_per_step_bound():
     """One projection never produces more compensator than driver motion."""
     rng = np.random.default_rng(99)
