@@ -23,7 +23,7 @@ not load ``concurrent.futures`` or ``multiprocessing``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .geometry import Ball, Domain, HalfSpace
 # analysis.run_scheme
 from .schemes import (SCHEME_KINDS, SchemeSpec, build_reference,  # noqa: F401
                       build_references, run_scheme, run_schemes)
-from .skorokhod import check_lemma1, total_variation
+from .skorokhod import check_lemma1
 
 SUP_ERROR_MODES = ("uniform", "grid-points")
 
@@ -82,9 +82,23 @@ def sup_error(a: GridPath, b: GridPath, horizon: float | None = None,
     return err
 
 
-def _none_if_nan(value):
-    value = float(value)
-    return None if math.isnan(value) else value
+def json_ready(obj):
+    """``obj`` as plain JSON data, for every artifact the CLI writes.
+
+    A dataclass becomes the dict of its fields, dicts are walked, tuples and
+    arrays become lists, and a NaN float becomes None (JSON null).
+    """
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(value) for value in obj]
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    return obj
 
 
 @dataclass(frozen=True)
@@ -100,19 +114,6 @@ class RateRow:
     n_ok: int
     n_failed: int
     slope_partial: float
-
-    def as_dict(self):
-        return {
-            "mesh": self.mesh,
-            "err_unif_med": _none_if_nan(self.err_unif_med),
-            "err_unif_p90": _none_if_nan(self.err_unif_p90),
-            "err_grid_med": _none_if_nan(self.err_grid_med),
-            "k_err_med": _none_if_nan(self.k_err_med),
-            "kvar_end_med": _none_if_nan(self.kvar_end_med),
-            "n_ok": self.n_ok,
-            "n_failed": self.n_failed,
-            "slope_partial": _none_if_nan(self.slope_partial),
-        }
 
 
 @dataclass(frozen=True)
@@ -138,20 +139,6 @@ class RateTable:
     def medians(self):
         return tuple(r.err_unif_med for r in self.rows)
 
-    def as_dict(self):
-        return {
-            "scheme": self.scheme,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "slope": _none_if_nan(self.slope),
-            "r_squared": _none_if_nan(self.r_squared),
-            "rows": [r.as_dict() for r in self.rows],
-        }
-
-    def csv_rows(self):
-        """Rows for ``write_rate_csv``, which writes their None fields as nan."""
-        return [r.as_dict() for r in self.rows]
-
 
 def fit_rate(meshes, medians):
     """Least-squares exponent and R^2 of err ~ C mesh^p in log2 space."""
@@ -176,8 +163,8 @@ def fit_rate(meshes, medians):
 class StudyPlan:
     """Plain-data description of a convergence experiment.
 
-    Everything is JSON-safe so a plan can cross process boundaries and be
-    rebuilt inside workers.  ``meshes`` are normalized to a descending
+    Every field is plain data, so a plan pickles to a process pool's
+    workers as it is.  ``meshes`` are normalized to a descending
     ladder.  The reference resolution must be at least four times finer
     than the finest experimental mesh.
     """
@@ -232,32 +219,6 @@ class StudyPlan:
                 )
         return problems
 
-    def as_dict(self):
-        return {
-            "domain": dict(self.domain),
-            "coefficient": dict(self.coefficient),
-            "x0": list(self.x0),
-            "scheme": self.scheme,
-            "meshes": list(self.meshes),
-            "horizon": self.horizon,
-            "driver_steps": self.driver_steps,
-            "driver_dimension": self.driver_dimension,
-            "jump_rate": self.jump_rate,
-            "jump_law": dict(self.jump_law) if self.jump_law else None,
-            "diffusion_scale": self.diffusion_scale,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "reference_refine": self.reference_refine,
-            "flow_substeps": self.flow_substeps,
-            "flow_adaptive": self.flow_adaptive,
-            "reference_substeps": self.reference_substeps,
-            "substeps_bar": self.substeps_bar,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StudyPlan":
-        return cls(**data)
-
 
 #: Most paths one study task carries.  With a state-dependent coefficient
 #: their references are built in lockstep, which amortizes the per-step work
@@ -265,11 +226,11 @@ class StudyPlan:
 _BLOCK_PATHS = 16
 
 
-def _study_block(plan_dict: dict, indices) -> list:
+def _study_block(plan: StudyPlan, indices) -> list:
     """Run a block of driver paths through every mesh of the plan.
 
-    Top-level so process pools can import it; rebuilds all objects from the
-    plain-dict plan.  The block's references are built together by
+    Top-level so process pools can import it; builds all objects from the
+    plain-data plan.  The block's references are built together by
     ``build_references``, and on each mesh one ``run_schemes`` call runs the
     scheme on every path whose reference was built; each result is bitwise
     the one its path gets alone.  Returns one record of per-mesh errors per
@@ -277,7 +238,6 @@ def _study_block(plan_dict: dict, indices) -> list:
     of aborting the study.  Only x and k of a reference are kept, and a
     mesh's scheme outputs are let go once they are scored.
     """
-    plan = StudyPlan.from_dict(plan_dict)
     domain = Domain.from_spec(plan.domain)
     f = coefficient_from_spec(plan.coefficient)
     drivers = [sample_jump_driver(plan.horizon, plan.driver_steps,
@@ -354,7 +314,6 @@ def convergence_study(plan: StudyPlan, jobs: int = 1) -> RateTable:
     if problems:
         raise ValueError("invalid study plan: " + "; ".join(problems))
     jobs = max(1, int(jobs))
-    plan_dict = plan.as_dict()
 
     results = [None] * plan.n_paths
     lockstep = coefficient_from_spec(plan.coefficient).matrix is None
@@ -363,14 +322,14 @@ def convergence_study(plan: StudyPlan, jobs: int = 1) -> RateTable:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         workers = min(jobs, len(blocks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_study_block, plan_dict, block)
+            futures = [pool.submit(_study_block, plan, block)
                        for block in blocks]
             for fut in as_completed(futures):
                 for rec in fut.result():
                     results[rec["index"]] = rec
     else:
         for block in blocks:
-            for rec in _study_block(plan_dict, block):
+            for rec in _study_block(plan, block):
                 results[rec["index"]] = rec
 
     rows = []
@@ -448,24 +407,6 @@ class Remark4Report:
     marcus_oracle_error: float
     half_line_gap: float
     zero_jump_gap: float
-
-    def as_dict(self):
-        return {
-            "meshes": list(self.meshes),
-            "substeps": list(self.substeps),
-            "marcus_endpoint": self.marcus_endpoint.tolist(),
-            "flow_endpoints": self.flow_endpoints.tolist(),
-            "gaps": list(self.gaps),
-            "gap": self.gap,
-            "gap_spread": self.gap_spread,
-            "integrator_error": self.integrator_error,
-            "smooth_oracle": self.smooth_oracle.tolist(),
-            "marcus_oracle": self.marcus_oracle.tolist(),
-            "flow_oracle_error": self.flow_oracle_error,
-            "marcus_oracle_error": self.marcus_oracle_error,
-            "half_line_gap": self.half_line_gap,
-            "zero_jump_gap": self.zero_jump_gap,
-        }
 
 
 def _tangential_jump_setup():
@@ -595,11 +536,11 @@ def variation_report(domain: Domain, y: GridPath, sol) -> dict:
     intervals = [(float(edges[i]), float(edges[i + 1])) for i in range(4)]
     intervals.append((0.0, horizon))
     report = check_lemma1(domain, y, sol, intervals)
-    vy = total_variation(y, 0.0, horizon)
-    vk = total_variation(sol.k, 0.0, horizon)
+    total = report.intervals[-1]
+    vy, vk = total.y_variation, total.k_variation
     bounded = (bool(vk <= vy + report.rel_tol * (1.0 + vy))
                and math.isfinite(vk))
-    out = report.as_dict()
+    out = json_ready(report)
     out["y_variation_total"] = vy
     out["k_variation_total"] = vk
     out["bounded_by_driver"] = bounded

@@ -9,7 +9,8 @@ Four subcommands, all driven by the same YAML configuration:
 
 Every artifact is deterministic for a given configuration and seed: CSV
 floats use the fixed %.17g format (exact on round trip, not shortest),
-JSON keys are sorted, no timestamps are embedded, and parallel fan-out
+JSON floats the shortest round-trip repr with NaN as null, JSON keys are
+sorted, no timestamps are embedded, and parallel fan-out
 (``--jobs``) never changes any output byte.  ``path.csv`` and
 ``solution.csv`` are streamed to disk by the ``csvio`` writers, a block of
 rows at a time, so a long path's CSV is never held as one string; the
@@ -18,11 +19,13 @@ Exit status: 0 success, 2 configuration problem, 3 runtime failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .analysis import convergence_study, remark4_report, variation_report
+from .analysis import (convergence_study, json_ready, remark4_report,
+                       variation_report)
 from .config import ExperimentConfig, default_config, load_config
 # bench/layers.py wraps the bindings cli.path_csv_text and
 # cli.solution_csv_text
@@ -74,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """A JSON artifact: records as plain data, NaN as null, keys sorted."""
+    return json.dumps(json_ready(payload), sort_keys=True, indent=2) + "\n"
 
 
 def _write(out_dir: Path, name: str, text: str) -> str:
@@ -95,8 +99,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list:
         "command": "simulate",
         "config_sha256": cfg.config_hash(),
         "label": cfg.experiment.get("label", ""),
-        "scheme": out.meta.as_dict(),
-        "endpoint": out.x.values[-1].tolist(),
+        "scheme": out.meta,
+        "endpoint": out.x.values[-1],
         "k_variation_end": float(out.k_variation[-1]),
         "variation": variation,
     }
@@ -119,7 +123,7 @@ def cmd_skorokhod(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list:
         "command": "skorokhod",
         "config_sha256": cfg.config_hash(),
         "label": cfg.experiment.get("label", ""),
-        "endpoint": sol.x.values[-1].tolist(),
+        "endpoint": sol.x.values[-1],
         "k_variation_end": float(sol.k_variation[-1]),
         "variation": variation,
     }
@@ -140,10 +144,10 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list:
         "command": "converge",
         "config_sha256": cfg.config_hash(),
         "label": cfg.experiment.get("label", ""),
-        "table": table.as_dict(),
+        "table": table,
     }
     return [
-        _write(out_dir, "rate.csv", rate_csv_text(table.csv_rows())),
+        _write(out_dir, "rate.csv", rate_csv_text(json_ready(table.rows))),
         _write(out_dir, "rate.json", _json_text(payload)),
     ]
 
@@ -153,7 +157,7 @@ def cmd_remark4(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list:
     payload = {
         "command": "remark4",
         "config_sha256": cfg.config_hash(),
-        "report": report.as_dict(),
+        "report": report,
     }
     return [_write(out_dir, "remark4.json", _json_text(payload))]
 
@@ -181,7 +185,7 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig(cfg.domain, cfg.coefficient, cfg.driver,
                                    cfg.scheme, experiment)
         if args.print_config:
-            print(json.dumps({"config": cfg.as_dict(),
+            print(json.dumps({"config": dataclasses.asdict(cfg),
                               "sha256": cfg.config_hash()},
                              sort_keys=True, indent=2))
             return 0
@@ -199,7 +203,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "configuration", "problems": exc.problems},
                          sort_keys=True), file=sys.stderr)
         return 2
-    except ReflectedSDEError as exc:
+    except (ReflectedSDEError, MemoryError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"},
                          sort_keys=True), file=sys.stderr)
         return 3

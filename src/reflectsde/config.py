@@ -5,7 +5,8 @@ experiment), each a plain mapping merged over package defaults.  Unknown
 keys anywhere are configuration errors, as are inconsistent dimensions.
 Validation collects every problem before raising, so a bad file reports
 all its mistakes at once.  Every numeric field is type-checked and must be
-finite, so a malformed value is reported as a problem, never raised.
+finite, and an integer size must fit an array index, so a malformed value
+is reported as a problem, never raised.
 
 The canonical form of a configuration is its sorted-key compact JSON; its
 sha-256 digest is embedded in artifacts so that outputs are traceable to
@@ -16,7 +17,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
@@ -78,6 +79,9 @@ _SCALARS = {
     ("experiment", "reference_refine"): (True, 1, True, False),
     ("experiment", "reference_substeps"): (True, 1, True, False),
 }
+# an integer size above this cannot index an array; the seed is entropy,
+# not a size, and may be larger
+_SIZE_MAX = int(np.iinfo(np.intp).max)
 
 
 def _number(value, integer: bool = False):
@@ -154,17 +158,8 @@ class ExperimentConfig:
     scheme: dict
     experiment: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "coefficient": self.coefficient,
-            "driver": self.driver,
-            "scheme": self.scheme,
-            "experiment": self.experiment,
-        }
-
     def canonical_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True,
+        return json.dumps(asdict(self), sort_keys=True,
                           separators=(",", ":"))
 
     def config_hash(self) -> str:
@@ -204,6 +199,8 @@ class ExperimentConfig:
                 problems.append(f"{name} must be {kind}, got {raw!r}")
             elif (value < low) if inclusive else (value <= low):
                 problems.append(f"{name} must be {'>=' if inclusive else '>'} {low}")
+            elif integer and key != "seed" and value > _SIZE_MAX:
+                problems.append(f"{name} must be <= {_SIZE_MAX}")
             else:
                 num[name] = value
 

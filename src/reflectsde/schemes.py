@@ -99,11 +99,6 @@ class RunMeta:
     projections: int
     boundary_hits: int
 
-    def as_dict(self):
-        return {"scheme": self.scheme, "mesh": self.mesh,
-                "projections": self.projections,
-                "boundary_hits": self.boundary_hits}
-
 
 @dataclass(frozen=True, eq=False)
 class SchemeOutput:

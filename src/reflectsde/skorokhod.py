@@ -221,36 +221,16 @@ class IntervalCheck:
 
 @dataclass(frozen=True)
 class Lemma1Report:
-    """Variation comparisons of a solution against its driving path."""
+    """Variation comparisons of a solution against its driving path.
+
+    ``all_ok``: the increments stay below the reach and every window keeps
+    both bounds.
+    """
 
     intervals: tuple
     increments_ok: bool
     rel_tol: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.increments_ok and all(
-            c.k_bound_ok and c.x_bound_ok for c in self.intervals
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "rel_tol": self.rel_tol,
-            "increments_ok": self.increments_ok,
-            "all_ok": self.all_ok,
-            "intervals": [
-                {
-                    "t_from": c.t_from,
-                    "t_to": c.t_to,
-                    "y_variation": c.y_variation,
-                    "k_variation": c.k_variation,
-                    "x_variation": c.x_variation,
-                    "k_bound_ok": c.k_bound_ok,
-                    "x_bound_ok": c.x_bound_ok,
-                }
-                for c in self.intervals
-            ],
-        }
+    all_ok: bool
 
 
 def check_lemma1(domain: Domain, y: GridPath, sol: SkorokhodSolution,
@@ -278,4 +258,6 @@ def check_lemma1(domain: Domain, y: GridPath, sol: SkorokhodSolution,
             k_bound_ok=vk <= slack(vy),
             x_bound_ok=vx <= slack(2.0 * vy),
         ))
-    return Lemma1Report(tuple(checks), increments_ok, rel_tol)
+    all_ok = increments_ok and all(c.k_bound_ok and c.x_bound_ok
+                                   for c in checks)
+    return Lemma1Report(tuple(checks), increments_ok, rel_tol, all_ok)

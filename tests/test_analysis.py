@@ -2,14 +2,15 @@
 
 import concurrent.futures
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from reflectsde import analysis, csvio
 from reflectsde.analysis import (RateRow, StudyPlan, convergence_study,
-                                 fit_rate, remark4_report, sup_error,
-                                 variation_report)
+                                 fit_rate, json_ready, remark4_report,
+                                 sup_error, variation_report)
 from reflectsde.config import (ExperimentConfig, config_from_mapping,
                                default_config, load_config)
 from reflectsde.csvio import (path_csv_text, rate_csv_text, read_path_csv,
@@ -136,9 +137,13 @@ def test_study_plan_normalizes_and_validates():
 
 
 def test_study_plan_round_trip():
+    """A plan reaches a pool's workers pickled, so it must come back equal,
+    with its normalized fields as they were."""
     plan = _tiny_plan()
-    again = StudyPlan.from_dict(plan.as_dict())
-    assert again == plan
+    again = pickle.loads(pickle.dumps(plan))
+    assert again == plan and again is not plan
+    assert again.x0 == plan.x0 and type(again.x0) is tuple
+    assert again.meshes == plan.meshes and type(again.meshes) is tuple
 
 
 def test_convergence_study_small_run():
@@ -151,7 +156,7 @@ def test_convergence_study_small_run():
         assert row.err_unif_med >= 0.0
     # identical plan, parallel execution: identical numbers
     table2 = convergence_study(plan, jobs=2)
-    assert table.as_dict() == table2.as_dict()
+    assert json_ready(table) == json_ready(table2)
 
 
 def test_process_pool_is_capped_at_the_number_of_blocks(monkeypatch):
@@ -179,9 +184,9 @@ def test_process_pool_is_capped_at_the_number_of_blocks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         InlinePool)
     plan = _tiny_plan()
-    serial = convergence_study(plan, jobs=1).as_dict()
+    serial = json_ready(convergence_study(plan, jobs=1))
     for jobs in (5000, 4, 3):
-        assert convergence_study(plan, jobs=jobs).as_dict() == serial
+        assert json_ready(convergence_study(plan, jobs=jobs)) == serial
     assert widths == [4, 4, 3]
 
 
@@ -208,7 +213,7 @@ def test_convergence_study_records_nonfinite_cells(monkeypatch):
     table = convergence_study(plan, jobs=1)
     for row in table.rows:
         assert row.n_ok == 0 and row.n_failed == 4
-    for record in analysis._study_block(plan.as_dict(), range(4)):
+    for record in analysis._study_block(plan, range(4)):
         assert [cell["error"].split(":")[0] for cell in record["per_mesh"]
                 ] == ["NonFinite"] * len(plan.meshes)
 
@@ -294,7 +299,7 @@ def test_study_block_matches_a_loop_over_paths(scheme):
         jump_law={"kind": "uniform-ball", "radius": 0.6},
         diffusion_scale=0.2, n_paths=10, seed=4, reference_refine=64,
         reference_substeps=64, substeps_bar=8)
-    got = analysis._study_block(plan.as_dict(), range(10))
+    got = analysis._study_block(plan, range(10))
     assert got == loop_study_records(plan, range(10))
     cells = [cell for rec in got for cell in rec["per_mesh"]]
     assert any(not c["ok"] and c["error"].startswith("reference")
@@ -324,9 +329,18 @@ def test_remark4_report_frozen_numbers():
     assert rep.gap > 10.0 * rep.integrator_error
     assert rep.half_line_gap < 1e-12
     assert rep.zero_jump_gap < 1e-12
-    d = rep.as_dict()
+    d = json_ready(rep)
     assert d["gap"] == rep.gap
     json.dumps(d)
+
+
+def test_json_ready_writes_nan_as_null():
+    """One substep count leaves no integrator error to estimate: NaN, which
+    the JSON form writes as null, never as a bare NaN."""
+    d = json_ready(remark4_report(substeps=(64,)))
+    assert d["integrator_error"] is None
+    assert d["substeps"] == [64] and isinstance(d["marcus_endpoint"], list)
+    json.dumps(d, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +404,7 @@ def test_rate_csv_round_trip(tmp_path):
                 err_grid_med=0.03, k_err_med=0.008, kvar_end_med=1.0,
                 n_ok=4, n_failed=0, slope_partial=0.51),
     ]
-    mappings = [r.as_dict() for r in rows]
+    mappings = json_ready(rows)
     p = tmp_path / "rate.csv"
     write_rate_csv(p, mappings)
     back = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from reflectsde import analysis, csvio
-from reflectsde.analysis import convergence_study
+from reflectsde.analysis import convergence_study, json_ready
 from reflectsde.cli import main
 from reflectsde.config import default_config, load_config
 from reflectsde.driver import GridPath
@@ -213,7 +213,7 @@ def test_streamed_csv_artifacts_equal_the_text_writers(tmp_path, capsys):
 
     table = convergence_study(load_config(conv_cfg).study_plan())
     assert (conv / "rate.csv").read_bytes() == csvio.rate_csv_text(
-        table.csv_rows()).encode()
+        json_ready(table.rows)).encode()
 
 
 LONG_SKOROKHOD_YAML = """
@@ -383,6 +383,27 @@ def test_remark4_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", SIM_YAML), ("skorokhod", None), ("converge", CONV_YAML),
+    ("remark4", None)])
+def test_json_artifacts_are_strict_json(tmp_path, capsys, command, text):
+    """No artifact holds a bare NaN or Infinity, which JSON does not have."""
+    argv = [command, "--out", str(tmp_path / "o")]
+    if text is not None:
+        argv += ["--config", _write(tmp_path, "cfg.yaml", text)]
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    names = sorted(p.name for p in (tmp_path / "o").glob("*.json"))
+    assert names
+    for name in names:
+        json.loads((tmp_path / "o" / name).read_text(),
+                   parse_constant=_refuse_constant)
+
+
 def test_print_config_short_circuits(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.yaml", SIM_YAML)
     code = main(["simulate", "--config", cfg, "--print-config"])
@@ -460,6 +481,36 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("converge", "experiment:\n  n_paths: %d\n" % 10 ** 30,
+     "experiment.n_paths"),
+    ("simulate", "scheme:\n  observations: %d\n" % 10 ** 30,
+     "scheme.observations"),
+], ids=["n_paths", "observations"])
+def test_integer_size_beyond_an_index_exits_2(tmp_path, capsys, command,
+                                              text, field):
+    """A size no array index can hold is a configuration problem, found
+    before anything is allocated."""
+    cfg = _write(tmp_path, "huge.yaml", text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration"
+    assert any(p.startswith(field + " must be <=") for p in err["problems"])
+    assert not out.exists()
+
+
+def test_allocation_failure_exits_3(tmp_path, capsys):
+    """10**17 driver steps fit an index, but their 711 PiB of samples
+    cannot be allocated: numpy refuses at once, and the run exits 3 with
+    the error as JSON."""
+    cfg = _write(tmp_path, "huge.yaml", "driver:\n  steps: %d\n" % 10 ** 17)
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "Unable to allocate" in err["error"]
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

@@ -8,6 +8,7 @@ must raise the same exception at the same step.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -152,7 +153,7 @@ def loop_wz_bar(dom, f, x0, z, pts, bar):
 
 def outputs(out):
     return (out.x.times, out.x.values, out.k.values, out.y.values,
-            out.k_variation, out.meta.as_dict())
+            out.k_variation, dataclasses.asdict(out.meta))
 
 
 def assert_same_output(a, b):

@@ -8,6 +8,7 @@ bitwise the loop's, and a run that fails must raise the loop's error, of the
 same type and with the same message, at the same cell.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -143,7 +144,7 @@ def scheme_or_error(domain, f, x0, z, spec):
     except ReflectedSDEError as exc:
         return type(exc), str(exc)
     return (out.x.times, out.x.values, out.k.values, out.y.values,
-            out.k_variation, out.meta.as_dict())
+            out.k_variation, dataclasses.asdict(out.meta))
 
 
 def assert_matches_loop(domain, f, x0, z, spec):

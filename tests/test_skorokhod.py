@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reflectsde.analysis import json_ready
 from reflectsde.driver import GridPath, Partition, sample_brownian
 from reflectsde.errors import (NonFinite, ProjectionOutOfRange,
                                StartOutsideDomain)
@@ -170,7 +171,7 @@ def test_variation_bounds_on_windows():
     for check in report.intervals:
         assert check.k_variation <= check.y_variation * (1.0 + 1e-9) + 1e-9
         assert check.x_variation <= 2.0 * check.y_variation * (1.0 + 1e-9) + 1e-9
-    payload = report.as_dict()
+    payload = json_ready(report)
     assert payload["all_ok"] and len(payload["intervals"]) == 4
 
 
