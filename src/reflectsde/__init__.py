@@ -24,7 +24,7 @@ from .errors import (ConfigError, CsvFormatError, DimensionMismatch,
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
                    catalog_coefficient, coefficient_from_spec,
                    constant_matrix, jump_defect, linear_diagonal,
-                   marcus_jump, marcus_jump_partial)
+                   marcus_jump)
 from .geometry import (BOUNDARY, INTERIOR, OUTSIDE, Ball, Box,
                        ConvexPolyhedron, Domain, ExteriorOfBall, HalfSpace,
                        default_boundary_tol)
@@ -49,7 +49,7 @@ __all__ = [
     "coefficient_from_spec", "constant_matrix", "convergence_study",
     "default_boundary_tol", "default_config", "fit_rate",
     "jump_adapted_partition", "jump_defect", "linear_diagonal", "load_config",
-    "marcus_jump", "marcus_jump_partial", "path_seed", "remark4_report",
+    "marcus_jump", "path_seed", "remark4_report",
     "run_marcus_euler", "run_scheme", "run_wz_bar_scheme", "sample_brownian",
     "sample_jump_driver", "solve_skorokhod", "sup_error", "total_variation",
     "variation_report", "__version__",

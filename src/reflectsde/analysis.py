@@ -41,7 +41,7 @@ from .skorokhod import check_lemma1
 SUP_ERROR_MODES = ("uniform", "grid-points")
 
 
-def sup_error(a: GridPath, b: GridPath, horizon: float | None = None,
+def sup_error(a: GridPath, b: GridPath, horizon: float,
               mode: str = "uniform") -> float:
     """Largest pointwise distance |a(t) - b(t)| over [0, horizon].
 
@@ -54,12 +54,6 @@ def sup_error(a: GridPath, b: GridPath, horizon: float | None = None,
         raise DimensionMismatch("paths have different dimensions")
     if mode not in SUP_ERROR_MODES:
         raise ValueError(f"unknown error mode: {mode!r}")
-    if horizon is None:
-        if abs(a.horizon - b.horizon) > 1e-9 * (1.0 + max(a.horizon, b.horizon)):
-            raise ValueError(
-                "paths have different horizons; pass an explicit comparison horizon"
-            )
-        horizon = min(a.horizon, b.horizon)
     horizon = float(horizon)
     if horizon > min(a.horizon, b.horizon) + 1e-12:
         raise ValueError("comparison horizon exceeds a path horizon")
@@ -130,14 +124,6 @@ class RateTable:
     rows: tuple
     slope: float
     r_squared: float
-
-    @property
-    def meshes(self):
-        return tuple(r.mesh for r in self.rows)
-
-    @property
-    def medians(self):
-        return tuple(r.err_unif_med for r in self.rows)
 
 
 def fit_rate(meshes, medians):

@@ -103,7 +103,12 @@ class GridPath:
         return float(self.times[-1])
 
     def value_at(self, t, side: str = "right") -> np.ndarray:
-        """Path value at time(s) t; ``side='left'`` gives the left limit."""
+        """Path value at time(s) t; ``side='left'`` gives the left limit.
+
+        ``side`` is "right" or "left" (ValueError otherwise).
+        """
+        if side not in ("right", "left"):
+            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < 0.0) or np.any(t_arr > self.horizon + 1e-12):
             raise ValueError("evaluation time outside [0, horizon]")
@@ -114,8 +119,7 @@ class GridPath:
                  for j in range(self.dimension)]
             )
         else:
-            srt = "right" if side == "right" else "left"
-            idx = np.searchsorted(self.times, t_arr, side=srt) - 1
+            idx = np.searchsorted(self.times, t_arr, side=side) - 1
             idx = np.clip(idx, 0, len(self.times) - 1)
             out = self.values[idx]
         if np.isscalar(t) or np.asarray(t).ndim == 0:
@@ -143,10 +147,6 @@ class Partition:
     @property
     def mesh(self) -> float:
         return float(np.max(np.diff(self.points)))
-
-    @property
-    def cells(self) -> int:
-        return len(self.points) - 1
 
     @property
     def horizon(self) -> float:

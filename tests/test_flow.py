@@ -24,8 +24,7 @@ from reflectsde.flow import (BLOWUP_GUARD, CATALOG, DEFAULT_FLOW,
                              catalog_coefficient,
                              coefficient_from_spec, constant_matrix,
                              jump_defect, linear_diagonal,
-                             marcus_jump, marcus_jump_chains,
-                             marcus_jump_partial)
+                             marcus_jump, marcus_jump_chains)
 
 
 GUARD_MESSAGE = "flow trajectory left the finite-value guard region"
@@ -113,14 +112,26 @@ def test_flow_is_fourth_order():
 
 
 def test_flow_semigroup_property():
-    """Two half-span transports of 32 steps compose to the 64-step one."""
-    f = catalog_coefficient("sine-diagonal", amplitude=1.3, dimension=2)
+    """The transport field is autonomous, so a lane's two half-span jumps of
+    32 steps compose to its 64-step unit jump from the same start, and a
+    zero span hands back its start."""
     cfg = FlowConfig(64, adaptive=False)
-    x, dz = np.array([0.3, -0.7]), np.array([1.0, 0.5])
-    whole = marcus_jump(f, dz, x, cfg)
-    half = marcus_jump_partial(f, dz, x, 0.5, cfg)
-    rest = marcus_jump_partial(f, dz, half, 0.5, cfg)
-    np.testing.assert_allclose(whole, rest, atol=1e-12)
+    for amplitude, x, dz in ((1.3, [0.3, -0.7], [1.0, 0.5]),
+                             (0.9, [0.2, 1.1], [0.7, -0.4])):
+        f = catalog_coefficient("sine-diagonal", amplitude=amplitude,
+                                dimension=2)
+        x, dz = np.array(x), np.array(dz)
+        lanes = [(np.tile(dz, (4, 1)), np.array([1.0, 0.5, 0.5, 0.0]), x)]
+
+        def next_start(i, k, y, x=x):
+            return x if k == 0 else y
+
+        got = run_lanes(f, lanes, cfg, next_start)
+        assert_lanes_match_the_oracle(f, lanes, got, cfg, next_start)
+        whole, half, rest, still = (y for _, y, _ in got[0])
+        np.testing.assert_array_equal(whole, marcus_jump(f, dz, x, cfg))
+        np.testing.assert_allclose(whole, rest, atol=1e-12)
+        np.testing.assert_array_equal(still, rest)
 
 
 def test_marcus_jump_linear_oracle():
@@ -196,11 +207,11 @@ def test_marcus_jump_batched_matches_loop():
                                               xs[rows // 2])
 
 
-def one_jump_lanes(f, dzs, xs, cfg, span=1.0):
-    """The rows of ``dzs`` and ``xs`` as lanes of one jump each of
+def one_jump_lanes(f, dzs, xs, cfg):
+    """The rows of ``dzs`` and ``xs`` as lanes of one unit-span jump each of
     ``marcus_jump_chains``: the (m, d) results, NaN where a lane failed,
     and per lane None or its error's type and text."""
-    lanes = [(dzs[i:i + 1], np.array([span]), xs[i]) for i in range(len(xs))]
+    lanes = [(dzs[i:i + 1], np.ones(1), xs[i]) for i in range(len(xs))]
     got = [jumps[0] for jumps in run_lanes(f, lanes, cfg,
                                            lambda i, k, y: None)]
     ys = np.array([np.full(f.dimension, np.nan) if y is None else y
@@ -282,30 +293,33 @@ def test_marcus_jump_rows_non_finite_increment_fails_alone():
         assert errors[i] == (NonFinite, str(alone.value))
 
 
-def test_marcus_jump_partial_batched_matches_loop():
-    """Each row of a batched partial transport is bitwise its single-row
-    call, with its own step count over the span."""
+def test_marcus_jump_chains_span_lanes_match_the_oracle():
+    """Lanes of jumps over the spans 0, 0.3, 1 and two halves, on every
+    batch coefficient and configuration, give each jump bitwise its
+    ``oracle_jump`` call: its own step count over its span (norms from
+    1e-3 to 3, so adaptive counts differ), none for a zero span or a zero
+    increment, which hand back their start."""
     rng = np.random.default_rng(11)
+    spans = np.array([0.0, 0.3, 1.0, 0.5, 0.5])
+
+    def next_start(i, k, y):
+        return y
+
     for f in [coefficient_from_spec(spec) for spec in BATCH_SPECS] + [full_field()]:
         for cfg in (FlowConfig(16, adaptive=False), DEFAULT_FLOW,
                     REFERENCE_FLOW):
-            for u_end in (0.0, 0.3, 1.0):
-                xs = rng.normal(0.0, 1.0, (64, f.dimension))
-                dzs = rng.normal(0.0, 1.0, (64, f.dimension))
-                dzs *= np.geomspace(1e-3, 3.0, 64)[:, None] / np.linalg.norm(
-                    dzs, axis=1, keepdims=True)
-                dzs[32] = 0.0
-                batched = marcus_jump_partial(f, dzs, xs, u_end, cfg)
-                rowwise, errors = one_jump_lanes(f, dzs, xs, cfg, u_end)
-                assert errors == [None] * 64
-                np.testing.assert_array_equal(rowwise, batched)
-                for i in range(64):
-                    np.testing.assert_array_equal(
-                        batched[i],
-                        marcus_jump_partial(f, dzs[i], xs[i], u_end, cfg))
-                    assert bits(batched[i]) == bits(
-                        oracle_jump(f, dzs[i], xs[i], u_end, cfg))
-                np.testing.assert_array_equal(batched[32], xs[32])
+            dzs = rng.normal(0.0, 1.0, (8, f.dimension))
+            dzs *= np.geomspace(1e-3, 3.0, 8)[:, None] / np.linalg.norm(
+                dzs, axis=1, keepdims=True)
+            dzs[4] = 0.0
+            lanes = [(np.tile(dz, (len(spans), 1)), spans,
+                      rng.normal(0.0, 1.0, f.dimension)) for dz in dzs]
+            got = run_lanes(f, lanes, cfg, next_start)
+            assert_lanes_match_the_oracle(f, lanes, got, cfg, next_start)
+            assert [err for g in got for _, _, err in g] == [None] * 40
+            for g, (_, _, x) in zip(got, lanes):
+                np.testing.assert_array_equal(g[0][1], x)
+            assert all(bits(y) == bits(lanes[4][2]) for _, y, _ in got[4])
 
 
 def chain_oracle(f, dzs, spans, x, cfg, next_start):
@@ -486,20 +500,6 @@ def test_default_field_is_the_matrix_product():
     assert bits(f.field(ys[0], dzs[0])) == bits(f.evaluate(ys[0]) @ dzs[0])
 
 
-def test_marcus_jump_partial_composes():
-    """The transport field is autonomous, so two half-spans equal one full."""
-    f = catalog_coefficient("sine-diagonal", amplitude=0.9, dimension=2)
-    x = np.array([0.2, 1.1])
-    dz = np.array([0.7, -0.4])
-    cfg = FlowConfig(64, adaptive=False)
-    whole = marcus_jump(f, dz, x, cfg)
-    half = marcus_jump_partial(f, dz, x, 0.5, cfg)
-    full = marcus_jump_partial(f, dz, half, 0.5, cfg)
-    np.testing.assert_allclose(whole, full, atol=1e-12)
-    np.testing.assert_array_equal(marcus_jump_partial(f, dz, half, 0.0, cfg),
-                                  half)
-
-
 def test_adaptive_substeps_scale_with_increment():
     cfg = FlowConfig(substeps=32, adaptive=True)
     assert cfg.steps_for(1.0) == 32
@@ -589,7 +589,8 @@ def test_catalog_round_trip_and_bounds():
         ("cosine-shear", {"amplitude": 0.9}),
     ]:
         f = catalog_coefficient(cid, **params)
-        clone = coefficient_from_spec(f.spec())
+        clone = coefficient_from_spec({"kind": "catalog-smooth", "id": cid,
+                                       **params})
         assert clone.dimension == f.dimension
         x = np.full(f.dimension, 0.3)
         np.testing.assert_allclose(clone.evaluate(x), f.evaluate(x))
@@ -606,11 +607,21 @@ def test_catalog_unknown_id():
 
 
 def test_coefficient_dimension_guard():
+    """A state or increment whose last axis is not of length d, a 0-d one
+    included, is a DimensionMismatch, not an IndexError."""
     f = constant_matrix(np.eye(2))
     with pytest.raises(DimensionMismatch):
         f.evaluate(np.zeros(3))
     with pytest.raises(DimensionMismatch):
         marcus_jump(f, np.zeros(3), np.zeros(2))
+    g = linear_diagonal(1.0, 1)
+    for call in (lambda: g.evaluate(0.5),
+                 lambda: marcus_jump(g, 0.5, np.array([0.3])),
+                 lambda: marcus_jump(g, np.array([0.5]), 0.3),
+                 lambda: jump_defect(g, 0.5, np.array([0.3])),
+                 lambda: jump_defect(g, np.array([0.5]), 0.3)):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def test_default_configs():

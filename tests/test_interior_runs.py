@@ -240,12 +240,9 @@ def test_projection_core_bulk_matches_the_loop(dom, x0, matrix):
                     assert_same_output(
                         run_scheme(dom, f, x0, z, spec),
                         run_scheme(scalar_only(dom), f, x0, z, spec))
-        for obs in (None, OBSERVATIONS):
-            ref = build_reference(dom, f, x0, z, 128, observation_times=obs)
-            assert_same_output(
-                ref, build_reference(scalar_only(dom), f, x0, z, 128,
-                                     observation_times=obs))
         ref = build_reference(dom, f, x0, z, 128)
+        assert_same_output(ref, build_reference(scalar_only(dom), f, x0, z,
+                                                128))
         adapted = jump_adapted_partition(z, 128).points
         pts = np.union1d(adapted, z.times)
         xs, ks, ys, kvar, count = loop_projection(dom, f, x0, z, pts)

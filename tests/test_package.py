@@ -15,8 +15,11 @@ LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 # Functions with no caller in src/ that stay on purpose.
 UNCALLED = {
     "read_path_csv",     # reads a recorded driver back; see ROADMAP item 7
-    "defect_constant",   # the jump-defect bounds that criterion 8 checks
+    "jump_defect",       # the jump defect and the bounds that criterion 8
+    "defect_constant",   # checks (and tests/test_flow.py)
     "defect_lipschitz",
+    "sample_brownian",   # Brownian drivers: criterion 4 and the unit tests
+    "default_boundary_tol",  # the band the projection tests allow
 }
 
 
@@ -67,25 +70,30 @@ def test_modules_import_only_the_stdlib_numpy_and_yaml():
 
 
 def test_every_function_has_a_caller():
-    """Every function and method of the package (dunders aside) is named by
-    some ``Name`` or ``Attribute`` in src/, exported in ``__all__``, wrapped
-    by the benchmark's tracer, or listed in UNCALLED: code that no pipeline
-    calls gets a caller or goes."""
+    """Every function of the package (dunders aside) is named by some
+    ``Name`` or ``Attribute`` in src/, and every method by some
+    ``Attribute``, unless the benchmark's tracer wraps it or UNCALLED lists
+    it: code that no pipeline calls gets a caller or goes.  ``__all__``
+    keeps nothing, and a variable of a method's name does not call it."""
     spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    kept = (set(reflectsde.__all__) | UNCALLED
-            | {attr for _, attr, _ in layers.TRACED})
-    defined, named = [], set()
+    kept = UNCALLED | {attr for _, attr, _ in layers.TRACED}
+    defined, names, attributes = [], set(), set()
     for path in sorted((SRC / "reflectsde").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.append((node.name, f"{path.name}:{node.lineno}"))
+                defined.append((node.name, id(node) in methods,
+                                f"{path.name}:{node.lineno}"))
             elif isinstance(node, ast.Name):
-                named.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-    dead = [f"{where} {name}" for name, where in defined
+                attributes.add(node.attr)
+    dead = [f"{where} {name}" for name, method, where in defined
             if not (name.startswith("__") and name.endswith("__"))
-            and name not in named and name not in kept]
+            and name not in kept and name not in attributes
+            and (method or name not in names)]
     assert dead == []

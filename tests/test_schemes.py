@@ -12,7 +12,7 @@ from reflectsde.errors import (DimensionMismatch, JumpTooLarge, NonFinite,
                                ProjectionOutOfRange, StartOutsideDomain)
 from reflectsde.flow import (Coefficient, FlowConfig, catalog_coefficient,
                              constant_matrix, linear_diagonal, marcus_jump,
-                             marcus_jump_partial)
+                             marcus_jump_chains)
 from reflectsde.geometry import Ball, Box, ExteriorOfBall, HalfSpace
 from reflectsde.schemes import SchemeSpec, build_reference, run_scheme
 from reflectsde.skorokhod import solve_skorokhod
@@ -101,11 +101,18 @@ def test_wz_hat_interior_follows_cell_flow():
     out = run_scheme(FREE_BOX, f, (0.4,), z,
                      SchemeSpec(kind="wz-hat", partition=part,
                                 flow_cfg=cfg, observation_times=obs))
-    dz = np.array([0.8])
-    s1 = marcus_jump_partial(f, dz, np.array([0.4]), 0.25, cfg)
-    s2 = marcus_jump_partial(f, dz, s1, 0.25, cfg)
-    np.testing.assert_array_equal(out.x.value_at(0.25), s1)
-    np.testing.assert_array_equal(out.x.value_at(0.5), s2)
+    # the cell's flow from 0.4 up to 0.25 and on to 0.5: one lane of two
+    # quarter-span jumps of the cell's increment
+    states = []
+
+    def follow(i, k, y, error):
+        states.append(y)
+        return y
+
+    marcus_jump_chains(f, [(np.array([[0.8], [0.8]]), np.array([0.25, 0.25]),
+                            np.array([0.4]))], follow, cfg)
+    np.testing.assert_array_equal(out.x.value_at(0.25), states[0])
+    np.testing.assert_array_equal(out.x.value_at(0.5), states[1])
     # inside the cell the state is unconstrained: no compensator yet
     assert out.k.value_at(0.5)[0] == 0.0
 
