@@ -111,27 +111,29 @@ def test_flow_is_fourth_order():
     assert 12.0 < ratio2 < 20.0
 
 
+def half_span_lanes(f, dz, x, spans, cfg):
+    """One lane of jumps by ``dz`` over ``spans`` of ``marcus_jump_chains``,
+    the first from ``x`` and each later one from its predecessor's end,
+    checked bitwise against the oracle: the jumps' ends."""
+    lanes = [(np.tile(dz, (len(spans), 1)), np.array(spans), x)]
+
+    def next_start(i, k, y):
+        return x if k == 0 else y
+
+    got = run_lanes(f, lanes, cfg, next_start)
+    assert_lanes_match_the_oracle(f, lanes, got, cfg, next_start)
+    assert [err for _, _, err in got[0]] == [None] * len(spans)
+    return [y for _, y, _ in got[0]]
+
+
 def test_flow_semigroup_property():
-    """The transport field is autonomous, so a lane's two half-span jumps of
-    32 steps compose to its 64-step unit jump from the same start, and a
-    zero span hands back its start."""
+    """Two half-span transports of 32 steps compose to the 64-step one."""
+    f = catalog_coefficient("sine-diagonal", amplitude=1.3, dimension=2)
     cfg = FlowConfig(64, adaptive=False)
-    for amplitude, x, dz in ((1.3, [0.3, -0.7], [1.0, 0.5]),
-                             (0.9, [0.2, 1.1], [0.7, -0.4])):
-        f = catalog_coefficient("sine-diagonal", amplitude=amplitude,
-                                dimension=2)
-        x, dz = np.array(x), np.array(dz)
-        lanes = [(np.tile(dz, (4, 1)), np.array([1.0, 0.5, 0.5, 0.0]), x)]
-
-        def next_start(i, k, y, x=x):
-            return x if k == 0 else y
-
-        got = run_lanes(f, lanes, cfg, next_start)
-        assert_lanes_match_the_oracle(f, lanes, got, cfg, next_start)
-        whole, half, rest, still = (y for _, y, _ in got[0])
-        np.testing.assert_array_equal(whole, marcus_jump(f, dz, x, cfg))
-        np.testing.assert_allclose(whole, rest, atol=1e-12)
-        np.testing.assert_array_equal(still, rest)
+    x, dz = np.array([0.3, -0.7]), np.array([1.0, 0.5])
+    whole, half, rest = half_span_lanes(f, dz, x, [1.0, 0.5, 0.5], cfg)
+    np.testing.assert_array_equal(whole, marcus_jump(f, dz, x, cfg))
+    np.testing.assert_allclose(whole, rest, atol=1e-12)
 
 
 def test_marcus_jump_linear_oracle():
@@ -498,6 +500,20 @@ def test_default_field_is_the_matrix_product():
     ys, dzs = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
     assert bits(f.field(ys, dzs)) == bits((f.evaluate(ys) @ dzs[..., None])[..., 0])
     assert bits(f.field(ys[0], dzs[0])) == bits(f.evaluate(ys[0]) @ dzs[0])
+
+
+def test_marcus_jump_partial_composes():
+    """The transport field is autonomous, so two half-spans equal one full,
+    and a zero span hands back its start."""
+    f = catalog_coefficient("sine-diagonal", amplitude=0.9, dimension=2)
+    x = np.array([0.2, 1.1])
+    dz = np.array([0.7, -0.4])
+    cfg = FlowConfig(64, adaptive=False)
+    whole, half, still, full = half_span_lanes(f, dz, x,
+                                               [1.0, 0.5, 0.0, 0.5], cfg)
+    np.testing.assert_array_equal(whole, marcus_jump(f, dz, x, cfg))
+    np.testing.assert_allclose(whole, full, atol=1e-12)
+    np.testing.assert_array_equal(still, half)
 
 
 def test_adaptive_substeps_scale_with_increment():
