@@ -98,6 +98,16 @@ def _constant_jump(f: "Coefficient", dz, x, span):
     return y, np.abs(y).max(axis=-1) <= BLOWUP_GUARD
 
 
+def inside_guard(y: list) -> list:
+    """The state ``y`` (floats) that a jump reached, or NonFinite if a
+    coordinate lies beyond ``BLOWUP_GUARD`` or is NaN: the check that
+    ``_constant_jump`` makes on one row."""
+    for v in y:
+        if not abs(v) <= BLOWUP_GUARD:
+            raise NonFinite(_GUARD_MESSAGE)
+    return y
+
+
 def marcus_jump_chains(f: "Coefficient", lanes, follow,
                        cfg: FlowConfig = DEFAULT_FLOW):
     """Chains of jump maps, one per lane, with the lanes stepped together.
@@ -201,14 +211,19 @@ def marcus_jump(f: "Coefficient", dz, x, cfg: FlowConfig = DEFAULT_FLOW) -> np.n
     maps the state to itself.  A constant coefficient forms all rows'
     closed forms x + f dz at once (``_constant_jump``), each bitwise its row
     alone.  The first failed row's NonFinite is raised, and a state or
-    increment whose last axis is not of length d raises DimensionMismatch.
+    increment whose last axis is not of length d, or states and increments
+    that do not broadcast, raise DimensionMismatch.
     """
     x = np.asarray(x, dtype=float)
     dz = np.asarray(dz, dtype=float)
     d = f.dimension
     if x.shape[-1:] != (d,) or dz.shape[-1:] != (d,):
         raise DimensionMismatch(f"state/increment dimension must be {d}")
-    x, dz = np.broadcast_arrays(x, dz)
+    try:
+        x, dz = np.broadcast_arrays(x, dz)
+    except ValueError:
+        raise DimensionMismatch(f"states {x.shape} and increments {dz.shape} "
+                                f"do not broadcast") from None
     shape = x.shape
     x, dz = x.reshape(-1, d), dz.reshape(-1, d)
     if f.matrix is not None:

@@ -29,22 +29,28 @@ in ``skorokhod`` and ``schemes`` validate once per path and then call the
 kind's two hooks directly, unchecked:
 
 * ``_project(x)`` through ``skorokhod.guarded_step``, once per projected
-  step.  It takes a float array of the right shape and must pass
-  non-finite input through as non-finite output rather than loop or raise
-  on it.
+  step.  It maps a sequence of d floats (a list, or a float array) to a
+  list, x itself when x lies in the closure.  It must pass non-finite
+  input through as non-finite output rather than loop or raise on it.
 * ``_margins(points)`` through ``skorokhod.interior_run``, on a run of
   candidate states, and through the rows classifier behind ``contains``
   and ``boundary_count``.  In the closure a row's margin is its distance
   to the boundary; outside it is negative, of size at most the distance
   to the closure.  Each margin goes through the same arithmetic as
-  ``_project``'s own inside test (the BLAS dot of the 1-d ``x @ n`` for
-  the half-space and the balls, the polyhedron's BLAS-free face values),
-  so on a finite row margin >= 0 holds exactly when ``_project`` returns
-  the row bitwise unchanged.  Interior runs accept exactly those rows,
-  with no band.
+  ``_project``'s own inside test, so on a finite row margin >= 0 holds
+  exactly when ``_project`` returns the row bitwise unchanged.  Interior
+  runs accept exactly those rows, with no band.
+
+Both hooks, and the distances ``distance_outside`` and ``_classify`` take,
+are plain float arithmetic in a fixed order: a dot product or squared norm
+adds the coordinate products in coordinate order, over Python floats in
+``_dot`` and ``_norm`` and over numpy columns in ``_row_dots``, with no
+BLAS and no FMA.  Their bits depend on neither the CPU nor the BLAS
+library.
 """
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -105,21 +111,35 @@ def _require_finite(what: str, *values):
         raise ValueError(f"{what} must be finite")
 
 
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (n, d) ``a`` with (n, d) or (d,) ``b``.
+def _dot(a, b) -> float:
+    """a . b over sequences of floats, the products added in order."""
+    products = map(operator.mul, a, b)
+    acc = next(products)
+    for p in products:
+        acc += p
+    return acc
 
-    A stacked matmul, so each row goes through the BLAS dot of the 1-d
-    ``a[i] @ b[i]`` and matches it bitwise (a plain (n, d) @ (d,) is one
-    gemv, whose rounding differs).
-    """
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+def _norm(v) -> float:
+    """|v| over a sequence of floats: math.sqrt(_dot(v, v)), bitwise, since
+    no square is -0.0 and 0.0 + s is s."""
+    acc = 0.0
+    for u in v:
+        acc += u * u
+    return math.sqrt(acc)
 
 
-def _dot(a: list, b: list) -> float:
-    """a . b over lists of floats, the products added in order."""
-    acc = a[0] * b[0]
-    for k in range(1, len(a)):
-        acc += a[k] * b[k]
+def _distance(a, b) -> float:
+    """|a - b| over sequences of floats."""
+    return _norm(list(map(operator.sub, a, b)))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b of (n, d) ``a`` with (n, d) or (d,) ``b``: each row
+    bitwise ``_dot`` of its floats, the columns' products added in order."""
+    acc = a[:, 0] * b[..., 0]
+    for k in range(1, a.shape[1]):
+        acc += a[:, k] * b[..., k]
     return acc
 
 
@@ -155,7 +175,7 @@ def _factor(normals: list) -> tuple:
     q, r = [], []
     for n in normals:
         coeffs, z = _reduce(q, n)
-        norm = math.sqrt(_dot(z, z))
+        norm = _norm(z)
         q.append([a / norm for a in z])
         r.append(coeffs + [norm])
     return q, r
@@ -203,7 +223,8 @@ class Domain:
 
     # -- subclass hooks -------------------------------------------------
 
-    def _project(self, x: np.ndarray) -> np.ndarray:
+    def _project(self, x) -> list:
+        """The projection of the d floats ``x``; see the module docstring."""
         raise NotImplementedError
 
     def _margins(self, points: np.ndarray) -> np.ndarray:
@@ -222,13 +243,13 @@ class Domain:
         bands = _bands(points)
         with np.errstate(over="ignore", invalid="ignore"):
             sd = self._margins(points)
-            for i in np.flatnonzero(np.isfinite(sd) & (sd < 0.0)
-                                    & (sd >= -bands)):
-                try:
-                    sd[i] = -float(np.linalg.norm(self._project(points[i])
-                                                  - points[i]))
-                except ProjectionOutOfRange:
-                    pass  # the centre of an excluded ball: -radius is exact
+        for i in np.flatnonzero(np.isfinite(sd) & (sd < 0.0)
+                                & (sd >= -bands)).tolist():
+            x = points[i].tolist()
+            try:
+                sd[i] = -_distance(self._project(x), x)
+            except ProjectionOutOfRange:
+                pass  # the centre of an excluded ball: -radius is exact
         return sd, np.isfinite(sd) & (np.abs(sd) <= bands)
 
     # -- public API -----------------------------------------------------
@@ -247,13 +268,13 @@ class Domain:
         kinds the projection must be single valued: if ``x`` is at distance
         >= rho0 from the closure, ProjectionOutOfRange is raised.
         """
-        p = _as_point(x, self.dimension)
-        return self._project(p)
+        p = _as_point(x, self.dimension).tolist()
+        return np.array(self._project(p))
 
     def distance_outside(self, x) -> float:
         """Distance from ``x`` to the closure; zero inside."""
-        p = _as_point(x, self.dimension)
-        return float(np.linalg.norm(self._project(p) - p))
+        p = _as_point(x, self.dimension).tolist()
+        return _distance(self._project(p), p)
 
     @property
     def rho0(self) -> float:
@@ -305,15 +326,16 @@ class HalfSpace(Domain):
         self.normal = _unit(normal)
         self.normal.flags.writeable = False
         self.offset = float(offset)
+        self._normal = self.normal.tolist()
 
     def _margins(self, points):
-        return _dot_rows(points, self.normal) - self.offset
+        return _row_dots(points, self.normal) - self.offset
 
     def _project(self, x):
-        sd = float(self.normal @ x) - self.offset
+        sd = _dot(x, self._normal) - self.offset
         if sd >= 0.0:
-            return x.copy()
-        return x - sd * self.normal
+            return x
+        return [a - sd * n for a, n in zip(x, self._normal)]
 
 
 class Ball(Domain):
@@ -332,19 +354,21 @@ class Ball(Domain):
         self.center = center.copy()
         self.center.flags.writeable = False
         self.radius = float(radius)
+        self._center = self.center.tolist()
 
     def _margins(self, points):
         rel = points - self.center
-        return self.radius - np.sqrt(_dot_rows(rel, rel))
+        return self.radius - np.sqrt(_row_dots(rel, rel))
 
     def _project(self, x):
-        rel = x - self.center
-        dist = math.sqrt(rel.dot(rel))
+        rel = list(map(operator.sub, x, self._center))
+        dist = _norm(rel)
         if dist <= self.radius:
-            return x.copy()
+            return x
         if dist == math.inf:
             dist = math.hypot(*rel)  # the squares overflowed; hypot does not
-        return self.center + rel * (self.radius / dist)
+        scale = self.radius / dist
+        return [c + r * scale for c, r in zip(self._center, rel)]
 
 
 class Box(Domain):
@@ -370,6 +394,7 @@ class Box(Domain):
         self.upper = upper.copy()
         self.lower.flags.writeable = False
         self.upper.flags.writeable = False
+        self._bounds = list(zip(self.lower.tolist(), self.upper.tolist()))
 
     def _margins(self, points):
         # exact per coordinate: x - lower >= 0 iff x >= lower, so clip keeps
@@ -385,7 +410,17 @@ class Box(Domain):
         return gaps.min(axis=1)
 
     def _project(self, x):
-        return np.clip(x, self.lower, self.upper)
+        # as np.clip does: NaN stays, and a coordinate equal to a bound (a
+        # zero of either sign) becomes the bound itself
+        out = []
+        for v, (lo, hi) in zip(x, self._bounds):
+            if v == v:
+                if not v > lo:
+                    v = lo
+                if not v < hi:
+                    v = hi
+            out.append(v)
+        return out
 
 
 class ConvexPolyhedron(Domain):
@@ -436,7 +471,7 @@ class ConvexPolyhedron(Domain):
                        zip(self.normals.tolist(), self.offsets.tolist())]
         self._offset_slack = [_ROUNDING * abs(c) for _, c in self._faces]
         try:
-            self._project(np.zeros(self.dimension))
+            self._project([0.0] * self.dimension)
         except _UncertifiedProjection as exc:
             raise ValueError(f"invalid polyhedron: {exc}") from None
 
@@ -461,21 +496,20 @@ class ConvexPolyhedron(Domain):
         return [base + extra for extra in self._offset_slack]
 
     def _project(self, x):
-        xs = x.tolist()
-        values = self._values(xs)
+        values = self._values(x)
         if all(v >= 0.0 for v in values):
-            return x.copy()
-        if not all(map(math.isfinite, xs)):
-            return x + math.nan
+            return x
+        if not all(map(math.isfinite, x)):
+            return [a + math.nan for a in x]
         i = values.index(min(values))
         s, n = values[i], self._faces[i][0]
-        p = [a - s * b for a, b in zip(xs, n)]
+        p = [a - s * b for a, b in zip(x, n)]
         pv, slack = self._values(p), self._slack(p)
         # KKT for the active set {i}: p feasible and on face i, x - p along
         # -n_i with multiplier -s_i > 0
         if pv[i] <= slack[i] and all(v >= -e for v, e in zip(pv, slack)):
-            return np.array(p)
-        return np.array(self._solve(xs, values))
+            return p
+        return self._solve(x, values)
 
     def _solve(self, x: list, values: list) -> list:
         """Projection of the finite outside point ``x`` with face values
@@ -602,22 +636,24 @@ class ExteriorOfBall(Domain):
         self.center = center.copy()
         self.center.flags.writeable = False
         self.radius = float(radius)
+        self._center = self.center.tolist()
 
     def _margins(self, points):
         rel = points - self.center
-        return np.sqrt(_dot_rows(rel, rel)) - self.radius
+        return np.sqrt(_row_dots(rel, rel)) - self.radius
 
     def _project(self, x):
-        rel = x - self.center
-        dist = math.sqrt(rel.dot(rel))
+        rel = list(map(operator.sub, x, self._center))
+        dist = _norm(rel)
         if dist >= self.radius:
-            return x.copy()
+            return x
         if dist <= 0.0:
             raise ProjectionOutOfRange(
                 "projection is not single valued at the center of the "
                 "excluded ball (distance to the closure equals rho0)"
             )
-        return self.center + rel * (self.radius / dist)
+        scale = self.radius / dist
+        return [c + r * scale for c, r in zip(self._center, rel)]
 
     @property
     def rho0(self) -> float:

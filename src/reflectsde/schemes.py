@@ -61,9 +61,9 @@ from .driver import (CADLAG_STEP, LINEAR, GridPath, Partition,
 from .errors import (DimensionMismatch, JumpTooLarge, ReflectedSDEError,
                      StartOutsideDomain)
 from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
-                   marcus_jump, marcus_jump_chains)
+                   inside_guard, marcus_jump, marcus_jump_chains)
 from .geometry import Domain, OUTSIDE
-from .skorokhod import accumulate, guarded_step, project_steps
+from .skorokhod import accumulate, guarded_step, project_steps, shifted
 
 # wz-bar substeps held in memory at once
 _BAR_BLOCK_ROWS = 4096
@@ -138,13 +138,15 @@ def _admissible_cells(dzs: np.ndarray, bound: float, rho0: float):
     or None when every cell passes (always, when rho0 is infinite).
 
     The guard's norm is ``math.sqrt(dz.dot(dz))``, or ``math.hypot(*dz)``
-    for a finite cell whose sum of squares overflows, and ``dot`` may fuse
-    multiply and add, so one einsum over all cells only screens them: a
-    cell whose screened norm passes with a relative margin of 1e-9 passes
-    the exact test too, since the two sums of squares differ by a few ulps
-    (and not at all where they underflow).  Norms above 1e150, whose sums
-    may overflow in one form only, and NaN and inf cells are not screened;
-    the cells left are tested exactly, in order.
+    for a finite cell whose sum of squares overflows.  Unlike the
+    projection step's sums, ``dot`` is a BLAS call that may fuse multiply
+    and add, so its last bit may depend on the BLAS kernel, and one einsum
+    over all cells only screens the cells: a cell whose screened norm
+    passes with a relative margin of 1e-9 passes the exact test too, since
+    the two sums of squares differ by a few ulps (and not at all where they
+    underflow).  Norms above 1e150, whose sums may overflow in one form
+    only, and NaN and inf cells are not screened; the cells left are tested
+    exactly, in order.
     """
     if not math.isfinite(rho0):
         return len(dzs), None
@@ -300,11 +302,12 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
         for c in stepping:
             increments = (c.dzs[:c.n, None, :] @ mt)[:, 0, :]
 
-            def target(k, x, c=c):
+            def target(k, x, c=c, increments=increments):
+                # marcus_jump's closed form x + f dz_k and its guard;
                 # interior runs cannot fail, so a failing step is the last
                 # one taken here
                 c.failed_at = k
-                return marcus_jump(f, c.dzs[k], x, cfg)
+                return inside_guard(shifted(x, increments[k]))
 
             try:
                 c.dk_norms = project_steps(
@@ -380,12 +383,12 @@ def _step_in_lockstep(domain, f, chains, cfg, rho0):
         try:
             if error is not None:
                 raise error
-            x, _, dk_norm = guarded_step(domain, target, rho0)
+            x, _, dk_norm = guarded_step(domain, target.tolist(), rho0)
         except ReflectedSDEError as exc:
             c.error, c.failed_at = exc, k
             return None
         c.path[k + 1], c.targets[k], c.dk_norms[k] = x, target, dk_norm
-        return x
+        return c.path[k + 1]
 
     marcus_jump_chains(f, [(c.dzs[:c.n], np.ones(c.n), c.start)
                            for c in chains], follow, cfg)
@@ -422,43 +425,31 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
     for first in range(0, n_cells, block):
         cells = range(first, min(first + block, n_cells))
         # per substep: its fraction, its cell, and the output slot it marks
-        dus, cell_of, rows, slots = [], [], [], []
-        for k in cells:
-            lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
-            if hi > lo:
-                # observation times inside the cell, spliced in exactly
-                t0, dt = pts[k], pts[k + 1] - pts[k]
-                marks = {(out_t[slot] - t0) / dt: slot for slot in range(lo, hi)}
-                marks[1.0] = hi
-                spliced = np.union1d(fractions, np.array(sorted(marks)))
-                du = np.diff(spliced)
-                for i, u in enumerate(spliced[1:].tolist()):
-                    if u in marks:
-                        rows.append(len(cell_of) + i)
-                        slots.append(marks[u])
-            else:
-                du = plain_du
-                rows.append(len(cell_of) + bar - 1)
-                slots.append(hi)
-            dus.append(du)
-            cell_of.extend([k] * len(du))
-        dus = np.concatenate(dus)
+        if grid_slot[cells.stop] - grid_slot[first] == len(cells):
+            # no observation time inside the block's cells
+            dus = np.tile(plain_du, len(cells))
+            cell_of = np.repeat(cells, bar)
+            rows = np.arange(bar - 1, len(dus), bar)
+            slots = grid_slot[first + 1:cells.stop + 1]
+        else:
+            dus, cell_of, rows, slots = _spliced_substeps(
+                cells, pts, out_t, grid_slot, fractions)
 
         if f.matrix is not None:
             # a constant coefficient gives each cell one increment
             # direction: stacked, each row rounding like the 1-D
             # f.matrix @ dzs[k]
             cell_dy = (f.matrix @ dzs[first:cells.stop, :, None])[:, :, 0]
-            dys = cell_dy[np.asarray(cell_of) - first] * dus[:, None]
+            dys = cell_dy[cell_of - first] * dus[:, None]
 
             def target(j, x):
-                return x + dys[j]
+                return shifted(x, dys[j])
         else:
             dys = np.empty((len(dus), len(start)))
 
             def target(j, x):
-                dys[j] = f.field(x, dzs[cell_of[j]]) * dus[j]
-                return x + dys[j]
+                dys[j] = f.field(np.array(x), dzs[cell_of[j]]) * dus[j]
+                return shifted(x, dys[j])
 
         path, targets, dk_norms = project_steps(
             domain, state, rho0, target, len(dus),
@@ -479,6 +470,33 @@ def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
         raise stop
     return _output(domain, "wz-bar", spec.partition, out_t, (X, K, Y, kvar),
                    dk_count, interp=LINEAR)
+
+
+def _spliced_substeps(cells, pts, out_t, grid_slot, fractions):
+    """The substeps of ``cells``, with the observation times inside a cell
+    spliced in exactly: per substep its fraction du and its cell, and the
+    substep rows that end at an output slot, with those slots."""
+    plain_du = np.diff(fractions)
+    dus, cell_of, rows, slots = [], [], [], []
+    for k in cells:
+        lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
+        if hi > lo:
+            t0, dt = pts[k], pts[k + 1] - pts[k]
+            marks = {(out_t[slot] - t0) / dt: slot for slot in range(lo, hi)}
+            marks[1.0] = hi
+            spliced = np.union1d(fractions, np.array(sorted(marks)))
+            du = np.diff(spliced)
+            for i, u in enumerate(spliced[1:].tolist()):
+                if u in marks:
+                    rows.append(len(cell_of) + i)
+                    slots.append(marks[u])
+        else:
+            du = plain_du
+            rows.append(len(cell_of) + len(du) - 1)
+            slots.append(hi)
+        dus.append(du)
+        cell_of.extend([k] * len(du))
+    return np.concatenate(dus), np.array(cell_of), rows, slots
 
 
 def _continuous_parts(z: GridPath, pts: np.ndarray, zvals: np.ndarray):
@@ -550,13 +568,15 @@ def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
     curved = qcs.any(axis=(1, 2)).tolist()
 
     def target(k, x):
-        incr = f.field(x, dzcs[k])
+        state = np.array(x)
+        incr = f.field(state, dzcs[k])
         if curved[k]:
-            incr = incr + 0.5 * np.einsum("ijm,jm->i", f.correction(x), qcs[k])
+            incr = incr + 0.5 * np.einsum("ijm,jm->i", f.correction(state),
+                                          qcs[k])
         for jv in jumps[k]:
-            incr = incr + (marcus_jump(f, jv, x, cfg) - x)
+            incr = incr + (marcus_jump(f, jv, state, cfg) - state)
         incrs[k] = incr
-        return x + incr
+        return shifted(x, incr)
 
     xs, targets, dk_norms = project_steps(domain, start, rho0, target, n)
     if stop is not None:

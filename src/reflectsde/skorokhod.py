@@ -18,7 +18,10 @@ and the array shapes once per path, then hand each target straight to the
 domain's projection, once per step; a target that is not finite shows up
 as a non-finite |dk| and raises NonFinite.  The public ``Domain.project``
 and ``Domain.distance_outside`` keep validating every call for outside
-callers.
+callers.  A projected step is plain float arithmetic on lists of floats:
+the projection's norms and face values, and |dk|, add their coordinate
+products in order, with no BLAS and no FMA (see the ``geometry``
+docstring).
 
 Interior runs skip ``guarded_step``.  When the increments do not depend on
 the state (a driver path here, a constant coefficient in ``schemes``),
@@ -28,8 +31,8 @@ and keeps the leading rows inside the finite-value guard with a domain
 margin >= 0: the rows the projection returns bitwise unchanged, where
 dk = 0 and the scalar step raises nothing (see the ``geometry`` docstring;
 a constant coefficient's jump map raises NonFinite beyond the guard).
-Other rows go through ``guarded_step``, and the loop stays scalar while
-each step still projects.
+Other rows go through ``guarded_step`` as floats, and the loop stays
+scalar while each step still projects.
 
 On each grid interval the compensator increment satisfies |dk| <= |dy|
 exactly, which yields the variation comparisons checked by
@@ -39,6 +42,7 @@ exactly, which yields the variation comparisons checked by
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +50,18 @@ import numpy as np
 from .driver import GridPath, CADLAG_STEP
 from .errors import NonFinite, ProjectionOutOfRange, StartOutsideDomain
 from .flow import BLOWUP_GUARD
-from .geometry import Domain, OUTSIDE
+from .geometry import Domain, OUTSIDE, _norm
 
 _REACH_MARGIN = 0.99
 
 # Rows per interior-run attempt: doubled after a fully accepted run, reset
 # after a rejected row, so paths that keep touching the boundary pay little
 # for the attempts and the candidate work stays linear in the path length.
-_RUN_MIN, _RUN_MAX = 16, 256
+# _RUN_MAX also bounds the rows a scalar stretch holds as lists.
+_RUN_MIN, _RUN_MAX = 64, 1024
+
+#: The relative tolerance of ``check_lemma1``'s variation bounds.
+LEMMA1_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,23 +78,24 @@ class SkorokhodSolution:
         object.__setattr__(self, "k_variation", kv)
 
 
-def guarded_step(domain: Domain, target: np.ndarray, rho0: float):
+def guarded_step(domain: Domain, target, rho0: float):
     """Project a validated target once: returns (x_next, dk, |dk|).
 
-    ``target`` must be a float array of shape (domain.dimension,); its
-    finiteness is not checked up front.  With dk = x_next - target, |dk| is
-    the target's distance from the closure, so one projection serves both
+    ``target`` must be domain.dimension floats (a list, or a float array);
+    its finiteness is not checked up front.  x_next and dk are lists.  With
+    dk = x_next - target, |dk| is the target's distance from the closure,
+    its squares added in coordinate order, so one projection serves both
     the step and its excursion guard: |dk| >= 0.99 rho0 raises
     ProjectionOutOfRange, and a non-finite |dk| (a non-finite target)
     raises NonFinite.
     """
     x_next = domain._project(target)
-    dk = x_next - target
-    dk_norm = math.sqrt(dk.dot(dk))
+    dk = list(map(operator.sub, x_next, target))
+    dk_norm = _norm(dk)
     if not dk_norm < _REACH_MARGIN * rho0:
         if not math.isfinite(dk_norm):
             raise NonFinite(f"step excursion {dk_norm} from target "
-                            f"{target.tolist()} is not finite")
+                            f"{list(map(float, target))} is not finite")
         raise ProjectionOutOfRange(
             f"step excursion {dk_norm:.6g} reaches the projection "
             f"radius {rho0:.6g}"
@@ -100,8 +109,9 @@ def interior_run(domain: Domain, x: np.ndarray, increments: np.ndarray) -> np.nd
     The candidates are bitwise the repeated ``x + dy`` of the scalar loop;
     the run ends before the first with a coordinate beyond ``BLOWUP_GUARD``
     in absolute value (or NaN), where a constant coefficient's jump map
-    raises NonFinite, or with a negative ``domain._margins``.  Its rows are
-    the scalar steps' states, with dk = 0.
+    raises NonFinite, or with a negative ``domain._margins``, whose column
+    sums round as the projection's own inside test on floats does.  Its
+    rows are the scalar steps' states, with dk = 0.
     """
     candidates = np.add.accumulate(np.vstack((x, increments)), axis=0)[1:]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,14 +127,16 @@ def project_steps(domain: Domain, x: np.ndarray, rho0: float, target, n: int,
     """Step x_{j+1} = project(target(j, x_j)) for j < n, from x_0 = x.
 
     Returns the (n + 1, d) path x_0 .. x_n, the (n, d) targets and the (n,)
-    |dk|, so dk = path[1:] - targets.  With ``increments``
+    |dk|, so dk = path[1:] - targets.  ``target(j, x)`` maps the state, a
+    list of floats, to a list of floats.  With ``increments``
     (state-independent rows such that target(j, x) == x + increments[j]
     bitwise), interior runs are advanced in bulk by ``interior_run``; the
     other rows, and every row without ``increments``, go through
-    ``guarded_step``.  The targets are written to ``targets`` when given,
-    which may be ``increments`` itself: row j of the increments is read
-    before target j is written.  The path is written to ``path`` when
-    given, so when step j raises, its rows up to x_j are still there.
+    ``guarded_step`` as floats, at most ``_RUN_MAX`` of them per stretch.
+    The targets are written to ``targets`` when given, which may be
+    ``increments`` itself: row j of the increments is read before target j
+    is written.  The path is written to ``path`` when given, so when step
+    j raises, its rows up to x_j are still there.
     """
     if path is None:
         path = np.empty((n + 1, len(x)))
@@ -136,25 +148,37 @@ def project_steps(domain: Domain, x: np.ndarray, rho0: float, target, n: int,
     j, size = 0, _RUN_MIN
     while j < n:
         if increments is not None:
-            run = interior_run(domain, x, increments[j:j + size])
+            run = interior_run(domain, path[j], increments[j:j + size])
             m = len(run)
             if m:
                 states[j:j + m] = targets[j:j + m] = run
-                x = run[-1]
                 j += m
             if m == size:
                 size = min(2 * size, _RUN_MAX)
                 continue
             size = _RUN_MIN
         # the rejected row, then on while each step still projects
-        while j < n:
-            t = target(j, x)
-            x, _, dk_norm = guarded_step(domain, t, rho0)
-            states[j], targets[j], dk_norms[j] = x, t, dk_norm
-            j += 1
-            if dk_norm == 0.0 and increments is not None:
-                break
+        lo, stop, x = j, min(n, j + _RUN_MAX), path[j].tolist()
+        xs, ts, norms = [], [], []
+        try:
+            while j < stop:
+                t = target(j, x)
+                x, _, dk_norm = guarded_step(domain, t, rho0)
+                xs.append(x)
+                ts.append(t)
+                norms.append(dk_norm)
+                j += 1
+                if dk_norm == 0.0 and increments is not None:
+                    break
+        finally:
+            if xs:
+                states[lo:j], targets[lo:j], dk_norms[lo:j] = xs, ts, norms
     return path, targets, dk_norms
+
+
+def shifted(x: list, row: np.ndarray) -> list:
+    """x + row as floats: bitwise the array sum, coordinate by coordinate."""
+    return list(map(operator.add, x, row.tolist()))
 
 
 def accumulate(first, rows: np.ndarray) -> np.ndarray:
@@ -180,7 +204,7 @@ def solve_skorokhod(domain: Domain, y: GridPath) -> SkorokhodSolution:
     # the targets overwrite the increments, and then dk the targets, so the
     # path, dk and |dk| are the only n-row arrays held while stepping
     xs, targets, dk_norms = project_steps(
-        domain, x0, domain.rho0, lambda j, x: x + dys[j], len(dys),
+        domain, x0, domain.rho0, lambda j, x: shifted(x, dys[j]), len(dys),
         increments=dys, targets=dys)
     ks = accumulate(np.zeros_like(x0), np.subtract(xs[1:], targets, out=targets))
 
@@ -234,14 +258,14 @@ class Lemma1Report:
 
 
 def check_lemma1(domain: Domain, y: GridPath, sol: SkorokhodSolution,
-                 intervals, rel_tol: float = 1e-9) -> Lemma1Report:
+                 intervals) -> Lemma1Report:
     """Check var(k) <= var(y) and var(x) <= 2 var(y) on each window.
 
     Also verifies the prerequisite that every y increment stays below the
     domain reach.  Tolerance is relative: a bound b is accepted up to
-    b + rel_tol * (1 + b).
+    b + rel_tol * (1 + b), with rel_tol = ``LEMMA1_REL_TOL``.
     """
-    rho0 = domain.rho0
+    rho0, rel_tol = domain.rho0, LEMMA1_REL_TOL
     increments_ok = True
     if math.isfinite(rho0):
         dy = np.diff(y.values, axis=0)

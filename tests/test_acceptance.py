@@ -90,8 +90,7 @@ def test_criterion_2_variation_bounds_four_domains(capsys):
             y = GridPath(z.times, z.values + np.asarray(x0), interp=z.interp,
                          jump_times=z.jump_times, jump_values=z.jump_values)
             sol = solve_skorokhod(dom, y)
-            rep = check_lemma1(dom, y, sol, intervals=intervals,
-                               rel_tol=1e-9)
+            rep = check_lemma1(dom, y, sol, intervals=intervals)
             if not rep.all_ok:
                 n_bad += 1
     elapsed = time.time() - t0

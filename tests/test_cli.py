@@ -325,7 +325,10 @@ GOLDEN_LONG_POLYGON_YAML = LONG_SKOROKHOD_YAML.replace(
 
 # SHA-256 of each artifact.  No change of the CSV writers has moved one; the
 # exact polyhedral projection moved the polygon runs' solution.csv and
-# summary.json (re-recorded with it)
+# summary.json (re-recorded with it), and the projection step without BLAS
+# dots moved simulate-ball's solution.csv and summary.json and polygon's
+# solution.csv, to the bytes the BLAS-dot step wrote under OpenBLAS's
+# non-FMA kernels
 GOLDEN = {
     ("skorokhod", "polygon"): {
         "path.csv": "0b6fb62a8e0529c7a844c9e31acc62b724a038d676caf1372390a071fd48c13c",
@@ -371,6 +374,41 @@ def test_artifacts_keep_their_recorded_sha256(tmp_path, capsys, command,
     capsys.readouterr()
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())} == GOLDEN[command, name]
+
+
+GOLDEN_GATE_SCRIPT = """
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from reflectsde.cli import main
+
+hashes = []
+with tempfile.TemporaryDirectory() as tmp:
+    for command, name, text in RUNS:
+        cfg, out = Path(tmp, name + ".yaml"), Path(tmp, command + name)
+        cfg.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        hashes.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in sorted(out.iterdir())})
+DIGEST = json.dumps(hashes)
+"""
+
+
+def test_projected_goldens_do_not_depend_on_cpu_or_blas(
+        same_digest_under_gate_settings):
+    """The goldens whose steps project onto a ball or a polygon write their
+    recorded bytes also under OpenBLAS's non-FMA kernels and with numpy's
+    AVX-512 loops off: the projection and its |dk| use no BLAS."""
+    runs = [("simulate", "ball"), ("skorokhod", "polygon")]
+    script = (f"RUNS = {[(c, n, GOLDEN_YAML[n]) for c, n in runs]!r}\n"
+              + GOLDEN_GATE_SCRIPT)
+    digest = same_digest_under_gate_settings(script)
+    assert json.loads(digest) == [GOLDEN[run] for run in runs]
 
 
 def test_remark4_command(tmp_path, capsys):

@@ -3,12 +3,8 @@ answers against scipy, its fail-loud cases, and its bytes across CPU and
 BLAS settings."""
 
 import math
-import os
-import subprocess
-import sys
 import textwrap
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +17,6 @@ from reflectsde.geometry import (OUTSIDE, Ball, Box, ConvexPolyhedron,
                                  ExteriorOfBall, HalfSpace, _factor,
                                  default_boundary_tol)
 from reflectsde.skorokhod import guarded_step, solve_skorokhod
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the polygon of the poly-reflect benchmark workload
 POLYGON = ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [-1.0, 0.3]],
@@ -214,7 +208,7 @@ def test_polyhedron_step_on_a_non_finite_target_raises_nonfinite(row):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite):
-            guarded_step(POLYGON, np.array(row), POLYGON.rho0)
+            guarded_step(POLYGON, list(row), POLYGON.rho0)
 
 
 def test_ball_projects_rows_whose_squares_overflow():
@@ -231,7 +225,8 @@ def test_ball_keeps_the_bits_of_rows_whose_squares_are_finite():
     rows = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-2, 150, (2000, 1))
     for x in rows:
         rel = x - dom.center
-        dist = math.sqrt(rel.dot(rel))
+        # the squares added in coordinate order
+        dist = math.sqrt(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2])
         want = (x if dist <= dom.radius
                 else dom.center + rel * (dom.radius / dist))
         assert dom.project(x).tobytes() == want.tobytes()
@@ -239,11 +234,7 @@ def test_ball_keeps_the_bits_of_rows_whose_squares_are_finite():
 
 # ------------------------------------------- bytes across CPU and BLAS
 
-GATE_SETTINGS = [
-    {"OPENBLAS_CORETYPE": "Prescott"},
-    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
-]
-GATE_SCRIPT = textwrap.dedent("""
+POLYHEDRON_GATE_SCRIPT = textwrap.dedent("""
     import hashlib
 
     import numpy as np
@@ -265,27 +256,54 @@ GATE_SCRIPT = textwrap.dedent("""
                 * rng.uniform(0.1, 3.0, (n, 1)))
         for _ in range(2):
             digest.update(dom._margins(rows).tobytes())
-            for x in rows:
-                digest.update(dom._project(x).tobytes())
-    if __name__ == "__main__":
-        print(digest.hexdigest())
+            for x in rows.tolist():
+                digest.update(np.array(dom._project(x)).tobytes())
+    DIGEST = digest.hexdigest()
 """)
 
 
-def test_polyhedron_bytes_do_not_depend_on_cpu_or_blas():
+def test_polyhedron_bytes_do_not_depend_on_cpu_or_blas(
+        same_digest_under_gate_settings):
     """10k rows, classified and projected twice, give the bytes of this
     process also under OpenBLAS's non-FMA kernels and with numpy's AVX-512
-    loops off (each setting acts only on a new process)."""
-    path = os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    children = [subprocess.Popen([sys.executable, "-c", GATE_SCRIPT],
-                                 env=dict(os.environ, PYTHONPATH=path, **extra),
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                 text=True)
-                for extra in GATE_SETTINGS]
-    namespace = {"__name__": "gate"}
-    exec(GATE_SCRIPT, namespace)
-    for child, extra in zip(children, GATE_SETTINGS):
-        out, err = child.communicate(timeout=120)
-        assert child.returncode == 0, err
-        assert out.strip() == namespace["digest"].hexdigest(), extra
+    loops off."""
+    same_digest_under_gate_settings(POLYHEDRON_GATE_SCRIPT)
+
+
+STEP_GATE_SCRIPT = textwrap.dedent("""
+    import hashlib
+    import math
+
+    import numpy as np
+
+    from reflectsde.geometry import Ball, Box, ExteriorOfBall, HalfSpace
+    from reflectsde.skorokhod import guarded_step
+
+    rng = np.random.default_rng(1414)
+    digest = hashlib.sha256()
+    for d in (2, 3):
+        domains = [
+            Ball(rng.normal(size=d), 1.1),
+            ExteriorOfBall(rng.normal(size=d), 0.9),
+            HalfSpace(rng.normal(size=d), 0.3),
+            Box(-rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d)),
+        ]
+        rows = rng.normal(size=(1500, d)) * rng.uniform(0.1, 3.0, (1500, 1))
+        for dom in domains:
+            digest.update(dom._margins(rows).tobytes())
+            # x_next is _project's result, and |dk| its distance to x
+            steps = [x_next + [dk_norm] for x_next, _, dk_norm in
+                     (guarded_step(dom, x, math.inf) for x in rows.tolist())]
+            digest.update(np.array(steps).tobytes())
+    DIGEST = digest.hexdigest()
+""")
+
+
+def test_projection_step_bytes_do_not_depend_on_cpu_or_blas(
+        same_digest_under_gate_settings):
+    """The projection step of the ball, the exterior of a ball, the
+    half-space and the box, and its |dk|, and their batch margins, give
+    the bytes of this process also under OpenBLAS's non-FMA kernels and
+    with numpy's AVX-512 loops off: squared norms and face values add the
+    coordinate products in order, with no BLAS."""
+    same_digest_under_gate_settings(STEP_GATE_SCRIPT)

@@ -624,12 +624,16 @@ def test_catalog_unknown_id():
 
 def test_coefficient_dimension_guard():
     """A state or increment whose last axis is not of length d, a 0-d one
-    included, is a DimensionMismatch, not an IndexError."""
+    included, and states and increments that do not broadcast, are a
+    DimensionMismatch, not an IndexError or numpy's ValueError."""
     f = constant_matrix(np.eye(2))
     with pytest.raises(DimensionMismatch):
         f.evaluate(np.zeros(3))
     with pytest.raises(DimensionMismatch):
         marcus_jump(f, np.zeros(3), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        marcus_jump(linear_diagonal(1.0, 2), np.zeros((3, 2)),
+                    np.zeros((2, 2)))
     g = linear_diagonal(1.0, 1)
     for call in (lambda: g.evaluate(0.5),
                  lambda: marcus_jump(g, 0.5, np.array([0.3])),

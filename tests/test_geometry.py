@@ -329,9 +329,7 @@ OFFSETS = [0.0, 1e-17, 1e-16, 1e-15, 1e-14, 1e-12, 1e-10, 1e-6, 1e-3, 0.1]
 
 
 def is_fixed_point(dom, row):
-    # the scalar dot of a huge row overflows, loudly
-    with np.errstate(over="ignore"):
-        return dom._project(row).tobytes() == row.tobytes()
+    return np.array(dom._project(row.tolist())).tobytes() == row.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -371,8 +369,9 @@ def test_inside_batch_rows_are_fixed_points_of_the_projection(
     for row, margin in zip(probes, margins):
         if margin >= 0.0:
             assert is_fixed_point(dom, row)
-            x_next, _, dk_norm = guarded_step(dom, row, dom.rho0)
-            assert x_next.tobytes() == row.tobytes() and dk_norm == 0.0
+            x_next, _, dk_norm = guarded_step(dom, row.tolist(), dom.rho0)
+            assert (np.array(x_next).tobytes() == row.tobytes()
+                    and dk_norm == 0.0)
             continue
         try:
             assert (not is_fixed_point(dom, row)
@@ -383,28 +382,38 @@ def test_inside_batch_rows_are_fixed_points_of_the_projection(
             assert -margin == dom.rho0
 
 
+def ordered_dot(a, b):
+    """a . b of two float lists, the products added in coordinate order."""
+    return functools.reduce(lambda acc, k: acc + a[k] * b[k],
+                            range(1, len(a)), a[0] * b[0])
+
+
+def ordered_norm(v):
+    return math.sqrt(ordered_dot(v, v))
+
+
 # per kind, the scalar quantity whose sign decides whether ``_project``
 # moves x (the box's clip moves the coordinates with a negative gap)
 INSIDE_TESTS = {
-    "half-space": lambda dom, x: float(dom.normal @ x) - dom.offset,
-    "ball": lambda dom, x: dom.radius - math.sqrt(
-        (x - dom.center).dot(x - dom.center)),
+    "half-space": lambda dom, x: ordered_dot(
+        x.tolist(), dom.normal.tolist()) - dom.offset,
+    "ball": lambda dom, x: dom.radius - ordered_norm(
+        (x - dom.center).tolist()),
     "box": lambda dom, x: np.minimum(x - dom.lower, dom.upper - x).min(),
     "convex-polyhedron": lambda dom, x: min(
-        functools.reduce(lambda acc, k: acc + x[k] * n[k],
-                         range(1, len(x)), x[0] * n[0]) - c
-        for n, c in zip(dom.normals, dom.offsets)),
-    "exterior-of-ball": lambda dom, x: math.sqrt(
-        (x - dom.center).dot(x - dom.center)) - dom.radius,
+        ordered_dot(x.tolist(), n) - c
+        for n, c in zip(dom.normals.tolist(), dom.offsets.tolist())),
+    "exterior-of-ball": lambda dom, x: ordered_norm(
+        (x - dom.center).tolist()) - dom.radius,
 }
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_margins_are_bitwise_the_inside_test_of_the_projection(d):
-    """Each row goes through the arithmetic of the scalar inside test: the
-    BLAS dot for the half-space and the balls (a plain (n, d) @ (d,) gemv
-    would round differently on many rows), and for the polyhedron its face
-    values, the products added in coordinate order with no BLAS."""
+    """Each row goes through the arithmetic of the scalar inside test: for
+    the half-space, the balls and the polyhedron's face values, the
+    products added in coordinate order with no BLAS (a BLAS dot or gemv
+    would round differently on many rows)."""
     rng = np.random.default_rng(d)
     domains = [
         HalfSpace(rng.normal(size=d), 0.3),

@@ -120,7 +120,9 @@ def loop_marcus_euler(domain, f, x0, z, spec):
                 incr = incr + 0.5 * np.einsum("ijm,jm->i", corr, qc)
             for jv in jumps:
                 incr = incr + (marcus_jump(f, jv, state, cfg) - state)
-            state, dk, dk_norm = guarded_step(domain, state + incr, rho0)
+            state, dk, dk_norm = guarded_step(domain, (state + incr).tolist(),
+                                              rho0)
+            state = np.array(state)
             states[k + 1], ys[k + 1], ks[k + 1] = state, ys[k] + incr, ks[k] + dk
             kvar[k + 1] = kvar[k] + dk_norm
             dk_count += dk_norm > 0.0

@@ -90,10 +90,11 @@ def test_reflect_step_per_step_bound():
     x = np.array([1.0, 0.0])
     for _ in range(200):
         dy = rng.normal(0.0, 0.5, 2)
-        x_next, dk, dk_norm = guarded_step(dom, x + dy, dom.rho0)
-        assert dk_norm == np.linalg.norm(dk)
+        x_next, dk, dk_norm = guarded_step(dom, (x + dy).tolist(), dom.rho0)
+        # the squares added in coordinate order
+        assert dk_norm == math.sqrt(dk[0] * dk[0] + dk[1] * dk[1])
         assert dk_norm <= np.linalg.norm(dy) + 1e-12
-        x = x_next
+        x = np.array(x_next)
 
 
 def test_exterior_domain_excursion_guard():
@@ -208,7 +209,9 @@ GUARD_DOMAINS = [
 @pytest.mark.parametrize("dom", GUARD_DOMAINS, ids=lambda d: d.kind)
 def test_guarded_step_matches_public_projection_bitwise(dom):
     """The step's single projection gives exactly the public projection,
-    and its |dk| exactly the public distance to the closure."""
+    its dk the coordinate differences, and its |dk| exactly the public
+    distance to the closure: the squares of dk added in coordinate
+    order."""
     rng = np.random.default_rng(17)
     sides = {INTERIOR: 0, OUTSIDE: 0}
     for p in rng.uniform(-2.0, 2.0, size=(1000, 2)):
@@ -218,12 +221,14 @@ def test_guarded_step_matches_public_projection_bitwise(dom):
         excursion = dom.distance_outside(p)
         if excursion >= 0.99 * dom.rho0:
             with pytest.raises(ProjectionOutOfRange):
-                guarded_step(dom, p, dom.rho0)
+                guarded_step(dom, p.tolist(), dom.rho0)
             continue
-        x_next, dk, dk_norm = guarded_step(dom, p, dom.rho0)
+        x_next, dk, dk_norm = guarded_step(dom, p.tolist(), dom.rho0)
+        x_next, dk = np.array(x_next), np.array(dk)
         assert x_next.tobytes() == dom.project(p).tobytes()
         assert dk.tobytes() == (x_next - p).tobytes()
         assert dk_norm == excursion
+        assert dk_norm == math.sqrt(dk[0] * dk[0] + dk[1] * dk[1])
         sides[side] += 1
     assert sides[INTERIOR] >= 20 and sides[OUTSIDE] >= 20
 
