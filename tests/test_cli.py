@@ -332,7 +332,7 @@ GOLDEN_LONG_POLYGON_YAML = LONG_SKOROKHOD_YAML.replace(
 GOLDEN = {
     ("skorokhod", "polygon"): {
         "path.csv": "0b6fb62a8e0529c7a844c9e31acc62b724a038d676caf1372390a071fd48c13c",
-        "solution.csv": "14b4112369eac4a6d8bbb3c508e19477680ad2ff4ccb525f10eb1e40b3c2c221",
+        "solution.csv": "d6e6d1386a5310a4d2db2640b99c0364507a5831b5887fc169f18ded1a52685a",
         "summary.json": "be475b130b7d94ac31cf59eac73c0f7f67b31950f6595be317c9deb1768adf24",
     },
     ("skorokhod", "pure-jump"): {
@@ -352,8 +352,8 @@ GOLDEN = {
     },
     ("simulate", "ball"): {
         "path.csv": "b2b81f22b2c91d4d5f23368b291981beb2f4f1f78df5a95564c6b6ab3cf88c2f",
-        "solution.csv": "dfe823594df211dc33dd09530f9c60bda09f2d55c8993fee9ee3b048a5418ec6",
-        "summary.json": "e513bd1ba20aaa7e1bc689638304487a58fa793c6c1fe3a51732786b79356a4e",
+        "solution.csv": "c72b0f89e359ab223e0ba378388ae831ec44c2e538a68a5cfb4b1943443e1c63",
+        "summary.json": "fc08ff9958a1a9503b95be14c9d497624d8a9e8f9d23b7986b3324e7e3ee9e65",
     },
 }
 GOLDEN_YAML = {"polygon": GOLDEN_POLYGON_YAML,
