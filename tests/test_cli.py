@@ -323,12 +323,32 @@ experiment:
 GOLDEN_LONG_POLYGON_YAML = LONG_SKOROKHOD_YAML.replace(
     "steps: 25000", "steps: 13000").replace("seed: 11", "seed: 41")
 
+# 20 projected wz-bar substeps, with observation times spliced into cells
+GOLDEN_BALL_WZ_BAR_YAML = """
+domain: {kind: ball, center: [0.0, 0.0], radius: 0.7}
+coefficient: {kind: constant-matrix, matrix: [[1.0, 0.0], [0.0, 1.0]]}
+driver: {steps: 1200, dimension: 2, jump_rate: 4.0, jump_law: {kind: uniform-ball, radius: 0.3}}
+scheme: {kind: wz-bar, cells: 96, substeps_bar: 16, observations: 7}
+experiment: {x0: [0.5, 0.0], seed: 99}
+"""
+
+# a state-dependent coefficient in a box: 50 projected wz-bar substeps, and
+# 8 projected marcus-euler cells on the same driver
+GOLDEN_SHEAR_YAML = """
+domain: {kind: box, lower: [-0.4, -0.4], upper: [0.4, 0.4]}
+coefficient: {kind: catalog-smooth, id: cosine-shear, amplitude: 0.5}
+driver: {steps: 600, dimension: 2, jump_rate: 3.0, jump_law: {kind: uniform-ball, radius: 0.3}, diffusion_scale: 0.8}
+scheme: {kind: KIND, cells: 64, substeps_bar: 8, observations: 5}
+experiment: {x0: [0.3, 0.0], seed: 7}
+"""
+
 # SHA-256 of each artifact.  No change of the CSV writers has moved one; the
 # exact polyhedral projection moved the polygon runs' solution.csv and
 # summary.json (re-recorded with it), and the projection step without BLAS
 # dots moved simulate-ball's solution.csv and summary.json and polygon's
 # solution.csv, to the bytes the BLAS-dot step wrote under OpenBLAS's
-# non-FMA kernels
+# non-FMA kernels; the wz-bar and marcus-euler runs were recorded when each
+# of those schemes still ran outside the projection core
 GOLDEN = {
     ("skorokhod", "polygon"): {
         "path.csv": "0b6fb62a8e0529c7a844c9e31acc62b724a038d676caf1372390a071fd48c13c",
@@ -355,10 +375,29 @@ GOLDEN = {
         "solution.csv": "c72b0f89e359ab223e0ba378388ae831ec44c2e538a68a5cfb4b1943443e1c63",
         "summary.json": "fc08ff9958a1a9503b95be14c9d497624d8a9e8f9d23b7986b3324e7e3ee9e65",
     },
+    ("simulate", "ball-wz-bar"): {
+        "path.csv": "217fe98ff257c15723636aeb8e5ed74fd9ba224dce96925c9088f528494d7ea1",
+        "solution.csv": "962dd3567b2ce53fb08e39517a2edf863bd9f500001c14dc66b914e78bf338e3",
+        "summary.json": "b72079d62ca9c48c88285242902191c82d8e0cc2e95f5f7cfb948cc7aa8840ee",
+    },
+    ("simulate", "shear-wz-bar"): {
+        "path.csv": "e45bcce9de278b26f84e719e55a85c5a724f63657ec9ecde87173da0b46241cf",
+        "solution.csv": "0b3ec1ec27d36a4ef1d24cb2fe9b2ecec1d2571ab97afe6a3a91f07ea6b279fa",
+        "summary.json": "e59243d197a69a65e799d9ab79c40489d426497bd08d5e2604715196c953831f",
+    },
+    ("simulate", "shear-marcus-euler"): {
+        "path.csv": "e45bcce9de278b26f84e719e55a85c5a724f63657ec9ecde87173da0b46241cf",
+        "solution.csv": "cefdfa0a6b5a10c671fea2b3c88828093e8359bcc60235087dc2bbcf07d2ea9b",
+        "summary.json": "9c0c414e2030d98814d2af62cd3162cc11951d86cba7a5b17ecdff6bf40dadf3",
+    },
 }
 GOLDEN_YAML = {"polygon": GOLDEN_POLYGON_YAML,
                "pure-jump": GOLDEN_PURE_JUMP_YAML, "ball": GOLDEN_BALL_YAML,
-               "long-polygon": GOLDEN_LONG_POLYGON_YAML}
+               "long-polygon": GOLDEN_LONG_POLYGON_YAML,
+               "ball-wz-bar": GOLDEN_BALL_WZ_BAR_YAML,
+               "shear-wz-bar": GOLDEN_SHEAR_YAML.replace("KIND", "wz-bar"),
+               "shear-marcus-euler":
+                   GOLDEN_SHEAR_YAML.replace("KIND", "marcus-euler")}
 
 
 @pytest.mark.parametrize("command,name", sorted(GOLDEN))
