@@ -29,7 +29,7 @@ from .geometry import (BOUNDARY, INTERIOR, OUTSIDE, Ball, Box,
                        ConvexPolyhedron, Domain, ExteriorOfBall, HalfSpace,
                        default_boundary_tol)
 from .schemes import (SCHEME_KINDS, SchemeOutput, SchemeSpec, build_reference,
-                      run_marcus_euler, run_scheme, run_wz_bar_scheme)
+                      run_scheme)
 from .skorokhod import (Lemma1Report, SkorokhodSolution, check_lemma1,
                         solve_skorokhod, total_variation)
 from .config import ExperimentConfig, default_config, load_config
@@ -50,7 +50,7 @@ __all__ = [
     "default_boundary_tol", "default_config", "fit_rate",
     "jump_adapted_partition", "jump_defect", "linear_diagonal", "load_config",
     "marcus_jump", "path_seed", "remark4_report",
-    "run_marcus_euler", "run_scheme", "run_wz_bar_scheme", "sample_brownian",
+    "run_scheme", "sample_brownian",
     "sample_jump_driver", "solve_skorokhod", "sup_error", "total_variation",
     "variation_report", "__version__",
 ]

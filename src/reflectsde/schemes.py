@@ -25,30 +25,36 @@ marcus-euler    expanded one-step rule: Euler term in the continuous
 
 Per step the jump admissibility guard |dZ| * sup|f| < rho0 is enforced
 whenever the domain reach rho0 is finite; violations raise JumpTooLarge.
-Every projection goes through ``skorokhod.guarded_step``: each runner
-validates its start point and the dimensions once per path and then
+Every projection goes through ``skorokhod.guarded_step``: the core
+validates each path's start point and the dimensions once and then
 projects each target once, unchecked (see the ``skorokhod`` docstring).
 
-projection, jump-adapted, wz-hat and the reference share one projection
-core, which steps a block of paths, each on its own partition:
-``run_schemes`` and ``build_references`` run it on a block of drivers, and
-``run_scheme`` and ``build_reference`` are their batch of one (wz-bar and
-marcus-euler run driver by driver, each through ``project_steps``).  With a
-constant coefficient (``f.matrix`` set) the increments do not depend on the
-state: f dZ_k per cell, and (f dZ_k) du per wz-bar substep.  Each path then
-steps through ``skorokhod.project_steps``, where runs of steps that stay
-inside the domain skip the projection, where it is the identity, and are
-advanced in bulk; the output is bitwise that of the step-by-step loop,
-because the same increments are summed in the same order.  Other
-coefficients step the block, a batch of one included, in lockstep:
+All five kinds and the reference share one projection core, which steps a
+block of paths: ``run_schemes`` and ``build_references`` run it on a block
+of drivers, and ``run_scheme`` and ``build_reference`` are their batch of
+one.  Each path is a chain of a grid (its partition; wz-bar splits each
+cell into substeps_bar substeps and splices the observation times inside
+it in exactly), a step rule, and output rows (grid points and observation
+times written CADLAG; wz-bar's cell ends and observation times, LINEAR).
+The step rule is one of three.  With a constant coefficient (``f.matrix``
+set) the increments do not depend on the state: f dZ_k per cell, and
+(f dZ_k) du per wz-bar substep.  They step through
+``skorokhod.project_steps``, where runs of steps that stay inside the
+domain skip the projection, where it is the identity, and are advanced in
+bulk; the output is bitwise that of the step-by-step loop, because the
+same increments are summed in the same order.  Other coefficients step a
+block of the other kinds, a batch of one included, in lockstep:
 ``marcus_jump_chains`` moves every path one RK4 step of its current cell
 per iteration, each cell bitwise as a single-path call, and a path's cell
 is projected by its own ``guarded_step`` once transported, which starts
-its next cell.  A path's output is therefore
-bitwise independent of the block it runs in, and a path that fails
-(JumpTooLarge, NonFinite, ProjectionOutOfRange) fails alone, with the
-error it raises alone, in cell order: the jump guard of a cell, then
-wz-hat's sampling of its interior, then its step.
+its next cell.  wz-bar's x + f(x) dZ_k du and marcus-euler's expanded rule
+are explicit targets stepped through ``project_steps``.  One assembly
+turns every chain's step records into X, K, Y and the k-variation, a
+segment at a time.  A path's output is bitwise independent of the block it
+runs in, and a path that fails (JumpTooLarge, NonFinite,
+ProjectionOutOfRange) fails alone, with the error it raises alone, in cell
+order: the jump guard of a cell, then wz-hat's sampling of its interior,
+then its step.
 """
 
 import math
@@ -65,8 +71,9 @@ from .flow import (DEFAULT_FLOW, REFERENCE_FLOW, Coefficient, FlowConfig,
 from .geometry import Domain, OUTSIDE
 from .skorokhod import accumulate, guarded_step, project_steps, shifted
 
-# wz-bar substeps held in memory at once
-_BAR_BLOCK_ROWS = 4096
+# step records that the assembly holds at once; wz-bar steps whole cells
+# of substeps in segments of about this many rows
+_SEGMENT_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,38 +184,6 @@ def _output_grid(partition: Partition, observation_times) -> np.ndarray:
     return np.union1d(partition.points, obs)
 
 
-def _buffers(n: int, start: np.ndarray):
-    """X, K, Y and k-variation arrays of n rows, the first set at the start."""
-    X, K, Y = (np.empty((n, len(start))) for _ in range(3))
-    kvar = np.empty(n)
-    X[0], K[0], Y[0], kvar[0] = start, 0.0, start, 0.0
-    return X, K, Y, kvar
-
-
-def _output(domain, label, partition, out_t, paths, dk_count,
-            interp=CADLAG_STEP) -> SchemeOutput:
-    """Wrap the X, K, Y and k-variation arrays sampled at ``out_t``."""
-    X, K, Y, kvar = paths
-    return SchemeOutput(
-        x=GridPath(out_t, X, interp=interp),
-        k=GridPath(out_t, K, interp=interp),
-        y=GridPath(out_t, Y, interp=interp),
-        k_variation=kvar,
-        meta=RunMeta(scheme=label, mesh=partition.mesh, projections=dk_count,
-                     boundary_hits=domain.boundary_count(X)),
-    )
-
-
-def _fill_step(out_t, grid_t, grid_vals):
-    """Step-interpolate grid values onto the output times."""
-    if len(out_t) == len(grid_t):
-        # the output times are the grid itself (they always contain it)
-        return grid_vals
-    idx = np.searchsorted(grid_t, out_t, side="right") - 1
-    idx = np.clip(idx, 0, len(grid_t) - 1)
-    return grid_vals[idx]
-
-
 def _only(results):
     """The output of a batch of one path, or the error that stopped it."""
     (result,) = results
@@ -227,62 +202,237 @@ class _Chain:
     ``error`` is the error of the step of cell ``failed_at``.  The output
     is sampled at ``out_t``; ``samples`` holds wz-hat's (slot, cell k,
     state) of the times inside the cells, and ``sample_error`` the error of
-    the lowest cell whose interior fails (``_sample_interiors``).
+    the lowest cell whose interior fails (``_sample_interiors``).  With one
+    step per cell (no wz-bar ``substeps``) the chain holds its step records:
+    the (n + 1, d) path, whose rows up to a failing step stay for wz-hat's
+    interiors, (n, d) targets, (n,) |dk| and the increments ``dys`` that
+    its rule records, if any.
     """
 
-    def __init__(self, start, partition, dzs, bound, rho0, out_t):
+    def __init__(self, start, partition, dzs, bound, rho0, out_t,
+                 substeps=1):
         self.start, self.partition, self.dzs = start, partition, dzs
         self.out_t, self.samples, self.sample_error = out_t, [], None
         self.n, self.stop = _admissible_cells(dzs, bound, rho0)
-        self.error = self.failed_at = None
-        # the (n + 1, d) path, (n, d) targets and (n,) |dk| of the steps;
-        # the path up to a failing step stays for wz-hat's interiors
-        self.path = np.empty((self.n + 1, len(start)))
-        self.path[0], self.dk_norms = start, np.zeros(self.n)
-        self.targets = np.empty((self.n, len(start)))
+        self.error = self.failed_at = self.dys = self.path = None
+        if substeps == 1:
+            self.path = np.empty((self.n + 1, len(start)))
+            self.path[0], self.dk_norms = start, np.zeros(self.n)
+            self.targets = np.empty((self.n, len(start)))
 
-    def finish(self, domain, label):
+    def finish(self, domain, label, segments, interp):
         """The path's SchemeOutput, or the error that stopped it.
 
-        A cell's interior fails before its step, and every cell the sampler
-        reaches comes before the jump guard's ``stop``.  Drops the step
-        records, so a block holds each path's records or its output, not
-        both.
+        ``segments`` are its step records for ``_assemble`` (wz-bar steps
+        as they are drawn).  A cell's interior fails before its step, and
+        every cell the sampler reaches comes before the jump guard's
+        ``stop``.  Drops the step records, so a block holds each path's
+        records or its output, not both.
         """
-        xs, targets, dk_norms = self.path, self.targets, self.dk_norms
-        self.dzs = self.path = self.targets = self.dk_norms = None
+        if self.sample_error is None and self.error is None:
+            X, K, Y, kvar, count = _assemble(self.start, self.out_t, segments)
+        path = self.path
+        self.dzs = self.path = self.targets = self.dk_norms = self.dys = None
         for error in (self.sample_error, self.error, self.stop):
             if error is not None:
                 return error
-        out_t, pts = self.out_t, self.partition.points
-        X, K, Y, kvar = (
-            _fill_step(out_t, pts, a) for a in (
-                xs,
-                accumulate(np.zeros_like(self.start), xs[1:] - targets),
-                accumulate(self.start, targets - xs[:-1]),
-                accumulate(0.0, dk_norms)))
         # an interior sample keeps K and the k-variation of its cell's
         # left end, and moves Y with X
         for slot, k, x in self.samples:
             X[slot] = x
-            Y[slot] += x - xs[k]
-        return _output(domain, label, self.partition, out_t, (X, K, Y, kvar),
-                       int(np.count_nonzero(dk_norms)))
+            Y[slot] += x - path[k]
+        return SchemeOutput(
+            x=GridPath(self.out_t, X, interp=interp),
+            k=GridPath(self.out_t, K, interp=interp),
+            y=GridPath(self.out_t, Y, interp=interp),
+            k_variation=kvar,
+            meta=RunMeta(scheme=label, mesh=self.partition.mesh,
+                         projections=count,
+                         boundary_hits=domain.boundary_count(X)))
 
 
-def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
-                     observation_times, interiors=False) -> list:
-    """The projection step of each driver on its own partition.
+def _assemble(start, out_t, segments):
+    """X, K, Y and the k-variation at ``out_t``, and the number of steps
+    that project, from a chain's step records: per segment, the left state
+    and step ends ``states``, the targets, |dk| and recorded increments
+    (or None), and the output ``slots`` that take ``states[rows]``.  The
+    running sums carry across segments, so each sums its steps in order.
+    K moves only where |dk| > 0 (a dk too small to square is no move); Y
+    sums the recorded increments, or else targets - states.
+    """
+    X, K, Y = (np.empty((len(out_t), len(start))) for _ in range(3))
+    kvar = np.empty(len(out_t))
+    X[0], K[0], Y[0], kvar[0] = start, 0.0, start, 0.0
+    k_run, y_run, kv_run, count = np.zeros(len(start)), start, 0.0, 0
+    for states, targets, dk_norms, dys, rows, slots in segments:
+        dks = np.where(dk_norms[:, None] > 0.0, states[1:] - targets, 0.0)
+        ks = accumulate(k_run, dks)
+        ys = accumulate(y_run, targets - states[:-1] if dys is None else dys)
+        kvs = accumulate(kv_run, dk_norms)
+        X[slots], K[slots], Y[slots], kvar[slots] = (
+            states[rows], ks[rows], ys[rows], kvs[rows])
+        k_run, y_run, kv_run = ks[-1], ys[-1], kvs[-1]
+        count += int(np.count_nonzero(dk_norms))
+    return X, K, Y, kvar, count
+
+
+def _cell_segments(c):
+    """The step records of a chain of one step per cell, in segments of
+    ``_SEGMENT_ROWS`` cells, with its output rows: each output time takes
+    the grid value at or before it (CADLAG)."""
+    # the number of cells done at each output time
+    done = np.searchsorted(c.partition.points, c.out_t, side="right") - 1
+    for a in range(0, c.n, _SEGMENT_ROWS):
+        b = min(a + _SEGMENT_ROWS, c.n)
+        lo, hi = np.searchsorted(done, a), np.searchsorted(done, b, "right")
+        # no output time inside these cells: the rows are a slice
+        rows = slice(0, hi - lo) if hi - lo == b - a + 1 else done[lo:hi] - a
+        yield (c.path[a:b + 1], c.targets[a:b], c.dk_norms[a:b],
+               None if c.dys is None else c.dys[a:b], rows, slice(lo, hi))
+
+
+def _bar_segments(domain, f, c, bar):
+    """wz-bar's step records, stepped a block of whole cells at a time as
+    they are drawn, with the output rows of the cell ends and observation
+    times.  Each cell [t_k, t_{k+1}] is traversed in ``bar`` Euler
+    substeps of the cell field f(.) dZ_k scaled by the substep fraction,
+    each projected, so both the path and the compensator are continuous
+    (piecewise linear) in time.  A failing step ends the records.
+    """
+    rho0, pts, out_t, dzs = domain.rho0, c.partition.points, c.out_t, c.dzs
+    grid_slot = np.searchsorted(out_t, pts)
+    # substep fractions of a cell without observation times
+    fractions = np.linspace(0.0, 1.0, bar + 1)
+    plain_du = np.diff(fractions)
+    state = c.start
+    block = max(1, _SEGMENT_ROWS // bar)
+    for first in range(0, c.n, block):
+        cells = range(first, min(first + block, c.n))
+        # per substep: its fraction and its cell; the substeps done at each
+        # output slot the block fills
+        if grid_slot[cells.stop] - grid_slot[first] == len(cells):
+            # no observation time inside the block's cells
+            dus = np.tile(plain_du, len(cells))
+            cell_of = np.repeat(cells, bar)
+            rows = np.arange(bar, len(dus) + 1, bar)
+            slots = grid_slot[first + 1:cells.stop + 1]
+        else:
+            dus, cell_of, rows, slots = _spliced_substeps(
+                cells, pts, out_t, grid_slot, fractions)
+
+        if f.matrix is not None:
+            # a constant coefficient gives each cell one increment
+            # direction: stacked, each row rounding like the 1-D
+            # f.matrix @ dzs[k]
+            cell_dy = (f.matrix @ dzs[first:cells.stop, :, None])[:, :, 0]
+            dys = cell_dy[cell_of - first] * dus[:, None]
+
+            def target(j, x):
+                return shifted(x, dys[j])
+        else:
+            dys = np.empty((len(dus), len(state)))
+
+            def target(j, x):
+                dys[j] = f.field(np.array(x), dzs[cell_of[j]]) * dus[j]
+                return shifted(x, dys[j])
+
+        try:
+            path, targets, dk_norms = project_steps(
+                domain, state, rho0, target, len(dus),
+                dys if f.matrix is not None else None)
+        except ReflectedSDEError as exc:
+            c.error = exc
+            return
+        yield path, targets, dk_norms, dys, rows, slots
+        state = path[-1]
+
+
+def _spliced_substeps(cells, pts, out_t, grid_slot, fractions):
+    """The substeps of ``cells``, with the observation times inside a cell
+    spliced in exactly: per substep its fraction du and its cell, and the
+    number of substeps done at each output slot they end, with those
+    slots."""
+    plain_du = np.diff(fractions)
+    dus, cell_of, rows, slots = [], [], [], []
+    for k in cells:
+        lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
+        if hi > lo:
+            t0, dt = pts[k], pts[k + 1] - pts[k]
+            marks = {(out_t[slot] - t0) / dt: slot for slot in range(lo, hi)}
+            marks[1.0] = hi
+            spliced = np.union1d(fractions, np.array(sorted(marks)))
+            du = np.diff(spliced)
+            for i, u in enumerate(spliced[1:].tolist()):
+                if u in marks:
+                    rows.append(len(cell_of) + i + 1)
+                    slots.append(marks[u])
+        else:
+            du = plain_du
+            rows.append(len(cell_of) + len(du))
+            slots.append(hi)
+        dus.append(du)
+        cell_of.extend([k] * len(du))
+    return np.concatenate(dus), np.array(cell_of), rows, slots
+
+
+def _increment_rule(f, c):
+    """A constant coefficient's cell step: its increments f dz_k, as
+    marcus_jump forms them, and the target x + f dz_k with marcus_jump's
+    finite-value guard."""
+    # a stack of (1, d) @ (d, d) products, each rounding like the 1-D
+    # dz @ f.matrix.T of marcus_jump (a plain (n, d) @ (d, d) may not)
+    increments = (c.dzs[:c.n, None, :] @ f.matrix.T)[:, 0, :]
+
+    def target(k, x):
+        # interior runs cannot fail, so a failing step is the last one
+        # whose target is taken here
+        c.failed_at = k
+        return inside_guard(shifted(x, increments[k]))
+
+    return target, increments
+
+
+def _euler_rule(f, cfg, c, parts):
+    """marcus-euler's cell step, with X frozen at the cell's left end:
+
+        X+ = project( X + f(X) dZc + 1/2 (f'f)(X) : d[Zc]
+                        + sum over recorded jumps J of (phi(f J, X) - X) )
+
+    where dZc and d[Zc] are the continuous-part increment and quadratic
+    covariation matrix of the cell, and its recorded jumps, in ``parts``
+    (``_continuous_parts``).  The increments are recorded, and Y sums them.
+    """
+    dzcs, qcs, jumps = parts
+    c.dys = incrs = np.empty((c.n, len(c.start)))
+    curved = qcs.any(axis=(1, 2)).tolist()
+
+    def target(k, x):
+        state = np.array(x)
+        incr = f.field(state, dzcs[k])
+        if curved[k]:
+            incr = incr + 0.5 * np.einsum("ijm,jm->i", f.correction(state),
+                                          qcs[k])
+        for jv in jumps[k]:
+            incr = incr + (marcus_jump(f, jv, state, cfg) - state)
+        incrs[k] = incr
+        return shifted(x, incr)
+
+    return target, None
+
+
+def _projection_core(domain, f, x0, drivers, partitions, kind, cfg,
+                     observation_times=None, substeps=1) -> list:
+    """The scheme ``kind`` of each driver on its own partition.
 
     Returns, per path, its SchemeOutput or the ReflectedSDEError that
-    stopped it, so a failure stays with its own path.  With a constant
-    coefficient each path's increments are known up front, and it steps
-    through ``project_steps``, which advances interior runs in bulk.  Any
-    other coefficient steps the block, a single path included, in lockstep
-    (``_step_in_lockstep``).  ``interiors`` samples wz-hat's cell interiors
-    once every path is stepped (``_sample_interiors``).
+    stopped it, so a failure stays with its own path.  Constant increments
+    and marcus-euler's rule step each chain of one step per cell through
+    ``project_steps`` as it is built, wz-bar as its output is assembled,
+    and any other rule steps the block, a single path included, in
+    lockstep.  wz-hat's interiors are sampled once every path is stepped.
     """
     rho0 = domain.rho0
+    lockstep = f.matrix is None and kind not in ("wz-bar", "marcus-euler")
     chains = []
     for z, part in zip(drivers, partitions):
         try:
@@ -290,37 +440,32 @@ def _projection_core(domain, f, x0, drivers, partitions, cfg, label,
         except ReflectedSDEError as exc:
             chains.append(exc)
             continue
-        dzs = np.diff(z.value_at(part.points), axis=0)
-        out_t = _output_grid(part, observation_times)
-        chains.append(_Chain(start, part, dzs, f.sup_f, rho0, out_t))
+        zvals = z.value_at(part.points)
+        c = _Chain(start, part, np.diff(zvals, axis=0), f.sup_f, rho0,
+                   _output_grid(part, observation_times), substeps)
+        chains.append(c)
+        if kind == "marcus-euler":
+            target, increments = _euler_rule(
+                f, cfg, c, _continuous_parts(z, part.points, zvals))
+        elif kind == "wz-bar" or lockstep:
+            continue
+        else:
+            target, increments = _increment_rule(f, c)
+        try:
+            c.dk_norms = project_steps(domain, start, rho0, target, c.n,
+                                       increments, targets=c.targets,
+                                       path=c.path)[2]
+        except ReflectedSDEError as exc:
+            c.error = exc
     stepping = [c for c in chains if isinstance(c, _Chain)]
-
-    if f.matrix is not None:
-        # a stack of (1, d) @ (d, d) products, each rounding like the 1-D
-        # dz @ f.matrix.T of marcus_jump (a plain (n, d) @ (d, d) may not)
-        mt = f.matrix.T
-        for c in stepping:
-            increments = (c.dzs[:c.n, None, :] @ mt)[:, 0, :]
-
-            def target(k, x, c=c, increments=increments):
-                # marcus_jump's closed form x + f dz_k and its guard;
-                # interior runs cannot fail, so a failing step is the last
-                # one taken here
-                c.failed_at = k
-                return inside_guard(shifted(x, increments[k]))
-
-            try:
-                c.dk_norms = project_steps(
-                    domain, c.start, rho0, target, c.n, increments,
-                    targets=c.targets, path=c.path)[2]
-            except ReflectedSDEError as exc:
-                c.error = exc
-    else:
+    if lockstep:
         _step_in_lockstep(domain, f, stepping, cfg, rho0)
-    if interiors:
+    if kind == "wz-hat":
         _sample_interiors(f, cfg, stepping)
-    return [c.finish(domain, label) if isinstance(c, _Chain) else c
-            for c in chains]
+    bar = kind == "wz-bar"
+    return [c.finish(domain, kind, _bar_segments(domain, f, c, substeps) if bar
+                     else _cell_segments(c), LINEAR if bar else CADLAG_STEP)
+            if isinstance(c, _Chain) else c for c in chains]
 
 
 def _sample_interiors(f, cfg, chains):
@@ -394,111 +539,6 @@ def _step_in_lockstep(domain, f, chains, cfg, rho0):
                            for c in chains], follow, cfg)
 
 
-def run_wz_bar_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,
-                      spec: SchemeSpec) -> SchemeOutput:
-    """Reflected polygonal dynamics: projected Euler substeps inside cells.
-
-    Each cell [t_k, t_{k+1}] is traversed in ``substeps_bar`` Euler
-    substeps of the cell field f(.) dZ_k scaled by the substep fraction,
-    with a projection after every substep, so both the path and the
-    compensator are continuous (piecewise linear) in time.  Cells are
-    stepped in blocks of about ``_BAR_BLOCK_ROWS`` substeps, so memory
-    stays bounded on fine partitions.
-    """
-    start = _validated_start(domain, f, x0, z)
-    rho0 = domain.rho0
-    pts = spec.partition.points
-    out_t = _output_grid(spec.partition, spec.observation_times)
-    X, K, Y, kvar = _buffers(len(out_t), start)
-    grid_slot = np.searchsorted(out_t, pts)
-    dzs = np.diff(z.value_at(pts), axis=0)
-    n_cells, stop = _admissible_cells(dzs, f.sup_f, rho0)
-
-    # substep fractions of a cell without observation times, built once
-    bar = spec.substeps_bar
-    fractions = np.linspace(0.0, 1.0, bar + 1)
-    plain_du = np.diff(fractions)
-
-    state, k_run, y_run, kvar_run = start, np.zeros(len(start)), start, 0.0
-    dk_count = 0
-    block = max(1, _BAR_BLOCK_ROWS // bar)
-    for first in range(0, n_cells, block):
-        cells = range(first, min(first + block, n_cells))
-        # per substep: its fraction, its cell, and the output slot it marks
-        if grid_slot[cells.stop] - grid_slot[first] == len(cells):
-            # no observation time inside the block's cells
-            dus = np.tile(plain_du, len(cells))
-            cell_of = np.repeat(cells, bar)
-            rows = np.arange(bar - 1, len(dus), bar)
-            slots = grid_slot[first + 1:cells.stop + 1]
-        else:
-            dus, cell_of, rows, slots = _spliced_substeps(
-                cells, pts, out_t, grid_slot, fractions)
-
-        if f.matrix is not None:
-            # a constant coefficient gives each cell one increment
-            # direction: stacked, each row rounding like the 1-D
-            # f.matrix @ dzs[k]
-            cell_dy = (f.matrix @ dzs[first:cells.stop, :, None])[:, :, 0]
-            dys = cell_dy[cell_of - first] * dus[:, None]
-
-            def target(j, x):
-                return shifted(x, dys[j])
-        else:
-            dys = np.empty((len(dus), len(start)))
-
-            def target(j, x):
-                dys[j] = f.field(np.array(x), dzs[cell_of[j]]) * dus[j]
-                return shifted(x, dys[j])
-
-        path, targets, dk_norms = project_steps(
-            domain, state, rho0, target, len(dus),
-            dys if f.matrix is not None else None)
-        states = path[1:]
-        # K moves on projected substeps only: a dk too small to square has
-        # |dk| = 0 and counts as no move
-        dks = np.where(dk_norms[:, None] > 0.0, states - targets, 0.0)
-        ks = accumulate(k_run, dks)[1:]
-        ys = accumulate(y_run, dys)[1:]
-        kvs = accumulate(kvar_run, dk_norms)[1:]
-        X[slots], K[slots], Y[slots], kvar[slots] = (
-            states[rows], ks[rows], ys[rows], kvs[rows])
-        state, k_run, y_run, kvar_run = states[-1], ks[-1], ys[-1], kvs[-1]
-        dk_count += int(np.count_nonzero(dk_norms))
-
-    if stop is not None:
-        raise stop
-    return _output(domain, "wz-bar", spec.partition, out_t, (X, K, Y, kvar),
-                   dk_count, interp=LINEAR)
-
-
-def _spliced_substeps(cells, pts, out_t, grid_slot, fractions):
-    """The substeps of ``cells``, with the observation times inside a cell
-    spliced in exactly: per substep its fraction du and its cell, and the
-    substep rows that end at an output slot, with those slots."""
-    plain_du = np.diff(fractions)
-    dus, cell_of, rows, slots = [], [], [], []
-    for k in cells:
-        lo, hi = grid_slot[k] + 1, grid_slot[k + 1]
-        if hi > lo:
-            t0, dt = pts[k], pts[k + 1] - pts[k]
-            marks = {(out_t[slot] - t0) / dt: slot for slot in range(lo, hi)}
-            marks[1.0] = hi
-            spliced = np.union1d(fractions, np.array(sorted(marks)))
-            du = np.diff(spliced)
-            for i, u in enumerate(spliced[1:].tolist()):
-                if u in marks:
-                    rows.append(len(cell_of) + i)
-                    slots.append(marks[u])
-        else:
-            du = plain_du
-            rows.append(len(cell_of) + len(du) - 1)
-            slots.append(hi)
-        dus.append(du)
-        cell_of.extend([k] * len(du))
-    return np.concatenate(dus), np.array(cell_of), rows, slots
-
-
 def _continuous_parts(z: GridPath, pts: np.ndarray, zvals: np.ndarray):
     """Per cell of the grid ``pts``: the continuous increment dZc (cells, d),
     its quadratic covariation d[Zc] (cells, d, d) and its recorded jumps.
@@ -545,50 +585,6 @@ def _continuous_parts(z: GridPath, pts: np.ndarray, zvals: np.ndarray):
     return dzcs, qcs, jumps
 
 
-def run_marcus_euler(domain: Domain, f: Coefficient, x0, z: GridPath,
-                     spec: SchemeSpec) -> SchemeOutput:
-    """Expanded one-step rule with exact transport across recorded jumps.
-
-    Per cell, with X frozen at the cell's left endpoint:
-
-        X+ = project( X + f(X) dZc + 1/2 (f'f)(X) : d[Zc]
-                        + sum over recorded jumps J of (phi(f J, X) - X) )
-
-    where dZc and d[Zc] are the continuous-part increment and quadratic
-    covariation matrix of the cell (``_continuous_parts``).  The cells step
-    through ``project_steps``; Y sums the cells' increments.
-    """
-    start = _validated_start(domain, f, x0, z)
-    rho0, cfg = domain.rho0, spec.flow_cfg
-    pts = spec.partition.points
-    zvals = z.value_at(pts)
-    dzcs, qcs, jumps = _continuous_parts(z, pts, zvals)
-    n, stop = _admissible_cells(np.diff(zvals, axis=0), f.sup_f, rho0)
-    incrs = np.empty((n, len(start)))
-    curved = qcs.any(axis=(1, 2)).tolist()
-
-    def target(k, x):
-        state = np.array(x)
-        incr = f.field(state, dzcs[k])
-        if curved[k]:
-            incr = incr + 0.5 * np.einsum("ijm,jm->i", f.correction(state),
-                                          qcs[k])
-        for jv in jumps[k]:
-            incr = incr + (marcus_jump(f, jv, state, cfg) - state)
-        incrs[k] = incr
-        return shifted(x, incr)
-
-    xs, targets, dk_norms = project_steps(domain, start, rho0, target, n)
-    if stop is not None:
-        raise stop
-    out_t = _output_grid(spec.partition, spec.observation_times)
-    paths = (xs, accumulate(np.zeros_like(start), xs[1:] - targets),
-             accumulate(start, incrs), accumulate(0.0, dk_norms))
-    return _output(domain, "marcus-euler", spec.partition, out_t,
-                   [_fill_step(out_t, pts, a) for a in paths],
-                   int(np.count_nonzero(dk_norms)))
-
-
 def _reference_partition(z: GridPath, refine: int) -> Partition:
     adapted = jump_adapted_partition(z, refine)
     return Partition(np.union1d(adapted.points,
@@ -608,8 +604,8 @@ def build_references(domain: Domain, f: Coefficient, x0, drivers,
     if refine < 1:
         raise ValueError("refine must be >= 1")
     partitions = [_reference_partition(z, refine) for z in drivers]
-    return _projection_core(domain, f, x0, drivers, partitions, flow_cfg,
-                            "jump-adapted", None)
+    return _projection_core(domain, f, x0, drivers, partitions,
+                            "jump-adapted", flow_cfg)
 
 
 def build_reference(domain: Domain, f: Coefficient, x0, z: GridPath,
@@ -625,39 +621,25 @@ def build_reference(domain: Domain, f: Coefficient, x0, z: GridPath,
     return _only(build_references(domain, f, x0, [z], refine, flow_cfg))
 
 
-#: Kinds the projection core steps, a block of drivers at once.
-_CORE_KINDS = ("projection", "jump-adapted", "wz-hat")
-#: Kind -> runner(domain, f, x0, z, spec) of the kinds run driver by driver.
-_LOOPED = {"wz-bar": run_wz_bar_scheme, "marcus-euler": run_marcus_euler}
-SCHEME_KINDS = _CORE_KINDS + tuple(_LOOPED)
+SCHEME_KINDS = ("projection", "jump-adapted", "wz-hat", "wz-bar",
+                "marcus-euler")
 
 
 def run_schemes(domain: Domain, f: Coefficient, x0, drivers,
                 spec: SchemeSpec) -> list:
     """The scheme ``spec.kind`` names on each driver: per driver, its
-    SchemeOutput or the ReflectedSDEError that stopped it.
-
-    projection, jump-adapted and wz-hat step the drivers together in the
-    projection core, each bitwise as ``run_scheme`` on its driver alone.
-    """
+    SchemeOutput or the ReflectedSDEError that stopped it, each bitwise as
+    ``run_scheme`` on its driver alone."""
     kind = spec.kind
-    if kind in _LOOPED:
-        results = []
-        for z in drivers:
-            try:
-                results.append(_LOOPED[kind](domain, f, x0, z, spec))
-            except ReflectedSDEError as exc:
-                results.append(exc)
-        return results
     if kind == "jump-adapted":
         # the threshold is the resolution of the partition's mesh
         n = max(1, round(1.0 / spec.partition.mesh))
         partitions = [jump_adapted_partition(z, n) for z in drivers]
     else:
         partitions = [spec.partition] * len(drivers)
-    return _projection_core(domain, f, x0, drivers, partitions, spec.flow_cfg,
-                            kind, spec.observation_times,
-                            interiors=kind == "wz-hat")
+    return _projection_core(domain, f, x0, drivers, partitions, kind,
+                            spec.flow_cfg, spec.observation_times,
+                            spec.substeps_bar if kind == "wz-bar" else 1)
 
 
 def run_scheme(domain: Domain, f: Coefficient, x0, z: GridPath,

@@ -275,9 +275,10 @@ def scheme_spec(kind, cells=16, observation_times=None, **kw):
 @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
 @pytest.mark.parametrize("kind, observed", [
     ("projection", None), ("jump-adapted", None), ("wz-hat", None),
-    ("wz-hat", OBSERVED), ("wz-bar", None), ("marcus-euler", OBSERVED)],
+    ("wz-hat", OBSERVED), ("wz-bar", None), ("marcus-euler", OBSERVED),
+    ("wz-bar", OBSERVED), ("marcus-euler", None)],
     ids=["projection", "jump-adapted", "wz-hat", "wz-hat-observed",
-         "wz-bar", "marcus-euler"])
+         "wz-bar", "marcus-euler", "wz-bar-observed", "marcus-euler-grid"])
 @pytest.mark.parametrize("dom, x0", [(DOMAINS[1][0], (0.95, -0.2)),
                                      DOMAINS[4]],
                          ids=[DOMAINS[1][0].kind, DOMAINS[4][0].kind])

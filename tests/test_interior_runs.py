@@ -10,6 +10,7 @@ must raise the same exception at the same step.
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,8 +317,28 @@ def test_wz_bar_blocks_of_cells_join_bitwise(monkeypatch):
     spec = SchemeSpec(kind="wz-bar", partition=Partition.uniform(1.0, 32),
                       substeps_bar=8, observation_times=OBSERVATIONS)
     whole = run_scheme(dom, f, x0, z, spec)
-    monkeypatch.setattr(schemes, "_BAR_BLOCK_ROWS", 24)
+    monkeypatch.setattr(schemes, "_SEGMENT_ROWS", 24)
     assert_same_output(whole, run_scheme(dom, f, x0, z, spec))
+
+
+def test_wz_bar_holds_a_segment_of_substeps():
+    """128 cells of 1,024 substeps are assembled a segment at a time: the
+    run peaks under 2.5 MB, where the step records of its 131,072 substeps
+    alone would take at least 5.2 MB."""
+    dom, f = Ball([0.0, 0.0], 1.0), constant_matrix(np.eye(2))
+    z = driver(5)
+    spec = SchemeSpec(kind="wz-bar", partition=Partition.uniform(1.0, 128),
+                      substeps_bar=1024)
+    # a run first, so one-time allocations are not counted
+    run_scheme(dom, f, (0.9, 0.0), z, spec)
+    tracemalloc.start()
+    try:
+        out = run_scheme(dom, f, (0.9, 0.0), z, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.meta.projections > 0
+    assert peak < 2.5e6
 
 
 # ---------------------------------------------------------------------------

@@ -120,22 +120,43 @@ def test_wz_hat_interior_follows_cell_flow():
 def test_wz_bar_reflected_ramp_closed_form():
     """Deterministic downhill ramp on the half line: the polygonal state
     decreases to the wall and sits there while the compensator absorbs the
-    remaining motion."""
+    remaining motion.  A ramp of 1e-170 from the wall puts every target
+    about 1e-170 outside it, where |dk| underflows to 0: such a step counts
+    as no move, so K, its variation and the projection count stay 0, for
+    every step rule (in d = 2 for the RK4 transport, whose steps a driver
+    increment of norm 1e-170 would skip)."""
     dom = HalfSpace([1.0], 0.0)
     f = constant_matrix([[1.0]])
-    z = GridPath(np.array([0.0, 1.0]), np.array([[0.0], [-1.0]]),
-                 interp="linear")
     part = Partition.uniform(1.0, 4)
     obs = np.array([0.125, 0.375, 0.625, 0.875])
-    out = run_scheme(dom, f, (0.5,), z,
-                     SchemeSpec(kind="wz-bar", partition=part,
-                                substeps_bar=8, observation_times=obs))
-    for t in np.concatenate([part.points, obs]):
-        expected = max(0.5 - t, 0.0)
-        assert out.x.value_at(t)[0] == pytest.approx(expected, abs=1e-12)
-    assert out.k.value_at(1.0)[0] == pytest.approx(0.5, abs=1e-12)
-    assert out.x.interp == "linear"
-    assert out.k.interp == "linear"
+    for x0, drop in ((0.5, 1.0), (0.0, 1e-170)):
+        z = GridPath(np.array([0.0, 1.0]), np.array([[0.0], [-drop]]),
+                     interp="linear")
+        out = run_scheme(dom, f, (x0,), z,
+                         SchemeSpec(kind="wz-bar", partition=part,
+                                    substeps_bar=8, observation_times=obs))
+        for t in np.concatenate([part.points, obs]):
+            expected = max(x0 - drop * t, 0.0)
+            assert out.x.value_at(t)[0] == pytest.approx(expected, abs=1e-12)
+        assert out.k.value_at(1.0)[0] == pytest.approx(drop - x0, abs=1e-12)
+        assert out.x.interp == "linear"
+        assert out.k.interp == "linear"
+    # increment rows, lockstep RK4 transport, and explicit targets
+    f = constant_matrix(np.eye(2))
+    no_matrix = Coefficient("constant-no-matrix", 2, f._evaluate,
+                            f._derivative, sup_f=f.sup_f)
+    z = GridPath(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, -1e-170]]),
+                 interp="linear")
+    for kind, g in (("wz-bar", f), ("projection", f),
+                    ("projection", no_matrix), ("wz-bar", no_matrix),
+                    ("marcus-euler", f)):
+        under = run_scheme(HalfSpace([0.0, 1.0], 0.0), g, (0.0, 0.0), z,
+                           SchemeSpec(kind=kind, partition=part,
+                                      substeps_bar=8))
+        assert np.all(under.x.values[:, 1] == 0.0), kind
+        assert under.y.values[-1, 1] < 0.0, kind
+        assert not under.k.values.any() and not under.k_variation.any()
+        assert under.meta.projections == 0
 
 
 def test_wz_bar_compensator_is_continuous():
