@@ -59,7 +59,10 @@ _EXPERIMENT_DEFAULT = {
 }
 
 _SECTIONS = ("domain", "coefficient", "driver", "scheme", "experiment")
-_JUMP_LAW_KINDS = ("uniform-ball", "fixed-vector")
+# the keys each jump law reads; the default law's radius merges into both
+_JUMP_LAW_KEYS = {"uniform-ball": {"kind", "radius"},
+                  "fixed-vector": {"kind", "vector", "radius"}}
+_JUMP_LAW_KINDS = tuple(_JUMP_LAW_KEYS)
 
 # scalar fields of the merged sections: (section, key) ->
 # (integer, lower bound, bound inclusive, None allowed)
@@ -209,6 +212,9 @@ class ExperimentConfig:
             problems.append(
                 "driver.jump_law.kind must be one of %s" % (_JUMP_LAW_KINDS,)
             )
+        elif unknown := sorted(set(law) - _JUMP_LAW_KEYS[law["kind"]]):
+            problems.append(f"unknown keys {unknown} for driver.jump_law "
+                            f"kind {law['kind']!r}")
         elif law["kind"] == "fixed-vector":
             vec = _vector(law.get("vector", []))
             if vec is None or vec.shape != (num.get("driver.dimension"),):

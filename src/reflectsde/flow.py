@@ -588,8 +588,14 @@ def catalog_coefficient(cid: str, **params) -> Coefficient:
 
 
 def coefficient_from_spec(spec: dict) -> Coefficient:
-    """Build a coefficient from its plain-dict description."""
+    """Build a coefficient from its plain-dict description; a key that its
+    kind does not read raises ValueError (TypeError for the catalog's)."""
     kind = spec.get("kind")
+    known = {"constant-matrix": {"kind", "matrix"}, "linear-diagonal":
+             {"kind", "scale", "dimension", "region_radius"}}.get(kind)
+    if known is not None and set(spec) - known:
+        raise ValueError(f"unknown keys {sorted(set(spec) - known)} for "
+                         f"coefficient kind {kind!r}")
     if kind == "constant-matrix":
         return constant_matrix(spec["matrix"])
     if kind == "linear-diagonal":

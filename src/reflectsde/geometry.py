@@ -298,18 +298,20 @@ class Domain:
 
     @staticmethod
     def from_spec(spec: dict) -> "Domain":
+        """The domain a spec describes; a key its kind does not read raises."""
         kind = spec.get("kind")
-        if kind == "half-space":
-            return HalfSpace(spec["normal"], spec["offset"])
-        if kind == "ball":
-            return Ball(spec["center"], spec["radius"])
-        if kind == "box":
-            return Box(spec["lower"], spec["upper"])
-        if kind == "convex-polyhedron":
-            return ConvexPolyhedron(spec["normals"], spec["offsets"])
-        if kind == "exterior-of-ball":
-            return ExteriorOfBall(spec["center"], spec["radius"])
-        raise ValueError(f"unknown domain kind: {kind!r}")
+        kinds = {"half-space": (HalfSpace, "normal", "offset"),
+                 "ball": (Ball, "center", "radius"),
+                 "box": (Box, "lower", "upper"),
+                 "convex-polyhedron": (ConvexPolyhedron, "normals", "offsets"),
+                 "exterior-of-ball": (ExteriorOfBall, "center", "radius")}
+        if kind not in kinds:
+            raise ValueError(f"unknown domain kind: {kind!r}")
+        cls, *keys = kinds[kind]
+        unknown = sorted(set(spec) - {"kind", *keys})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} for domain kind {kind!r}")
+        return cls(*(spec[key] for key in keys))
 
 
 class HalfSpace(Domain):

@@ -553,11 +553,30 @@ def test_empty_polyhedron_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# (config text, the unknown key): one in a section, and ones that a domain,
+# coefficient or jump law of that kind does not read
+UNKNOWN_KEYS = [
+    ("driver:\n  stepz: 10\n", "stepz"),
+    ("driver: {jump_law: {kind: uniform-ball, radus: 0.1}}\n", "radus"),
+    ("domain: {kind: ball, center: [0.0], radius: 1.0, offset: 3}\n",
+     "offset"),
+    ("domain: {kind: box, lower: [-1.0], upper: [1.0], radius: 3}\n",
+     "radius"),
+    ("coefficient: {kind: constant-matrix, matrix: [[1.0]], scale: 3}\n",
+     "scale"),
+    ("coefficient: {kind: linear-diagonal, scale: 1.0, dimension: 1, "
+     "radius: 3}\n", "radius"),
+]
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "bad.yaml", "driver:\n  stepz: 10\n")
-    assert main(["simulate", "--config", cfg, "--out",
-                 str(tmp_path / "o")]) == 2
-    capsys.readouterr()
+    """An unknown key is a problem that names it, exit 2."""
+    for i, (text, key) in enumerate(UNKNOWN_KEYS):
+        cfg = _write(tmp_path, f"bad{i}.yaml", text)
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+        problems = json.loads(capsys.readouterr().err)["problems"]
+        assert any(repr(key) in p for p in problems), problems
 
 
 @pytest.mark.parametrize("command, text, field", [
