@@ -593,9 +593,9 @@ def coefficient_from_spec(spec: dict) -> Coefficient:
     kind = spec.get("kind")
     known = {"constant-matrix": {"kind", "matrix"}, "linear-diagonal":
              {"kind", "scale", "dimension", "region_radius"}}.get(kind)
-    if known is not None and set(spec) - known:
-        raise ValueError(f"unknown keys {sorted(set(spec) - known)} for "
-                         f"coefficient kind {kind!r}")
+    if known is not None and (unknown := sorted(set(spec) - known)):
+        raise ValueError(f"unknown keys {unknown} for coefficient kind "
+                         f"{kind!r}")
     if kind == "constant-matrix":
         return constant_matrix(spec["matrix"])
     if kind == "linear-diagonal":
